@@ -65,6 +65,14 @@ class PCoords:
         return float(np.sum(self.array ** 2))
 
 
+def _triple(name: str, value):
+    arr = np.asarray(value, dtype=float).reshape(3).copy()
+    norm = float(np.linalg.norm(arr))
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"{name} must be a nonzero finite triple")
+    return arr, norm
+
+
 @dataclass(frozen=True, eq=False)
 class VWPoint:
     """A point of S^2 x S^2; both triples are renormalized on construction."""
@@ -74,11 +82,18 @@ class VWPoint:
 
     def __post_init__(self):
         for name in ("v", "w"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(3).copy()
-            norm = float(np.linalg.norm(arr))
-            if not (math.isfinite(norm) and norm > 0.0):
-                raise ValueError(f"{name} must be a nonzero finite triple")
+            arr, norm = _triple(name, getattr(self, name))
             object.__setattr__(self, name, arr / norm)
+
+    @classmethod
+    def stored(cls, v, w) -> "VWPoint":
+        """Rebuild a point whose triples were normalized when it was made,
+        keeping every digit: normalizing a unit triple again can move its
+        last digit."""
+        point = object.__new__(cls)
+        for name, value in (("v", v), ("w", w)):
+            object.__setattr__(point, name, _triple(name, value)[0])
+        return point
 
     def astuple(self):
         return (tuple(self.v), tuple(self.w))
@@ -173,3 +188,11 @@ def sample_interior(seed: int, *, margin: float = 1e-4,
     raise RuntimeError(
         f"no interior point found in {max_draws} draws; margin={margin} "
         "is likely misconfigured")
+
+
+def seeded_start(seed: int, index: int, margin: float) -> VWPoint:
+    """Interior start number `index` for `seed`.  Each start draws from its
+    own stream, keyed by (seed, index), so it does not depend on how many
+    other starts are drawn."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
+    return sample_interior(seed, margin=margin, rng=rng)

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -102,8 +100,10 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--fix", default="m4=1",
                         help="hold one mass fixed, e.g. m4=1 (default)")
     p_scan.add_argument("--out", default=None, help="write CSV here")
-    p_scan.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers (default: CCC4_JOBS or 1)")
+    p_scan.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility (N >= 1); rows are solved "
+                             "serially, so it changes neither the work nor the "
+                             "output bytes")
 
     p_inv = sub.add_parser("inverse", help="recover masses from a cyclic shape")
     p_inv.add_argument("--angles", required=True,
@@ -171,10 +171,7 @@ def cmd_scan(args, parser) -> int:
         return _usage_error(parser, f"malformed --fix {args.fix!r}; expected e.g. m4=1")
     if fixed_value <= 0:
         return _usage_error(parser, "fixed mass must be positive")
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("CCC4_JOBS", "1"))
-    if jobs < 1:
+    if args.jobs < 1:
         return _usage_error(parser, "--jobs must be at least 1")
 
     values = _scan_grid_values(args.grid)
@@ -188,11 +185,7 @@ def cmd_scan(args, parser) -> int:
         points.append(raw)
 
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_scan_row, points))
-        else:
-            rows = [_scan_row(p) for p in points]
+        rows = [_scan_row(p) for p in points]
     except UniquenessAlarmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_ALARM

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import IndeterminateShapeError, InfeasibleShapeError
 from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
                        _r6, moment_I)
-from .solver import recover_multipliers, sigma_sq_values
+from .solver import recover_multipliers, sigma_sq_spread
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,12 +187,11 @@ def recover_masses(r, tol: float = 1e-9, max_rounds: int = 5) -> MassRecovery:
 
     mv = MassVector.from_iterable(masses)
     mult = recover_multipliers(arr, mv)
-    s2 = sigma_sq_values(arr, mv, mult.lam)
-    spread = float((s2.max() - s2.min()) / max(np.abs(s2).max(), 1e-300))
     return MassRecovery(masses=mv, lam=mult.lam, sigma=mult.sigma,
                         compat_residual=dz.compat_residual,
                         stationarity_residual=mult.stationarity_residual,
-                        sigma_sq_spread=spread, rounds=rounds)
+                        sigma_sq_spread=sigma_sq_spread(arr, mv, mult.lam),
+                        rounds=rounds)
 
 
 def masses_from_shape(r, tol: float = 1e-9) -> MassVector:

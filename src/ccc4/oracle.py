@@ -9,13 +9,12 @@ multistart sweeps for uniqueness.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import serialize
-from .chart import sample_interior
+from .chart import seeded_start
 from .errors import NonRealizableError
 from .geometry import (MassVector, K_term, Q_term, _m, _r6,
                        canonical_distance_tuple, cayley_menger_H, is_geometric,
@@ -264,26 +263,14 @@ class UniquenessReport:
 
 def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0,
                           opts: SolverOptions | None = None,
-                          jobs: int | None = None,
                           cluster_radius: float = 1e-6) -> UniquenessReport:
     """Run n_starts independent solves from random interior starts and
     cluster the converged endpoints (after identifying relabeled copies
     admissible for the mass symmetry)."""
     masses = _m(m)
     opts = opts or SolverOptions()
-    starts = []
-    for i in range(n_starts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-        starts.append(sample_interior(seed, margin=opts.interior_margin, rng=rng))
-
-    def run(vw):
-        return minimize_from(masses, vw, opts)
-
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run, starts))
-    else:
-        records = [run(vw) for vw in starts]
+    records = [minimize_from(masses, seeded_start(seed, i, opts.interior_margin), opts)
+               for i in range(n_starts)]
 
     clusters = []   # [canonical r array, count, U]
     failures = []

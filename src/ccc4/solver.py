@@ -2,9 +2,9 @@
 certification of the minimizer.
 
 The optimizer works in the double-sphere chart: descent by the kernel
-backend (compiled or pure python), then a projected Newton polish, which is
-justified because every critical point of the restricted potential is a
-nondegenerate minimum, so no saddle handling is needed.  Multipliers are
+module, then a projected Newton polish, which is justified because every
+critical point of the restricted potential is a nondegenerate minimum, so
+no saddle handling is needed.  Multipliers are
 recovered afterwards by linear least squares on the six stationarity
 equations
 
@@ -25,8 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, serialize
-from .chart import P_FROM_VW, VWPoint, sample_interior, square_chart_point
-from .errors import DegeneratePointError, IndeterminateShapeError, UniquenessAlarmError
+from .chart import (P_FROM_VW, VWPoint, p_to_r, seeded_start, square_chart_point,
+                    vw_to_p_array)
+from .errors import IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
                        ScalarReport, _m, _r6, canonical_distance_tuple)
 
@@ -127,8 +128,7 @@ class SolveRecord:
                             doc["masses"]["m3"], doc["masses"]["m4"])
         r = DistanceVector.from_iterable(
             doc["r_star"][k] for k in ("r12", "r13", "r14", "r23", "r24", "r34"))
-        vw = VWPoint(v=np.array(doc["chart_point"]["v"]),
-                     w=np.array(doc["chart_point"]["w"]))
+        vw = VWPoint.stored(doc["chart_point"]["v"], doc["chart_point"]["w"])
         mult = Multipliers(lam=doc["multipliers"]["lambda"],
                            sigma=doc["multipliers"]["sigma"],
                            stationarity_residual=doc["multipliers"]["stationarity_residual"])
@@ -215,6 +215,13 @@ def sigma_sq_values(r, m, lam: float) -> np.ndarray:
         m4 * (r14 ** -3 - lam) * (r23 ** -3 - lam),
         m4 * (r13 ** -3 - lam) * (r24 ** -3 - lam),
     ])
+
+
+def sigma_sq_spread(r, m, lam: float) -> float:
+    """Relative spread (max - min) / max |.| of the three sigma^2 products;
+    zero at a critical point."""
+    s2 = sigma_sq_values(r, m, lam)
+    return float((s2.max() - s2.min()) / max(np.abs(s2).max(), 1e-300))
 
 
 def a_terms(r, m, mult: Multipliers) -> ATerms:
@@ -346,11 +353,8 @@ def minimize_from(m, start: VWPoint, opts: SolverOptions | None = None) -> Solve
 def _record_from_point(v, w, u, masses: MassVector, iterations: int,
                        converged: bool, opts: SolverOptions,
                        meta: dict) -> SolveRecord:
-    p = P_FROM_VW @ np.concatenate([v, w])
-    if p.min() <= 0.0:
-        raise DegeneratePointError("endpoint crossed the chart boundary")
-    r_arr = p * np.sqrt(2.0 * masses.M / masses.products())
-    r_star = DistanceVector.from_iterable(r_arr)
+    r_star = p_to_r(vw_to_p_array(v, w), masses)
+    r_arr = r_star.array
     scalars = ScalarReport.evaluate(r_star, masses)
     if converged:
         converged = (abs(scalars.I - 1.0) <= opts.constraint_tol
@@ -395,9 +399,8 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     u = _u_coefficients(masses)
 
     starts = [square_chart_point()]
-    for i in range(1, opts.starts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(opts.seed, i)))
-        starts.append(sample_interior(opts.seed, margin=opts.interior_margin, rng=rng))
+    starts += [seeded_start(opts.seed, i, opts.interior_margin)
+               for i in range(1, opts.starts)]
 
     results = [_solve_from(s, u, opts) for s in starts]
     converged = [res for res in results if res[5]]
@@ -410,11 +413,9 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
         return _record_from_point(best[0], best[1], u, masses, best[4], False,
                                   opts, meta)
 
-    endpoints = []
-    for v, w, U, rg, iters, _ in converged:
-        p = P_FROM_VW @ np.concatenate([v, w])
-        endpoints.append(np.array(canonical_distance_tuple(
-            p * np.sqrt(2.0 * masses.M / masses.products()), masses)))
+    endpoints = [np.array(canonical_distance_tuple(
+                     p_to_r(vw_to_p_array(v, w), masses), masses))
+                 for v, w, *_ in converged]
     for a in range(1, len(endpoints)):
         gap = float(np.linalg.norm(endpoints[a] - endpoints[0]))
         if gap > opts.cluster_tol:
@@ -496,8 +497,7 @@ def certify_minimum(rec: SolveRecord, *, stationarity_tol: float = 1e-9,
     dz = dziobek_residual(r_arr, mult.lam)
     checks["dziobek"] = CheckResult(dz <= dziobek_tol, dz, dziobek_tol)
 
-    s2 = sigma_sq_values(r_arr, masses, mult.lam)
-    spread = float((s2.max() - s2.min()) / max(np.abs(s2).max(), 1e-300))
+    spread = sigma_sq_spread(r_arr, masses, mult.lam)
     checks["sigma_sq_consistent"] = CheckResult(spread <= sigma_sq_tol, spread, sigma_sq_tol)
 
     scale = max(rec.r_star.astuple())

@@ -94,7 +94,7 @@ def test_criterion_5_uniqueness_reproduction(random_mass_records):
     masses, _ = random_mass_records
     t0 = time.perf_counter()
     for i, m in enumerate(masses):
-        report = multistart_uniqueness(m, n_starts=50, seed=100 + i, jobs=4)
+        report = multistart_uniqueness(m, n_starts=50, seed=100 + i)
         assert report.cluster_count == 1, (m, report)
         assert not report.theorem_violated
         assert report.failures == ()

@@ -86,6 +86,15 @@ def test_scan_jobs_env_default(tmp_path, capsys, monkeypatch):
     assert run_cli(["scan", "--grid", "2", "--out", str(out)], capsys)[0] == 0
 
 
+def test_scan_ignores_ccc4_jobs(tmp_path, capsys, monkeypatch):
+    plain = tmp_path / "plain.csv"
+    assert run_cli(["scan", "--grid", "2", "--out", str(plain)], capsys)[0] == 0
+    monkeypatch.setenv("CCC4_JOBS", "abc")
+    env = tmp_path / "env.csv"
+    assert run_cli(["scan", "--grid", "2", "--out", str(env)], capsys)[0] == 0
+    assert env.read_bytes() == plain.read_bytes()
+
+
 def test_scan_flag_validation(capsys):
     assert run_cli(["scan", "--grid", "1"], capsys)[0] == 64
     assert run_cli(["scan", "--grid", "2", "--fix", "m9=1"], capsys)[0] == 64

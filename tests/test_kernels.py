@@ -7,24 +7,13 @@ from ccc4 import kernels
 from ccc4.chart import square_chart_point, vw_to_p_array, sample_interior
 from ccc4.geometry import MassVector
 
-BACKENDS = kernels.available_backends()
-
 
 def u_coeffs(masses):
     m = MassVector.from_iterable(masses)
     return m.products() ** 1.5 / math.sqrt(2.0 * m.M)
 
 
-@pytest.fixture
-def restore_backend():
-    previous = kernels.backend()
-    yield
-    kernels.use_backend(previous)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_descend_converges_from_square(backend, restore_backend):
-    kernels.use_backend(backend)
+def test_descend_converges_from_square():
     sq = square_chart_point()
     u = u_coeffs((1.0, 1.0, 1.0, 1.0))
     v, w, U, rg, iters, status = kernels.descend(sq.v, sq.w, u, 1e-9, 500)
@@ -34,9 +23,7 @@ def test_descend_converges_from_square(backend, restore_backend):
     assert iters < 100
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_descend_deterministic(backend, restore_backend):
-    kernels.use_backend(backend)
+def test_descend_deterministic():
     vw = sample_interior(7)
     u = u_coeffs((2.0, 1.0, 3.0, 0.5))
     first = kernels.descend(vw.v, vw.w, u, 1e-8, 500)
@@ -45,24 +32,7 @@ def test_descend_deterministic(backend, restore_backend):
     assert first[2] == second[2] and first[4] == second[4]
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
-def test_backend_parity(restore_backend):
-    u = u_coeffs((1.5, 0.7, 2.2, 1.0))
-    for seed in range(10):
-        vw = sample_interior(seed)
-        kernels.use_backend("compiled")
-        out_c = kernels.descend(vw.v, vw.w, u, 1e-7, 500)
-        kernels.use_backend("python")
-        out_p = kernels.descend(vw.v, vw.w, u, 1e-7, 500)
-        assert np.allclose(out_c[0], out_p[0], atol=1e-13, rtol=0.0)
-        assert np.allclose(out_c[1], out_p[1], atol=1e-13, rtol=0.0)
-        assert out_c[2] == pytest.approx(out_p[2], rel=1e-13)
-        assert out_c[5] == out_p[5]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_eval_potential_matches_chart(backend, restore_backend):
-    kernels.use_backend(backend)
+def test_eval_potential_matches_chart():
     u = u_coeffs((1.0, 2.0, 0.5, 1.5))
     for seed in range(5):
         vw = sample_interior(seed + 100)
@@ -71,9 +41,7 @@ def test_eval_potential_matches_chart(backend, restore_backend):
         assert U == pytest.approx(float(np.sum(u / p)), rel=1e-14)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_eval_potential_gradient_finite_difference(backend, restore_backend):
-    kernels.use_backend(backend)
+def test_eval_potential_gradient_finite_difference():
     u = u_coeffs((1.0, 2.0, 0.5, 1.5))
     vw = sample_interior(11)
     U0, gv, gw = kernels.eval_potential(vw.v, vw.w, u)
@@ -93,9 +61,7 @@ def test_eval_potential_gradient_finite_difference(backend, restore_backend):
             assert (up - um) / (2 * h) == pytest.approx(grad[k], rel=1e-6)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_descend_rejects_infeasible_start(backend, restore_backend):
-    kernels.use_backend(backend)
+def test_descend_rejects_infeasible_start():
     u = u_coeffs((1.0, 1.0, 1.0, 1.0))
     v = np.array([0.0, 1.0, 0.0])
     w = np.array([1.0, 0.0, 0.0])
@@ -103,7 +69,3 @@ def test_descend_rejects_infeasible_start(backend, restore_backend):
     assert out[5] == kernels.STALLED
     assert math.isinf(out[2])
 
-
-def test_use_backend_validation():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")

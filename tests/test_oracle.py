@@ -142,13 +142,6 @@ def test_multistart_uniqueness_reports():
     assert rep.cluster_count == 1
 
 
-def test_multistart_parallel_matches_serial():
-    m = MassVector(1.4, 0.6, 1.9, 1.1)
-    serial = multistart_uniqueness(m, n_starts=12, seed=69, jobs=1)
-    threaded = multistart_uniqueness(m, n_starts=12, seed=69, jobs=4)
-    assert serial.to_json() == threaded.to_json()
-
-
 def test_uniqueness_report_json():
     rep = multistart_uniqueness(UNIT, n_starts=3, seed=70)
     doc = rep.to_json_dict()

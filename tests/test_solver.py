@@ -288,6 +288,17 @@ def test_record_json_round_trip():
     assert back.meta["rng"] == "numpy-pcg64"
 
 
+def test_record_json_round_trip_keeps_chart_point_digits():
+    # the stored chart point is already normalized; reading it back must not
+    # normalize it again, which can move the last digit
+    rng = np.random.default_rng(0)
+    changed = 0
+    for m in 10.0 ** rng.uniform(-3.0, 3.0, (200, 4)):
+        text = minimize_U(MassVector.from_iterable(m)).to_json()
+        changed += SolveRecord.from_json(text).to_json() != text
+    assert changed == 0
+
+
 def test_uniqueness_alarm_on_inconsistent_endpoints():
     # forcing distinct endpoints through the public API is impossible (the
     # minimizer is unique), so exercise the guard by shrinking the cluster
