@@ -20,6 +20,6 @@ from .oracle import (PlanarConfig, UniquenessReport, cartesian_cc_residual,
 from .solver import (CertReport, Multipliers, SolveRecord, SolverOptions,
                      a_terms, certify_minimum, classify_cocircular,
                      dziobek_residual, hessian_L, lagrangian_L, minimize_U,
-                     minimize_from, principal_minors, recover_multipliers)
+                     principal_minors, recover_multipliers)
 
 __version__ = "0.1.0"

@@ -24,6 +24,9 @@ from .geometry import DistanceVector, _m, _r6
 
 log = logging.getLogger(__name__)
 
+INTERIOR_MARGIN = 1e-4   # sampled starts keep every p_ij above this
+MAX_DRAWS = 10**6        # rejection-sampling bound of sample_interior
+
 # p = P_FROM_VW @ (v1, v2, v3, w1, w2, w3), slot order (12, 13, 14, 23, 24, 34)
 P_FROM_VW = 0.5 * np.array([
     [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
@@ -164,35 +167,31 @@ def square_chart_point() -> VWPoint:
     return VWPoint(v=np.array([s, 0.0, s]), w=np.array([0.0, 1.0, 0.0]))
 
 
-def sample_interior(seed: int, *, margin: float = 1e-4,
-                    max_draws: int = 10**6, rng=None) -> VWPoint:
-    """Deterministic pseudo-random interior point of E.
+def sample_interior(rng) -> VWPoint:
+    """Pseudo-random interior point of E drawn from the numpy Generator rng.
 
-    Uniform on S^2 x S^2 (PCG64 behind numpy's default_rng, seeded) and
-    rejected until the point lies in E with every reconstructed p_ij >
-    margin, which keeps the potential and its derivatives finite.  Solver
-    records report this generator as "numpy-pcg64".
+    Uniform on S^2 x S^2 and rejected until the point lies in E with every
+    reconstructed p_ij > INTERIOR_MARGIN, which keeps the potential and its
+    derivatives finite.  Solver records report this generator as
+    "numpy-pcg64".
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    for draw in range(1, max_draws + 1):
+    for draw in range(1, MAX_DRAWS + 1):
         v = rng.normal(size=3)
         w = rng.normal(size=3)
         v /= np.linalg.norm(v)
         w /= np.linalg.norm(w)
         p = vw_to_p_array(v, w)
-        if p.min() > margin and v[0] >= abs(w[0]) and v[2] >= abs(w[2]) and w[1] >= 0.0:
+        if (p.min() > INTERIOR_MARGIN and v[0] >= abs(w[0]) and v[2] >= abs(w[2])
+                and w[1] >= 0.0):
             if draw > 1:
                 log.debug("interior sample accepted after %d draws", draw)
             return VWPoint(v=v, w=w)
-    raise RuntimeError(
-        f"no interior point found in {max_draws} draws; margin={margin} "
-        "is likely misconfigured")
+    raise RuntimeError(f"no interior point found in {MAX_DRAWS} draws")
 
 
-def seeded_start(seed: int, index: int, margin: float) -> VWPoint:
+def seeded_start(seed: int, index: int) -> VWPoint:
     """Interior start number `index` for `seed`.  Each start draws from its
     own stream, keyed by (seed, index), so it does not depend on how many
     other starts are drawn."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
-    return sample_interior(seed, margin=margin, rng=rng)
+    return sample_interior(rng=rng)

@@ -1,9 +1,9 @@
 """Independent ground-truth checks for the distance-space machinery.
 
-Everything here recomputes main-path quantities by a second, slower route:
+Most of this recomputes main-path quantities by a second, slower route:
 Cartesian residuals of the defining central-configuration equations,
-finite-difference derivatives, circumradius identities, and brute-force
-multistart sweeps for uniqueness.
+finite-difference derivatives and circumradius identities.  The uniqueness
+sweep instead runs the solver's own multistart with many more starts.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import numpy as np
 from . import serialize
 from .chart import seeded_start
 from .errors import NonRealizableError
-from .geometry import (MassVector, K_term, Q_term, _m, _r6,
-                       canonical_distance_tuple, cayley_menger_H, is_geometric,
-                       moment_I, potential_U, ptolemy_P)
+from .geometry import (MassVector, K_term, Q_term, _m, _r6, cayley_menger_H,
+                       is_geometric, moment_I, potential_U, ptolemy_P)
 from .inverse import CyclicShape, shape_to_distances
-from .solver import SolverOptions, minimize_from
+from .solver import SolverOptions, _multistart
 
 _PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -262,34 +261,21 @@ class UniquenessReport:
 
 
 def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0,
-                          opts: SolverOptions | None = None,
-                          cluster_radius: float = 1e-6) -> UniquenessReport:
-    """Run n_starts independent solves from random interior starts and
-    cluster the converged endpoints (after identifying relabeled copies
-    admissible for the mass symmetry)."""
+                          opts: SolverOptions | None = None) -> UniquenessReport:
+    """Solve from n_starts seeded interior starts and report the clusters
+    of the accepted endpoints, by the same acceptance and cluster rules as
+    minimize_U.  Each cluster carries U at its first member's own r*."""
     masses = _m(m)
     opts = opts or SolverOptions()
-    records = [minimize_from(masses, seeded_start(seed, i, opts.interior_margin), opts)
-               for i in range(n_starts)]
-
-    clusters = []   # [canonical r array, count, U]
-    failures = []
-    for idx, rec in enumerate(records):
-        if not rec.converged:
-            failures.append(idx)
-            continue
-        canon = np.array(canonical_distance_tuple(rec.r_star.array, masses))
-        for entry in clusters:
-            if np.linalg.norm(entry[0] - canon) <= cluster_radius:
-                entry[1] += 1
-                break
-        else:
-            clusters.append([canon, 1, rec.scalars.U])
+    endpoints, clusters = _multistart(
+        masses, [seeded_start(seed, i) for i in range(n_starts)], opts)
     return UniquenessReport(
         n_starts=n_starts, seed=seed, cluster_count=len(clusters),
-        clusters=tuple((tuple(float(x) for x in rep), count, U)
-                       for rep, count, U in clusters),
-        failures=tuple(failures), theorem_violated=len(clusters) > 1)
+        clusters=tuple((tuple(float(x) for x in rep), len(members),
+                        potential_U(endpoints[members[0]].r, masses))
+                       for rep, members in clusters),
+        failures=tuple(i for i, e in enumerate(endpoints) if e.r is None),
+        theorem_violated=len(clusters) > 1)
 
 
 # --- identity battery -------------------------------------------------------

@@ -34,21 +34,26 @@ from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
 RNG_NAME = "numpy-pcg64"
 RECORD_SCHEMA = "ccc4-solverecord-1"
 
+# Fixed tolerances of the solver, and below them of certify_minimum.
+CONSTRAINT_TOL = 1e-12       # |sum p^2 - 1| and |P(p)| at an accepted endpoint
+NEWTON_SWITCH = 1e-6         # descent hands over to Newton below this
+COCIRCULAR_TOL = 1e-6        # |K| threshold, scaled by (max r)^3
+STATIONARITY_TOL = 1e-9      # relative residual of the stationarity equations
+CERT_CONSTRAINT_TOL = 1e-9   # |I - 1| and |P| in r units
+DZIOBEK_TOL = 1e-9           # spread of the opposite-pair products
+SIGMA_SQ_TOL = 1e-9          # relative spread of the three sigma^2 products
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and strategy knobs for minimize_U."""
+    """Budgets, starts, seed and cluster radius of the multistart solve."""
 
     gtol: float = 1e-11              # projected-gradient norm, relative to max(1, |U|)
-    constraint_tol: float = 1e-12    # |I - 1| and |P| at an accepted point
     max_iter: int = 500
-    newton_switch: float = 1e-6      # descent hands over to Newton below this
     max_newton: int = 40
     starts: int = 8
     seed: int = 0
-    cluster_tol: float = 1e-6        # endpoint agreement radius in r-space
-    cocircular_tol: float = 1e-6     # |K| threshold, scaled by (max r)^3
-    interior_margin: float = 1e-4    # start points keep every p_ij above this
+    cluster_tol: float = 1e-6        # endpoint agreement radius, relative to max r
 
 
 @dataclass(frozen=True)
@@ -250,7 +255,7 @@ def dziobek_residual(r, lam: float) -> float:
     return max(abs(p_sides - p_diag), abs(p_sides - p_other))
 
 
-def classify_cocircular(rec: SolveRecord, tol: float = 1e-6) -> bool:
+def classify_cocircular(rec: SolveRecord, tol: float = COCIRCULAR_TOL) -> bool:
     """True iff |K(r*)| <= tol * (max r)^3; K is stored raw on the record so
     callers can re-threshold."""
     scale = max(rec.r_star.astuple())
@@ -326,7 +331,7 @@ def _newton_polish(v, w, u, gtol, max_newton):
 
 def _solve_from(vw: VWPoint, u: np.ndarray, opts: SolverOptions):
     v, w, U, rg, iters, status = kernels.descend(
-        vw.v, vw.w, u, opts.newton_switch, opts.max_iter)
+        vw.v, vw.w, u, NEWTON_SWITCH, opts.max_iter)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     if not math.isfinite(U):
@@ -335,35 +340,55 @@ def _solve_from(vw: VWPoint, u: np.ndarray, opts: SolverOptions):
     return v, w, U, rg, iters + nit, ok
 
 
-def minimize_from(m, start: VWPoint, opts: SolverOptions | None = None) -> SolveRecord:
-    """Single-start descent + Newton polish from an explicit chart point;
-    no multistart agreement check is performed."""
-    masses = _m(m)
-    opts = opts or SolverOptions()
+class _Endpoint(NamedTuple):
+    v: np.ndarray
+    w: np.ndarray
+    U: float
+    iterations: int
+    r: DistanceVector | None     # None unless the endpoint was accepted
+
+
+def _multistart(masses: MassVector, starts, opts: SolverOptions):
+    """Solve from every start; accept an endpoint when descent plus Newton
+    converged and |sum p^2 - 1|, |p12 p34 + p14 p23 - p13 p24| <=
+    CONSTRAINT_TOL (chart units, free of the mass scale); cluster accepted
+    endpoints, up to admissible relabelings, within opts.cluster_tol times
+    the largest distance of each cluster's representative.  Returns one
+    _Endpoint per start and (canonical representative, member indices) per
+    cluster."""
     u = _u_coefficients(masses)
-    v, w, U, rg, iters, ok = _solve_from(start, u, opts)
-    meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
-            "seed": opts.seed, "starts": 1}
-    rec = _record_from_point(v, w, u, masses, iters, ok, opts, meta)
-    if rec.converged:
-        rec = replace(rec, is_cocircular=classify_cocircular(rec, opts.cocircular_tol))
-    return rec
+    endpoints, clusters = [], []
+    for index, start in enumerate(starts):
+        v, w, U, _, iters, ok = _solve_from(start, u, opts)
+        r = None
+        if ok:
+            p = vw_to_p_array(v, w)
+            if (abs(p @ p - 1.0) <= CONSTRAINT_TOL
+                    and abs(p[0] * p[5] + p[2] * p[3] - p[1] * p[4]) <= CONSTRAINT_TOL):
+                r = p_to_r(p, masses)
+        endpoints.append(_Endpoint(v, w, U, iters, r))
+        if r is None:
+            continue
+        canon = np.array(canonical_distance_tuple(r, masses))
+        for rep, members in clusters:
+            if np.linalg.norm(canon - rep) <= opts.cluster_tol * rep.max():
+                members.append(index)
+                break
+        else:
+            clusters.append((canon, [index]))
+    return endpoints, clusters
 
 
-def _record_from_point(v, w, u, masses: MassVector, iterations: int,
-                       converged: bool, opts: SolverOptions,
-                       meta: dict) -> SolveRecord:
+def _record_from_point(v, w, masses: MassVector, iterations: int,
+                       converged: bool, meta: dict) -> SolveRecord:
     r_star = p_to_r(vw_to_p_array(v, w), masses)
     r_arr = r_star.array
     scalars = ScalarReport.evaluate(r_star, masses)
-    if converged:
-        converged = (abs(scalars.I - 1.0) <= opts.constraint_tol
-                     and abs(scalars.P) <= opts.constraint_tol)
     mult = recover_multipliers(r_arr, masses)
     minors = principal_minors(hessian_L(r_arr, masses, mult))
     terms = a_terms(r_arr, masses, mult)
     s2 = sigma_sq_values(r_arr, masses, mult.lam)
-    rec = SolveRecord(
+    return SolveRecord(
         masses=masses,
         r_star=r_star,
         chart_point=VWPoint(v=v, w=w),
@@ -379,54 +404,43 @@ def _record_from_point(v, w, u, masses: MassVector, iterations: int,
         k_value=scalars.K,
         meta=meta,
     )
-    return rec
 
 
 def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """Minimizer of the potential over the normalized cyclic-constraint
     manifold for the given masses.
 
-    Starts from the equal-mass square image plus opts.starts - 1 random
-    interior points; all converged endpoints must agree within
-    opts.cluster_tol after symmetry identification (there is exactly one
-    minimizer), otherwise UniquenessAlarmError is raised.  If no start
-    converges the best iterate is returned with converged=False.
+    Starts from the equal-mass square image plus opts.starts - 1 seeded
+    interior points.  The accepted endpoints must form one cluster (see
+    _multistart; there is exactly one minimizer), otherwise
+    UniquenessAlarmError is raised.  The record is built from the accepted
+    endpoint of lowest U; if no endpoint is accepted, the best iterate is
+    returned with converged=False.
     """
     masses = _m(m)
     opts = opts or SolverOptions()
     if opts.starts < 1:
         raise ValueError("need at least one start")
-    u = _u_coefficients(masses)
-
     starts = [square_chart_point()]
-    starts += [seeded_start(opts.seed, i, opts.interior_margin)
-               for i in range(1, opts.starts)]
+    starts += [seeded_start(opts.seed, i) for i in range(1, opts.starts)]
+    endpoints, clusters = _multistart(masses, starts, opts)
 
-    results = [_solve_from(s, u, opts) for s in starts]
-    converged = [res for res in results if res[5]]
+    if len(clusters) > 1:
+        gap = float(np.linalg.norm(clusters[1][0] - clusters[0][0]))
+        raise UniquenessAlarmError(
+            f"multistart endpoints form {len(clusters)} clusters, the first two "
+            f"{gap:.3e} apart in r-space (> {opts.cluster_tol:g} x max r); this "
+            "contradicts uniqueness of the minimizer and indicates a solver bug")
 
     meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
             "seed": opts.seed, "starts": opts.starts}
-
-    if not converged:
-        best = min(results, key=lambda res: res[2])
-        return _record_from_point(best[0], best[1], u, masses, best[4], False,
-                                  opts, meta)
-
-    endpoints = [np.array(canonical_distance_tuple(
-                     p_to_r(vw_to_p_array(v, w), masses), masses))
-                 for v, w, *_ in converged]
-    for a in range(1, len(endpoints)):
-        gap = float(np.linalg.norm(endpoints[a] - endpoints[0]))
-        if gap > opts.cluster_tol:
-            raise UniquenessAlarmError(
-                f"multistart endpoints disagree by {gap:.3e} in r-space "
-                f"(> {opts.cluster_tol:g}); this contradicts uniqueness of the "
-                "minimizer and indicates a solver bug")
-
-    v, w, U, rg, iters, _ = min(converged, key=lambda res: res[2])
-    rec = _record_from_point(v, w, u, masses, iters, True, opts, meta)
-    return replace(rec, is_cocircular=classify_cocircular(rec, opts.cocircular_tol))
+    accepted = [e for e in endpoints if e.r is not None]
+    best = min(accepted or endpoints, key=lambda e: e.U)
+    rec = _record_from_point(best.v, best.w, masses, best.iterations,
+                             bool(accepted), meta)
+    if accepted:
+        rec = replace(rec, is_cocircular=classify_cocircular(rec))
+    return rec
 
 
 # --- certification ---------------------------------------------------------
@@ -455,12 +469,10 @@ class CertReport:
                            for name, c in self.checks.items()}}
 
 
-def certify_minimum(rec: SolveRecord, *, stationarity_tol: float = 1e-9,
-                    constraint_tol: float = 1e-9, dziobek_tol: float = 1e-9,
-                    sigma_sq_tol: float = 1e-9,
-                    cocircular_tol: float = 1e-6) -> CertReport:
+def certify_minimum(rec: SolveRecord) -> CertReport:
     """Re-derive every certificate of a nondegenerate constrained minimum
-    from the record's r*, masses and stored multipliers.
+    from the record's r*, masses and stored multipliers, against the fixed
+    thresholds above.
 
     Checks: lambda > 0; stationarity of the stored multipliers; constraint
     residuals; positivity of all six leading principal minors, in agreement
@@ -476,11 +488,11 @@ def certify_minimum(rec: SolveRecord, *, stationarity_tol: float = 1e-9,
     checks["lambda_positive"] = CheckResult(mult.lam > 0.0, mult.lam, 0.0)
 
     stat = stationarity_residual(r_arr, masses, mult.lam, mult.sigma)
-    checks["stationarity"] = CheckResult(stat <= stationarity_tol, stat, stationarity_tol)
+    checks["stationarity"] = CheckResult(stat <= STATIONARITY_TOL, stat, STATIONARITY_TOL)
 
     scalars = ScalarReport.evaluate(r_arr, masses)
     cons = max(abs(scalars.I - 1.0), abs(scalars.P))
-    checks["constraints"] = CheckResult(cons <= constraint_tol, cons, constraint_tol)
+    checks["constraints"] = CheckResult(cons <= CERT_CONSTRAINT_TOL, cons, CERT_CONSTRAINT_TOL)
 
     H = hessian_L(r_arr, masses, mult)
     minors = principal_minors(H)
@@ -495,13 +507,12 @@ def certify_minimum(rec: SolveRecord, *, stationarity_tol: float = 1e-9,
                                              float(chol_ok == minors_ok), 1.0)
 
     dz = dziobek_residual(r_arr, mult.lam)
-    checks["dziobek"] = CheckResult(dz <= dziobek_tol, dz, dziobek_tol)
+    checks["dziobek"] = CheckResult(dz <= DZIOBEK_TOL, dz, DZIOBEK_TOL)
 
     spread = sigma_sq_spread(r_arr, masses, mult.lam)
-    checks["sigma_sq_consistent"] = CheckResult(spread <= sigma_sq_tol, spread, sigma_sq_tol)
+    checks["sigma_sq_consistent"] = CheckResult(spread <= SIGMA_SQ_TOL, spread, SIGMA_SQ_TOL)
 
-    scale = max(rec.r_star.astuple())
-    k_ok = (abs(rec.k_value) <= cocircular_tol * scale ** 3) == rec.is_cocircular
-    checks["cocircular_consistent"] = CheckResult(k_ok, abs(rec.k_value),
-                                                  cocircular_tol * scale ** 3)
+    k_ok = classify_cocircular(rec) == rec.is_cocircular
+    checks["cocircular_consistent"] = CheckResult(
+        k_ok, abs(rec.k_value), COCIRCULAR_TOL * max(rec.r_star.astuple()) ** 3)
     return CertReport(checks=checks)

@@ -1,10 +1,24 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the environment for
+running ccc4 in a child process."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
 from ccc4.geometry import MassVector, moment_I, triangle_margins
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def subprocess_env():
+    """os.environ with the source tree first on PYTHONPATH, so that
+    `python -m ccc4` in a child process imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def random_planar_distance_vectors(n, seed, min_sep=0.3, min_margin=0.05):

@@ -18,7 +18,7 @@ from ccc4.oracle import (cartesian_cc_residual, embed_cyclic, fd_hessian,
 from ccc4.solver import (certify_minimum, hessian_L, lagrangian_L, minimize_U,
                          recover_multipliers, sigma_sq_values)
 
-from helpers import random_planar_distance_vectors
+from helpers import random_planar_distance_vectors, subprocess_env
 
 SQRT2 = math.sqrt(2.0)
 LAMBDA_SQ = 0.5 * (1.0 + 2.0 ** -1.5)
@@ -170,7 +170,7 @@ def test_criterion_9_scan_reproducible_and_thin(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "ccc4", "scan", "--grid", "6",
              "--jobs", str(jobs), "--out", str(out)],
-            capture_output=True, text=True, timeout=540)
+            capture_output=True, text=True, timeout=540, env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

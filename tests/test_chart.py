@@ -126,11 +126,11 @@ def test_vw_to_p_region_violation():
 
 
 def test_sampler_determinism_and_interior():
-    a = sample_interior(42)
-    b = sample_interior(42)
+    a = sample_interior(np.random.default_rng(42))
+    b = sample_interior(np.random.default_rng(42))
     assert np.array_equal(a.v, b.v) and np.array_equal(a.w, b.w)
     for i in range(10000):
-        vw = sample_interior(i, margin=1e-4)
+        vw = sample_interior(np.random.default_rng(i))
         assert in_region_E(vw)
         assert vw_to_p_array(vw.v, vw.w).min() > 1e-4
 

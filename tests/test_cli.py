@@ -6,6 +6,8 @@ import pytest
 
 from ccc4 import cli
 
+from helpers import subprocess_env
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -190,7 +192,7 @@ def test_unknown_subcommand(capsys):
 def test_console_entry_point_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ccc4", "solve", "--masses", "1,1,1,1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=subprocess_env())
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["is_cocircular"] is True

@@ -10,9 +10,10 @@ from ccc4.geometry import DistanceVector, MassVector, moment_I
 from ccc4.solver import (Multipliers, SolveRecord, SolverOptions, a_terms,
                          certify_minimum, classify_cocircular,
                          dziobek_residual, hessian_L, lagrangian_L,
-                         minimize_U, minimize_from, principal_minors,
+                         minimize_U, principal_minors,
                          recover_multipliers, sigma_sq_values,
                          stationarity_residual)
+from ccc4.oracle import multistart_uniqueness
 
 from helpers import random_masses, random_planar_distance_vectors
 
@@ -253,11 +254,10 @@ def test_boundary_blowup_along_chart_ray():
     assert last > 1e8
 
 
-def test_minimize_from_single_start():
-    from ccc4.chart import sample_interior
-    rec = minimize_from(UNIT, sample_interior(3), SolverOptions())
-    assert rec.converged
-    assert np.allclose(rec.r_star.array, SQUARE.array, atol=1e-8)
+def test_single_interior_start_reaches_the_square():
+    rep = multistart_uniqueness(UNIT, n_starts=1, seed=3)
+    assert rep.failures == ()
+    assert np.allclose(rep.clusters[0][0], SQUARE.array, atol=1e-8)
 
 
 def test_multistart_agreement_and_determinism():
@@ -297,6 +297,29 @@ def test_record_json_round_trip_keeps_chart_point_digits():
         text = minimize_U(MassVector.from_iterable(m)).to_json()
         changed += SolveRecord.from_json(text).to_json() != text
     assert changed == 0
+
+
+@pytest.mark.parametrize("masses", [(0.0016, 0.002, 0.028, 210.0),
+                                    (0.0013, 0.0019, 61.0, 0.0036)])
+def test_constraint_acceptance_is_scale_free(masses):
+    # |P| in r units is ~1e-12 here although P = 0 holds to ~1e-16 in the
+    # chart; an absolute test on P(r) declared these minima non-converged
+    rec = minimize_U(MassVector(*masses))
+    assert rec.converged
+    assert certify_minimum(rec).passed
+
+
+@pytest.mark.parametrize("masses", [(0.042, 0.0015, 0.0039, 0.015),
+                                    (2.4, 0.0013, 0.0041, 0.0017),
+                                    (0.0059, 0.0012, 0.031, 0.0089)])
+def test_cluster_radius_is_scale_free(masses):
+    # the endpoints agree to ~1e-7 relative, but the distances are 15-29, so
+    # an absolute radius of 1e-6 split them into clusters and raised the alarm
+    m = MassVector(*masses)
+    rec = minimize_U(m)
+    assert rec.converged
+    assert certify_minimum(rec).passed
+    assert multistart_uniqueness(m, n_starts=20).cluster_count == 1
 
 
 def test_uniqueness_alarm_on_inconsistent_endpoints():
