@@ -126,6 +126,12 @@ def cmd_solve(args, parser) -> int:
     values = _parse_floats(args.masses, 4, "masses", parser)
     if any(v <= 0 for v in values):
         return _usage_error(parser, "masses must be positive")
+    if args.starts < 1:
+        return _usage_error(parser, "--starts must be at least 1")
+    if args.seed < 0:
+        return _usage_error(parser, "--seed must be non-negative")
+    if args.tol is not None and not (0.0 < args.tol < math.inf):
+        return _usage_error(parser, "--tol must be positive and finite")
     kwargs = {"starts": args.starts, "seed": args.seed}
     if args.tol is not None:
         kwargs["gtol"] = args.tol
@@ -243,6 +249,8 @@ def cmd_certify(args, parser) -> int:
 def cmd_identities(args, parser) -> int:
     if args.samples < 1:
         return _usage_error(parser, "--samples must be at least 1")
+    if args.seed < 0:
+        return _usage_error(parser, "--seed must be non-negative")
     rows = run_identity_battery(args.samples, args.seed)
     width = max(len(row.name) for row in rows)
     print(f"{'identity'.ljust(width)}  {'samples':>8}  {'max_residual':>13}  "

@@ -288,29 +288,39 @@ def relabel_distances(r, body_perm) -> np.ndarray:
     return arr[list(distance_index_permutation(body_perm))]
 
 
-def admissible_relabelings(m, rtol: float = 1e-12):
+# (body permutation, slot permutation) of each sequential relabeling.
+_RELABEL_TABLE = tuple((perm, distance_index_permutation(perm))
+                       for perm in SEQUENTIAL_RELABELINGS.values())
+
+RELABEL_RTOL = 1e-12     # relative tolerance of "equal masses"
+
+
+def _admissible_entries(m):
+    # np.allclose(masses[perm], masses, rtol=RELABEL_RTOL, atol=0) per
+    # entry, in plain floats: |m_pi(i) - m_i| <= rtol |m_i|.
+    masses = [float(x) for x in _m(m).astuple()]
+    return [(perm, slots) for perm, slots in _RELABEL_TABLE
+            if all(abs(masses[j - 1] - mi) <= RELABEL_RTOL * abs(mi)
+                   for j, mi in zip(perm, masses))]
+
+
+def admissible_relabelings(m):
     """Sequential relabelings that fix the mass vector, as body permutations.
 
     Used to identify symmetric copies of one solution before clustering
     multistart endpoints: with repeated masses, relabeled minimizers are the
     same physical configuration.
     """
-    masses = _m(m).array
-    out = []
-    for perm in SEQUENTIAL_RELABELINGS.values():
-        permuted = masses[[p - 1 for p in perm]]
-        if np.allclose(permuted, masses, rtol=rtol, atol=0.0):
-            out.append(perm)
-    return out
+    return [perm for perm, _ in _admissible_entries(m)]
 
 
 def canonical_distance_tuple(r, m) -> tuple:
     """Lexicographically smallest relabeled copy of r over the relabelings
     admissible for the mass vector m."""
-    arr = _r6(r)
+    arr = _r6(r).tolist()
     best = tuple(arr)
-    for perm in admissible_relabelings(m):
-        cand = tuple(relabel_distances(arr, perm))
+    for _, slots in _admissible_entries(m):
+        cand = tuple(arr[k] for k in slots)
         if cand < best:
             best = cand
     return best

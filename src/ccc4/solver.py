@@ -275,7 +275,11 @@ def _tangent_basis(x: np.ndarray) -> np.ndarray:
     e[k] = 1.0
     b1 = e - x[k] * x
     b1 /= np.linalg.norm(b1)
-    return np.column_stack([b1, np.cross(x, b1)])
+    x0, x1, x2 = x.tolist()
+    c0, c1, c2 = b1.tolist()
+    # x cross b1, term by term as np.cross computes it
+    return np.column_stack([b1, (x1 * c2 - x2 * c1, x2 * c0 - x0 * c2,
+                                 x0 * c1 - x1 * c0)])
 
 
 def _newton_polish(v, w, u, gtol, max_newton):

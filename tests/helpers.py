@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ccc4.chart import INTERIOR_MARGIN, VWPoint, vw_to_p_array
 from ccc4.geometry import MassVector, moment_I, triangle_margins
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -47,3 +48,19 @@ def normalized_to_unit_inertia(r, m):
     """Rescale a distance vector so the moment of inertia equals one."""
     arr = np.asarray(r, dtype=float)
     return arr / np.sqrt(moment_I(arr, m))
+
+
+def sample_interior_one_draw_at_a_time(rng, max_draws=10**6):
+    """Reference rejection sampler: one draw (v, w) of six normal variates
+    per loop, tested and accepted exactly as chart.sample_interior tests
+    and accepts a row of its batches.  Returns (point, draws used)."""
+    for draw in range(1, max_draws + 1):
+        v = rng.normal(size=3)
+        w = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        w /= np.linalg.norm(w)
+        p = vw_to_p_array(v, w)
+        if (p.min() > INTERIOR_MARGIN and v[0] >= abs(w[0]) and v[2] >= abs(w[2])
+                and w[1] >= 0.0):
+            return VWPoint(v=v, w=w), draw
+    raise RuntimeError(f"no interior point found in {max_draws} draws")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ccc4 import chart
 from ccc4.chart import (PCoords, VWPoint, in_region_E, p_to_r, p_to_vw,
                         r_to_p, sample_interior, square_chart_point, vw_to_p,
                         vw_to_p_array)
@@ -11,7 +12,8 @@ from ccc4.geometry import DistanceVector, MassVector
 from ccc4.inverse import shape_to_distances
 from ccc4.oracle import sample_cyclic_shapes
 
-from helpers import normalized_to_unit_inertia, random_masses
+from helpers import (normalized_to_unit_inertia, random_masses,
+                     sample_interior_one_draw_at_a_time)
 
 SQRT2 = math.sqrt(2.0)
 SQUARE = DistanceVector(1.0, SQRT2, 1.0, 1.0, SQRT2, 1.0)
@@ -133,6 +135,32 @@ def test_sampler_determinism_and_interior():
         vw = sample_interior(np.random.default_rng(i))
         assert in_region_E(vw)
         assert vw_to_p_array(vw.v, vw.w).min() > 1e-4
+
+
+def test_sampler_is_stream_exact():
+    # the batched sampler returns the bits of the one-draw-at-a-time loop
+    draws = {}
+    for seed in range(2000):
+        got = sample_interior(np.random.default_rng(seed))
+        want, draws[seed] = sample_interior_one_draw_at_a_time(
+            np.random.default_rng(seed))
+        assert got.v.tobytes() == want.v.tobytes(), seed
+        assert got.w.tobytes() == want.w.tobytes(), seed
+    # both batch boundaries are crossed: acceptance in the 2nd and 5th batch
+    assert chart.SAMPLE_BATCH == 64
+    assert draws[7] == 81 and draws[51] == 271
+    assert sum(d > chart.SAMPLE_BATCH for d in draws.values()) > 400
+
+
+def test_sampler_draw_bound(monkeypatch):
+    # default_rng(51) first accepts at draw 271
+    monkeypatch.setattr(chart, "MAX_DRAWS", 270)
+    with pytest.raises(RuntimeError):
+        sample_interior(np.random.default_rng(51))
+    monkeypatch.setattr(chart, "MAX_DRAWS", 271)
+    want, _ = sample_interior_one_draw_at_a_time(np.random.default_rng(51))
+    got = sample_interior(np.random.default_rng(51))
+    assert got.v.tobytes() == want.v.tobytes() and got.w.tobytes() == want.w.tobytes()
 
 
 def test_sampler_measure_consistency():

@@ -53,6 +53,27 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert json.loads(out)["converged"] is False
 
 
+def test_solve_rejects_too_few_starts(capsys):
+    for starts in ("0", "-2"):
+        code, out, err = run_cli(["solve", "--masses", "1,2,3,4", "--starts", starts],
+                                 capsys)
+        assert code == 64 and out == ""
+        assert "--starts" in err
+
+
+def test_solve_rejects_negative_seed(capsys):
+    code, out, err = run_cli(["solve", "--masses", "1,2,3,4", "--seed", "-1"], capsys)
+    assert code == 64 and out == ""
+    assert "--seed" in err
+
+
+def test_solve_rejects_nonpositive_tol(capsys):
+    for tol in ("0", "-1e-9", "nan", "inf"):
+        code, out, err = run_cli(["solve", "--masses", "1,2,3,4", "--tol", tol], capsys)
+        assert code == 64 and out == ""
+        assert "--tol" in err
+
+
 def test_solve_unwritable_output(capsys):
     code, out, err = run_cli(["solve", "--masses", "1,1,1,1",
                               "--out", "/nonexistent-dir/x.json"], capsys)
@@ -182,6 +203,12 @@ def test_identities_table(capsys):
 
 def test_identities_flag_validation(capsys):
     assert run_cli(["identities", "--samples", "0"], capsys)[0] == 64
+
+
+def test_identities_rejects_negative_seed(capsys):
+    code, out, err = run_cli(["identities", "--seed", "-3"], capsys)
+    assert code == 64 and out == ""
+    assert "--seed" in err
 
 
 def test_unknown_subcommand(capsys):

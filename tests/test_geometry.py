@@ -5,7 +5,7 @@ import pytest
 
 from ccc4.geometry import (DistanceVector, K_RELABEL_SIGN, MassVector,
                            Q_term, SEQUENTIAL_RELABELINGS, ScalarReport,
-                           K_term, admissible_relabelings,
+                           K_term, RELABEL_RTOL, admissible_relabelings,
                            canonical_distance_tuple, cayley_menger_H, in_D,
                            is_geometric, moment_I, potential_U, ptolemy_P,
                            relabel_distances, triangle_margins)
@@ -173,6 +173,38 @@ def test_admissible_relabelings():
     assert len(admissible_relabelings(UNIT)) == 8
     assert len(admissible_relabelings(MassVector(2, 2, 1, 1))) == 2
     assert len(admissible_relabelings(MassVector(1, 2, 3, 4))) == 1
+
+
+def _allclose_relabelings(m):
+    # the np.allclose rule admissible_relabelings follows
+    arr = m.array
+    return [perm for perm in SEQUENTIAL_RELABELINGS.values()
+            if np.allclose(arr[[p - 1 for p in perm]], arr, rtol=1e-12, atol=0.0)]
+
+
+def test_admissible_relabelings_follow_allclose():
+    assert RELABEL_RTOL == 1e-12
+    for rel, admitted in ((0.5e-12, 2), (2e-12, 1)):
+        m = MassVector(2.0, 2.0 * (1.0 + rel), 1.0, 1.0)
+        assert len(admissible_relabelings(m)) == admitted
+        assert admissible_relabelings(m) == _allclose_relabelings(m)
+        m = MassVector(1.0, 1.0, 1.0 - rel, 1.0 + rel)
+        assert admissible_relabelings(m) == _allclose_relabelings(m)
+    # near-ties of every mass pattern, straddling the tolerance
+    rng = np.random.default_rng(12)
+    patterns = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0), (0, 1, 0, 1),
+                (0, 1, 0, 2), (0, 1, 2, 1), (0, 1, 2, 3))
+    sizes = set()
+    for _ in range(2000):
+        base = 10.0 ** rng.uniform(-3.0, 3.0, 4)
+        noise = rng.uniform(-2e-12, 2e-12, 4)
+        pattern = patterns[rng.integers(len(patterns))]
+        m = MassVector.from_iterable(
+            [base[k] * (1.0 + e) for k, e in zip(pattern, noise)])
+        got = admissible_relabelings(m)
+        assert got == _allclose_relabelings(m), m
+        sizes.add(len(got))
+    assert {1, 2, 4, 8} <= sizes
 
 
 def test_canonical_distance_tuple_identifies_copies():
