@@ -26,8 +26,6 @@ log = logging.getLogger(__name__)
 
 INTERIOR_MARGIN = 1e-4   # sampled starts keep every p_ij above this
 MAX_DRAWS = 10**6        # rejection-sampling bound of sample_interior
-SAMPLE_BATCH = 64        # draws per rng.normal call of sample_interior
-SAMPLE_SLACK = 1e-12     # margin slack of its vectorized pre-filter
 
 # p = P_FROM_VW @ (v1, v2, v3, w1, w2, w3), slot order (12, 13, 14, 23, 24, 34)
 P_FROM_VW = 0.5 * np.array([
@@ -169,52 +167,37 @@ def square_chart_point() -> VWPoint:
     return VWPoint(v=np.array([s, 0.0, s]), w=np.array([0.0, 1.0, 0.0]))
 
 
-def _maybe_interior(batch: np.ndarray) -> np.ndarray:
-    """Indices of the rows of a (n, 6) batch of raw (v, w) draws that may
-    pass the exact test of sample_interior.  Every row that test accepts
-    is kept: the vectorized normalization differs from the scalar one by a
-    few ulps, far below SAMPLE_SLACK.  (p > 0 implies the region E, so the
-    margin test alone suffices here.)"""
-    unit = batch.reshape(-1, 2, 3)
-    unit = unit / np.linalg.norm(unit, axis=2, keepdims=True)
-    p = unit.reshape(-1, 6) @ P_FROM_VW.T
-    return np.flatnonzero(p.min(axis=1) > INTERIOR_MARGIN - SAMPLE_SLACK)
-
-
 def sample_interior(rng) -> VWPoint:
     """Pseudo-random interior point of E drawn from the numpy Generator rng.
 
-    Uniform on S^2 x S^2 and rejected until the point lies in E with every
-    reconstructed p_ij > INTERIOR_MARGIN, which keeps the potential and its
-    derivatives finite.  Solver records report this generator as
+    Uniform on S^2 x S^2, folded into v1, v3, w2 >= 0 and rejected until
+    the point lies in E with every reconstructed p_ij > INTERIOR_MARGIN,
+    which keeps the potential and its derivatives finite.  The fold
+    v1 -> |v1|, v3 -> |v3|, w2 -> |w2| is a product of isometries of
+    S^2 x S^2 that maps each of the 8 mirror images of E onto E, so the
+    accepted point stays uniform on E; about 1 draw in 6 is accepted (1 in
+    48 without the fold).  Solver records report this generator as
     "numpy-pcg64".
 
     Draw i is the six normal variates (v, w) that follow draw i - 1 in the
-    stream.  They are drawn SAMPLE_BATCH draws at a time (numpy fills an
-    array in stream order, so row i of a batch holds exactly the values of
-    two successive size-3 calls); rows that survive a vectorized filter
-    are re-tested one by one, in order, by the exact scalar test.  The
-    accepted point is therefore the same bits as drawing one point at a
-    time, but the variates after it in its batch are consumed too: every
-    caller hands in a fresh Generator and draws nothing after it.  At most
+    stream; nothing after the accepted draw is consumed.  At most
     MAX_DRAWS draws are made before RuntimeError.
     """
-    drawn = 0
-    while drawn < MAX_DRAWS:
-        batch = rng.normal(size=(min(SAMPLE_BATCH, MAX_DRAWS - drawn), 6))
-        for row in _maybe_interior(batch):
-            v = batch[row, :3].copy()
-            w = batch[row, 3:].copy()
-            v /= np.linalg.norm(v)
-            w /= np.linalg.norm(w)
-            p = vw_to_p_array(v, w)
-            if (p.min() > INTERIOR_MARGIN and v[0] >= abs(w[0]) and v[2] >= abs(w[2])
-                    and w[1] >= 0.0):
-                draw = drawn + int(row) + 1
-                if draw > 1:
-                    log.debug("interior sample accepted after %d draws", draw)
-                return VWPoint(v=v, w=w)
-        drawn += len(batch)
+    for draw in range(1, MAX_DRAWS + 1):
+        a1, a2, a3, b1, b2, b3 = rng.normal(size=6).tolist()
+        a1, a3, b2 = abs(a1), abs(a3), abs(b2)
+        n = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+        v1, v2, v3 = a1 / n, a2 / n, a3 / n
+        n = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+        w1, w2, w3 = b1 / n, b2 / n, b3 / n
+        p_min = 0.5 * min(v1 + w1, v2 + w2, v3 + w3, v3 - w3, w2 - v2, v1 - w1)
+        if (p_min > INTERIOR_MARGIN and v1 >= abs(w1) and v3 >= abs(w3)
+                and w2 >= 0.0):
+            if draw > 1:
+                log.debug("interior sample accepted after %d draws", draw)
+            # the scalar normalization above only decides acceptance; the
+            # point is normalized once, by VWPoint
+            return VWPoint(v=np.array([a1, a2, a3]), w=np.array([b1, b2, b3]))
     raise RuntimeError(f"no interior point found in {MAX_DRAWS} draws")
 
 

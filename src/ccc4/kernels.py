@@ -1,14 +1,16 @@
-"""Descent kernel.
+"""Scalar kernels: the potential with its derivatives, the descent loop
+and the projected Newton step.
 
-Plain float scalars keep the inner loop reasonably fast in pure python.
+Plain float scalars keep the inner loops reasonably fast in pure python.
 The objective in chart coordinates is
 
     U(v, w) = sum_k u_k / p_k,   p = halved sums/differences of (v, w),
 
 with u_k = (m_i m_j)^{3/2} / sqrt(2M), minimized over the product of unit
 spheres by projected-gradient steps (Barzilai-Borwein trial step, Armijo
-backtracking, renormalization retraction).  Steps that would cross the
-boundary p_k <= 0 are rejected, which is all the region handling the
+backtracking, renormalization retraction) and then by Newton steps on the
+reduced 4x4 system (see solver._newton_polish).  Steps that would cross
+the boundary p_k <= 0 are rejected, which is all the region handling the
 problem needs: the potential blows up there.
 """
 
@@ -26,23 +28,30 @@ def _pack(v, w):
     return float(v[0]), float(v[1]), float(v[2]), float(w[0]), float(w[1]), float(w[2])
 
 
-def eval_potential(v, w, u):
-    """Potential and its Euclidean gradient with respect to (v, w).
+def _normalize3(x1, x2, x3):
+    n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    return x1 / n, x2 / n, x3 / n
 
-    Returns (U, gv, gw) as (float, list[3], list[3]); U is inf (with zero
-    gradient) outside the feasible region min p_k > 0.
+
+def potential(z, u):
+    """U and its first two derivatives at z = (v1, v2, v3, w1, w2, w3).
+
+    u holds the six coefficients as Python floats.  Returns None outside
+    the feasible region min p_k > 0, else (p, U, g, h): p the six halved
+    sums/differences, g the Euclidean gradient of U with respect to
+    (v1, v2, v3, w1, w2, w3), and h_k = 2 u_k / p_k^3 the Hessian of U in
+    p, which is diagonal because U is a sum of one-variable terms.
     """
-    v1, v2, v3, w1, w2, w3 = _pack(v, w)
-    u1, u2, u3, u4, u5, u6 = (float(u[0]), float(u[1]), float(u[2]),
-                              float(u[3]), float(u[4]), float(u[5]))
+    v1, v2, v3, w1, w2, w3 = z
+    u1, u2, u3, u4, u5, u6 = u
     p1 = 0.5 * (v1 + w1)
     p2 = 0.5 * (v2 + w2)
     p3 = 0.5 * (v3 + w3)
     p4 = 0.5 * (v3 - w3)
     p5 = 0.5 * (w2 - v2)
     p6 = 0.5 * (v1 - w1)
-    if min(p1, p2, p3, p4, p5, p6) <= 0.0:
-        return math.inf, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    if not (p1 > 0.0 and p2 > 0.0 and p3 > 0.0 and p4 > 0.0 and p5 > 0.0 and p6 > 0.0):
+        return None
     U = u1 / p1 + u2 / p2 + u3 / p3 + u4 / p4 + u5 / p5 + u6 / p6
     q1 = -u1 / (p1 * p1)
     q2 = -u2 / (p2 * p2)
@@ -50,9 +59,122 @@ def eval_potential(v, w, u):
     q4 = -u4 / (p4 * p4)
     q5 = -u5 / (p5 * p5)
     q6 = -u6 / (p6 * p6)
-    gv = [0.5 * (q1 + q6), 0.5 * (q2 - q5), 0.5 * (q3 + q4)]
-    gw = [0.5 * (q1 - q6), 0.5 * (q2 + q5), 0.5 * (q3 - q4)]
-    return U, gv, gw
+    return ((p1, p2, p3, p4, p5, p6), U,
+            (0.5 * (q1 + q6), 0.5 * (q2 - q5), 0.5 * (q3 + q4),
+             0.5 * (q1 - q6), 0.5 * (q2 + q5), 0.5 * (q3 - q4)),
+            (-2.0 * q1 / p1, -2.0 * q2 / p2, -2.0 * q3 / p3,
+             -2.0 * q4 / p4, -2.0 * q5 / p5, -2.0 * q6 / p6))
+
+
+def tangent_gradient(z, g):
+    """(cv, cw, rg): the radial components cv = g_v . v and cw = g_w . w of
+    the gradient g at the point z of S^2 x S^2, and the norm rg of its
+    projection onto the tangent space."""
+    v1, v2, v3, w1, w2, w3 = z
+    gv1, gv2, gv3, gw1, gw2, gw3 = g
+    cv = gv1 * v1 + gv2 * v2 + gv3 * v3
+    cw = gw1 * w1 + gw2 * w2 + gw3 * w3
+    d1 = gv1 - cv * v1
+    d2 = gv2 - cv * v2
+    d3 = gv3 - cv * v3
+    e1 = gw1 - cw * w1
+    e2 = gw2 - cw * w2
+    e3 = gw3 - cw * w3
+    return cv, cw, math.sqrt(d1 * d1 + d2 * d2 + d3 * d3 + e1 * e1 + e2 * e2 + e3 * e3)
+
+
+def _tangent_pair(x1, x2, x3):
+    # orthonormal basis (a, b) of the tangent plane at the unit vector x:
+    # a from the axis least aligned with x, b = x cross a
+    if abs(x1) <= abs(x2) and abs(x1) <= abs(x3):
+        a1, a2, a3 = _normalize3(1.0 - x1 * x1, -x1 * x2, -x1 * x3)
+    elif abs(x2) <= abs(x3):
+        a1, a2, a3 = _normalize3(-x2 * x1, 1.0 - x2 * x2, -x2 * x3)
+    else:
+        a1, a2, a3 = _normalize3(-x3 * x1, -x3 * x2, 1.0 - x3 * x3)
+    return (a1, a2, a3,
+            x2 * a3 - x3 * a2, x3 * a1 - x1 * a3, x1 * a2 - x2 * a1)
+
+
+def newton_step(z, g, h, cv, cw):
+    """Newton step of U restricted to S^2 x S^2 at z, as a vector of R^6
+    tangent to both spheres; g and h come from potential(z) and cv, cw from
+    tangent_gradient(z, g).
+
+    The Riemannian Hessian, H_z - cv I on the v sphere and H_z - cw I on
+    the w sphere with H_z = P^T diag(h) P, is reduced to a 4x4 system in
+    two tangent bases and solved by Cholesky.  Returns None when a pivot is
+    not positive: the reduced Hessian is not positive definite there.
+    """
+    v1, v2, v3, w1, w2, w3 = z
+    gv1, gv2, gv3, gw1, gw2, gw3 = g
+    h1, h2, h3, h4, h5, h6 = h
+    # H_z couples v_i only with itself and w_i: H_z = [[S, T], [T, S]] with
+    # diagonal blocks S = diag(s) and T = diag(t)
+    s1 = 0.25 * (h1 + h6)
+    s2 = 0.25 * (h2 + h5)
+    s3 = 0.25 * (h3 + h4)
+    t1 = 0.25 * (h1 - h6)
+    t2 = 0.25 * (h2 - h5)
+    t3 = 0.25 * (h3 - h4)
+    a1, a2, a3, b1, b2, b3 = _tangent_pair(v1, v2, v3)
+    c1, c2, c3, d1, d2, d3 = _tangent_pair(w1, w2, w3)
+    # reduced Hessian H and gradient f in the basis (a, b | c, d)
+    H11 = s1 * a1 * a1 + s2 * a2 * a2 + s3 * a3 * a3 - cv
+    H21 = s1 * b1 * a1 + s2 * b2 * a2 + s3 * b3 * a3
+    H22 = s1 * b1 * b1 + s2 * b2 * b2 + s3 * b3 * b3 - cv
+    H31 = t1 * c1 * a1 + t2 * c2 * a2 + t3 * c3 * a3
+    H32 = t1 * c1 * b1 + t2 * c2 * b2 + t3 * c3 * b3
+    H33 = s1 * c1 * c1 + s2 * c2 * c2 + s3 * c3 * c3 - cw
+    H41 = t1 * d1 * a1 + t2 * d2 * a2 + t3 * d3 * a3
+    H42 = t1 * d1 * b1 + t2 * d2 * b2 + t3 * d3 * b3
+    H43 = s1 * d1 * c1 + s2 * d2 * c2 + s3 * d3 * c3
+    H44 = s1 * d1 * d1 + s2 * d2 * d2 + s3 * d3 * d3 - cw
+    f1 = a1 * gv1 + a2 * gv2 + a3 * gv3
+    f2 = b1 * gv1 + b2 * gv2 + b3 * gv3
+    f3 = c1 * gw1 + c2 * gw2 + c3 * gw3
+    f4 = d1 * gw1 + d2 * gw2 + d3 * gw3
+    # H = L L^T; "not x > 0" also rejects a nan pivot
+    if not H11 > 0.0:
+        return None
+    L11 = math.sqrt(H11)
+    L21 = H21 / L11
+    L31 = H31 / L11
+    L41 = H41 / L11
+    x = H22 - L21 * L21
+    if not x > 0.0:
+        return None
+    L22 = math.sqrt(x)
+    L32 = (H32 - L31 * L21) / L22
+    L42 = (H42 - L41 * L21) / L22
+    x = H33 - L31 * L31 - L32 * L32
+    if not x > 0.0:
+        return None
+    L33 = math.sqrt(x)
+    L43 = (H43 - L41 * L31 - L42 * L32) / L33
+    x = H44 - L41 * L41 - L42 * L42 - L43 * L43
+    if not x > 0.0:
+        return None
+    L44 = math.sqrt(x)
+    # L y = -f, then L^T x = y
+    y1 = -f1 / L11
+    y2 = (-f2 - L21 * y1) / L22
+    y3 = (-f3 - L31 * y1 - L32 * y2) / L33
+    y4 = (-f4 - L41 * y1 - L42 * y2 - L43 * y3) / L44
+    x4 = y4 / L44
+    x3 = (y3 - L43 * x4) / L33
+    x2 = (y2 - L32 * x3 - L42 * x4) / L22
+    x1 = (y1 - L21 * x2 - L31 * x3 - L41 * x4) / L11
+    return (x1 * a1 + x2 * b1, x1 * a2 + x2 * b2, x1 * a3 + x2 * b3,
+            x3 * c1 + x4 * d1, x3 * c2 + x4 * d2, x3 * c3 + x4 * d3)
+
+
+def retract(z, step, t):
+    """The point z + t step, each triple renormalized onto its sphere."""
+    v1, v2, v3, w1, w2, w3 = z
+    s1, s2, s3, s4, s5, s6 = step
+    return (_normalize3(v1 + t * s1, v2 + t * s2, v3 + t * s3)
+            + _normalize3(w1 + t * s4, w2 + t * s5, w3 + t * s6))
 
 
 def descend(v, w, u, gtol, max_iter):
@@ -63,32 +185,15 @@ def descend(v, w, u, gtol, max_iter):
     iteration cap, STALLED if the line search cannot make progress.
     """
     v1, v2, v3, w1, w2, w3 = _pack(v, w)
-    u1, u2, u3, u4, u5, u6 = (float(u[0]), float(u[1]), float(u[2]),
-                              float(u[3]), float(u[4]), float(u[5]))
+    u = tuple(float(x) for x in u)
 
-    def evaluate(a1, a2, a3, b1, b2, b3):
-        p1 = 0.5 * (a1 + b1)
-        p2 = 0.5 * (a2 + b2)
-        p3 = 0.5 * (a3 + b3)
-        p4 = 0.5 * (a3 - b3)
-        p5 = 0.5 * (b2 - a2)
-        p6 = 0.5 * (a1 - b1)
-        if min(p1, p2, p3, p4, p5, p6) <= 0.0:
-            return None
-        return (u1 / p1 + u2 / p2 + u3 / p3 + u4 / p4 + u5 / p5 + u6 / p6,
-                p1, p2, p3, p4, p5, p6)
+    v1, v2, v3 = _normalize3(v1, v2, v3)
+    w1, w2, w3 = _normalize3(w1, w2, w3)
 
-    def normalize3(x1, x2, x3):
-        n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-        return x1 / n, x2 / n, x3 / n
-
-    v1, v2, v3 = normalize3(v1, v2, v3)
-    w1, w2, w3 = normalize3(w1, w2, w3)
-
-    res = evaluate(v1, v2, v3, w1, w2, w3)
+    res = potential((v1, v2, v3, w1, w2, w3), u)
     if res is None:
         return ([v1, v2, v3], [w1, w2, w3], math.inf, math.inf, 0, STALLED)
-    U = res[0]
+    _, U, g, _ = res
 
     # previous point and projected gradient, for the BB step
     pv1 = pv2 = pv3 = pw1 = pw2 = pw3 = 0.0
@@ -99,19 +204,7 @@ def descend(v, w, u, gtol, max_iter):
     iters = 0
     rgnorm = math.inf
     while iters < max_iter:
-        _, p1, p2, p3, p4, p5, p6 = res
-        q1 = -u1 / (p1 * p1)
-        q2 = -u2 / (p2 * p2)
-        q3 = -u3 / (p3 * p3)
-        q4 = -u4 / (p4 * p4)
-        q5 = -u5 / (p5 * p5)
-        q6 = -u6 / (p6 * p6)
-        gv1 = 0.5 * (q1 + q6)
-        gv2 = 0.5 * (q2 - q5)
-        gv3 = 0.5 * (q3 + q4)
-        gw1 = 0.5 * (q1 - q6)
-        gw2 = 0.5 * (q2 + q5)
-        gw3 = 0.5 * (q3 - q4)
+        gv1, gv2, gv3, gw1, gw2, gw3 = g
         # project onto the tangent spaces of the two spheres
         cv = gv1 * v1 + gv2 * v2 + gv3 * v3
         cw = gw1 * w1 + gw2 * w2 + gw3 * w3
@@ -160,10 +253,10 @@ def descend(v, w, u, gtol, max_iter):
         accepted = False
         a = alpha
         for _ in range(_MAX_BACKTRACK):
-            t1, t2, t3 = normalize3(v1 - a * d1, v2 - a * d2, v3 - a * d3)
-            r1, r2, r3 = normalize3(w1 - a * e1, w2 - a * e2, w3 - a * e3)
-            trial = evaluate(t1, t2, t3, r1, r2, r3)
-            if trial is not None and trial[0] <= U - _ARMIJO * a * g2:
+            t1, t2, t3 = _normalize3(v1 - a * d1, v2 - a * d2, v3 - a * d3)
+            r1, r2, r3 = _normalize3(w1 - a * e1, w2 - a * e2, w3 - a * e3)
+            trial = potential((t1, t2, t3, r1, r2, r3), u)
+            if trial is not None and trial[1] <= U - _ARMIJO * a * g2:
                 accepted = True
                 break
             a *= 0.5
@@ -171,8 +264,7 @@ def descend(v, w, u, gtol, max_iter):
             status = STALLED
             break
         v1, v2, v3, w1, w2, w3 = t1, t2, t3, r1, r2, r3
-        res = trial
-        U = trial[0]
+        _, U, g, _ = trial
         iters += 1
 
     return ([v1, v2, v3], [w1, w2, w3], U, rgnorm, iters, status)

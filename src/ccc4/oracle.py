@@ -110,19 +110,6 @@ def embed_cyclic(r, m, rtol: float = 1e-9) -> PlanarConfig:
     return cfg
 
 
-def circumcenter(positions: np.ndarray) -> np.ndarray:
-    """Center of the circle through the first three points."""
-    (x1, y1), (x2, y2), (x3, y3) = positions[:3]
-    d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
-    if d == 0.0:
-        raise NonRealizableError("first three points are collinear")
-    s1, s2, s3 = x1 ** 2 + y1 ** 2, x2 ** 2 + y2 ** 2, x3 ** 2 + y3 ** 2
-    return np.array([
-        (s1 * (y2 - y3) + s2 * (y3 - y1) + s3 * (y1 - y2)) / d,
-        (s1 * (x3 - x2) + s2 * (x1 - x3) + s3 * (x2 - x1)) / d,
-    ])
-
-
 def cartesian_cc_residual(cfg: PlanarConfig, lambda_q: float | None = None,
                           fit: bool = False) -> float:
     """Worst-body residual of the defining equations

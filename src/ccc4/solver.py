@@ -2,11 +2,11 @@
 certification of the minimizer.
 
 The optimizer works in the double-sphere chart: descent by the kernel
-module, then a projected Newton polish, which is justified because every
-critical point of the restricted potential is a nondegenerate minimum, so
-no saddle handling is needed.  Multipliers are
-recovered afterwards by linear least squares on the six stationarity
-equations
+module, then a projected Newton polish in the same plain float scalars,
+which is justified because every critical point of the restricted
+potential is a nondegenerate minimum, so no saddle handling is needed.
+Multipliers are recovered afterwards by linear least squares on the six
+stationarity equations
 
     m_i m_j (r_ij^-3 - lambda) = +/- sigma r_kl / r_ij,
 
@@ -25,8 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, serialize
-from .chart import (P_FROM_VW, VWPoint, p_to_r, seeded_start, square_chart_point,
-                    vw_to_p_array)
+from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_array
 from .errors import IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
                        ScalarReport, _m, _r6, canonical_distance_tuple)
@@ -37,6 +36,7 @@ RECORD_SCHEMA = "ccc4-solverecord-1"
 # Fixed tolerances of the solver, and below them of certify_minimum.
 CONSTRAINT_TOL = 1e-12       # |sum p^2 - 1| and |P(p)| at an accepted endpoint
 NEWTON_SWITCH = 1e-6         # descent hands over to Newton below this
+RECORD_NEWTON_STEPS = 3      # full Newton steps at most on the record's endpoint
 COCIRCULAR_TOL = 1e-6        # |K| threshold, scaled by (max r)^3
 STATIONARITY_TOL = 1e-9      # relative residual of the stationarity equations
 CERT_CONSTRAINT_TOL = 1e-9   # |I - 1| and |P| in r units
@@ -264,80 +264,71 @@ def classify_cocircular(rec: SolveRecord, tol: float = COCIRCULAR_TOL) -> bool:
 
 # --- optimization ----------------------------------------------------------
 
-def _u_coefficients(masses: MassVector) -> np.ndarray:
+def _u_coefficients(masses: MassVector) -> tuple:
     # U(p) = sum u_k / p_k with r = sqrt(2M / m_i m_j) p
-    return masses.products() ** 1.5 / math.sqrt(2.0 * masses.M)
-
-
-def _tangent_basis(x: np.ndarray) -> np.ndarray:
-    k = int(np.argmin(np.abs(x)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    b1 = e - x[k] * x
-    b1 /= np.linalg.norm(b1)
-    x0, x1, x2 = x.tolist()
-    c0, c1, c2 = b1.tolist()
-    # x cross b1, term by term as np.cross computes it
-    return np.column_stack([b1, (x1 * c2 - x2 * c1, x2 * c0 - x0 * c2,
-                                 x0 * c1 - x1 * c0)])
+    return tuple((masses.products() ** 1.5 / math.sqrt(2.0 * masses.M)).tolist())
 
 
 def _newton_polish(v, w, u, gtol, max_newton):
     """Projected Newton on S^2 x S^2; quadratic near the nondegenerate
-    minimum.  Returns (v, w, U, rgnorm, iters, converged)."""
-    z = np.concatenate([v, w])
-    U = math.inf
-    rg = math.inf
+    minimum.  u is a tuple of floats.  Returns (v, w, U, rgnorm, iters,
+    converged)."""
+    z = (*v, *w)
+    res = kernels.potential(z, u)
     for nit in range(max_newton + 1):
-        p = P_FROM_VW @ z
-        if p.min() <= 0.0:
+        if res is None:
             return z[:3], z[3:], math.inf, math.inf, nit, False
-        U = float(np.sum(u / p))
-        gz = P_FROM_VW.T @ (-u / p ** 2)
-        vv, ww = z[:3], z[3:]
-        cv, cw = gz[:3] @ vv, gz[3:] @ ww
-        rv = gz[:3] - cv * vv
-        rw = gz[3:] - cw * ww
-        rg = math.sqrt(rv @ rv + rw @ rw)
+        _, U, g, h = res
+        cv, cw, rg = kernels.tangent_gradient(z, g)
         if rg <= gtol * max(1.0, abs(U)):
-            return vv, ww, U, rg, nit, True
+            return z[:3], z[3:], U, rg, nit, True
         if nit == max_newton:
-            return vv, ww, U, rg, nit, False
-        Hz = (P_FROM_VW.T * (2.0 * u / p ** 3)) @ P_FROM_VW
-        B = np.zeros((6, 4))
-        B[:3, :2] = _tangent_basis(vv)
-        B[3:, 2:] = _tangent_basis(ww)
-        Hred = B.T @ Hz @ B
-        Hred[:2, :2] -= cv * np.eye(2)
-        Hred[2:, 2:] -= cw * np.eye(2)
-        gred = B.T @ gz
-        try:
-            step = B @ np.linalg.solve(Hred, -gred)
-        except np.linalg.LinAlgError:
-            return vv, ww, U, rg, nit, False
+            break
+        step = kernels.newton_step(z, g, h, cv, cw)
+        if step is None:
+            break
         t = 1.0
-        accepted = False
         for _ in range(30):
-            vn = vv + t * step[:3]
-            wn = ww + t * step[3:]
-            vn /= np.linalg.norm(vn)
-            wn /= np.linalg.norm(wn)
-            pn = P_FROM_VW @ np.concatenate([vn, wn])
-            if pn.min() > 0.0 and np.sum(u / pn) <= U + 1e-12 * abs(U):
-                accepted = True
+            zn = kernels.retract(z, step, t)
+            res = kernels.potential(zn, u)
+            if res is not None and res[1] <= U + 1e-12 * abs(U):
                 break
             t *= 0.5
-        if not accepted:
-            return vv, ww, U, rg, nit, False
-        z = np.concatenate([vn, wn])
-    return z[:3], z[3:], U, rg, max_newton, False
+        else:
+            break
+        z = zn
+    return z[:3], z[3:], U, rg, nit, False
 
 
-def _solve_from(vw: VWPoint, u: np.ndarray, opts: SolverOptions):
+def _polish_record(v, w, u):
+    """Full Newton steps from the endpoint that becomes the record, while
+    each one shrinks the projected gradient, at most RECORD_NEWTON_STEPS.
+    The gtol test of _newton_polish is relative to max(1, |U|) and stops
+    where one more quadratic step still gains digits of r*.  Returns
+    (v, w, steps)."""
+    z = (*v, *w)
+    _, _, g, h = kernels.potential(z, u)
+    cv, cw, rg = kernels.tangent_gradient(z, g)
+    steps = 0
+    while steps < RECORD_NEWTON_STEPS:
+        step = kernels.newton_step(z, g, h, cv, cw)
+        if step is None:
+            break
+        zn = kernels.retract(z, step, 1.0)
+        res = kernels.potential(zn, u)
+        if res is None:
+            break
+        cvn, cwn, rgn = kernels.tangent_gradient(zn, res[2])
+        if not rgn < rg:
+            break
+        z, (_, _, g, h), cv, cw, rg = zn, res, cvn, cwn, rgn
+        steps += 1
+    return z[:3], z[3:], steps
+
+
+def _solve_from(vw: VWPoint, u: tuple, opts: SolverOptions):
     v, w, U, rg, iters, status = kernels.descend(
         vw.v, vw.w, u, NEWTON_SWITCH, opts.max_iter)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
     if not math.isfinite(U):
         return v, w, math.inf, math.inf, iters, False
     v, w, U, rg, nit, ok = _newton_polish(v, w, u, opts.gtol, opts.max_newton)
@@ -345,8 +336,8 @@ def _solve_from(vw: VWPoint, u: np.ndarray, opts: SolverOptions):
 
 
 class _Endpoint(NamedTuple):
-    v: np.ndarray
-    w: np.ndarray
+    v: tuple
+    w: tuple
     U: float
     iterations: int
     r: DistanceVector | None     # None unless the endpoint was accepted
@@ -418,8 +409,9 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     interior points.  The accepted endpoints must form one cluster (see
     _multistart; there is exactly one minimizer), otherwise
     UniquenessAlarmError is raised.  The record is built from the accepted
-    endpoint of lowest U; if no endpoint is accepted, the best iterate is
-    returned with converged=False.
+    endpoint of lowest U, polished to full precision by _polish_record; if
+    no endpoint is accepted, the best iterate is returned with
+    converged=False.
     """
     masses = _m(m)
     opts = opts or SolverOptions()
@@ -440,8 +432,11 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
             "seed": opts.seed, "starts": opts.starts}
     accepted = [e for e in endpoints if e.r is not None]
     best = min(accepted or endpoints, key=lambda e: e.U)
-    rec = _record_from_point(best.v, best.w, masses, best.iterations,
-                             bool(accepted), meta)
+    v, w, iterations = best.v, best.w, best.iterations
+    if accepted:
+        v, w, steps = _polish_record(v, w, _u_coefficients(masses))
+        iterations += steps
+    rec = _record_from_point(v, w, masses, iterations, bool(accepted), meta)
     if accepted:
         rec = replace(rec, is_cocircular=classify_cocircular(rec))
     return rec

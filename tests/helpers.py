@@ -1,13 +1,14 @@
-"""Shared generators for randomized tests, and the environment for
-running ccc4 in a child process."""
+"""Shared generators for randomized tests, reference routes the tests
+compare ccc4 against, and the environment for running ccc4 in a child
+process."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 
-from ccc4.chart import INTERIOR_MARGIN, VWPoint, vw_to_p_array
-from ccc4.geometry import MassVector, moment_I, triangle_margins
+from ccc4.chart import INTERIOR_MARGIN, P_FROM_VW, VWPoint, in_region_E, vw_to_p_array
+from ccc4.geometry import PAIR_SIGN, MassVector, moment_I, triangle_margins
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -51,16 +52,103 @@ def normalized_to_unit_inertia(r, m):
 
 
 def sample_interior_one_draw_at_a_time(rng, max_draws=10**6):
-    """Reference rejection sampler: one draw (v, w) of six normal variates
-    per loop, tested and accepted exactly as chart.sample_interior tests
-    and accepts a row of its batches.  Returns (point, draws used)."""
+    """Reference rejection sampler in numpy: one draw (v, w) of six normal
+    variates per loop, folded by v1 -> |v1|, v3 -> |v3|, w2 -> |w2| and
+    accepted by the tests of chart.sample_interior.  Returns (point,
+    draws used)."""
     for draw in range(1, max_draws + 1):
         v = rng.normal(size=3)
         w = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        w /= np.linalg.norm(w)
-        p = vw_to_p_array(v, w)
-        if (p.min() > INTERIOR_MARGIN and v[0] >= abs(w[0]) and v[2] >= abs(w[2])
-                and w[1] >= 0.0):
-            return VWPoint(v=v, w=w), draw
+        v[0], v[2], w[1] = abs(v[0]), abs(v[2]), abs(w[1])
+        vw = VWPoint(v=v, w=w)
+        if vw_to_p_array(vw.v, vw.w).min() > INTERIOR_MARGIN and in_region_E(vw):
+            return vw, draw
     raise RuntimeError(f"no interior point found in {max_draws} draws")
+
+
+def sample_interior_unfolded(n, seed):
+    """n points of E by plain rejection from uniform S^2 x S^2, with the
+    margin test of chart.sample_interior but no fold, as a (n, 6) array of
+    (v, w) rows."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    count = 0
+    while count < n:
+        z = rng.normal(size=(100000, 2, 3))
+        z /= np.linalg.norm(z, axis=2, keepdims=True)
+        z = z.reshape(-1, 6)
+        keep = z[(z @ P_FROM_VW.T).min(axis=1) > INTERIOR_MARGIN]
+        rows.append(keep)
+        count += len(keep)
+    return np.concatenate(rows)[:n]
+
+
+def _tangent_basis(x):
+    k = int(np.argmin(np.abs(x)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    b1 = e - x[k] * x
+    b1 /= np.linalg.norm(b1)
+    return np.column_stack([b1, np.cross(x, b1)])
+
+
+def newton_step_numpy(v, w, u):
+    """The projected Newton step of U on S^2 x S^2 at unit (v, w) by dense
+    numpy algebra: solve (B^T H_z B - diag(cv, cv, cw, cw)) x = -B^T g_z in
+    a tangent basis B, step = B x.
+
+    Returns (step, bound): bound is eps ||Hred^-1|| (||g_z|| + (||H_z|| +
+    |cv| + |cw|) ||step||), the first-order change of the step when g_z, H_z
+    and the radial terms carry one rounding error each, so two correct
+    solvers that round differently agree to a small multiple of it."""
+    u = np.asarray(u, dtype=float)
+    z = np.concatenate([v, w])
+    p = P_FROM_VW @ z
+    gz = P_FROM_VW.T @ (-u / p ** 2)
+    Hz = (P_FROM_VW.T * (2.0 * u / p ** 3)) @ P_FROM_VW
+    cv, cw = gz[:3] @ z[:3], gz[3:] @ z[3:]
+    B = np.zeros((6, 4))
+    B[:3, :2] = _tangent_basis(z[:3])
+    B[3:, 2:] = _tangent_basis(z[3:])
+    Hred = B.T @ Hz @ B - np.diag([cv, cv, cw, cw])
+    step = B @ np.linalg.solve(Hred, -B.T @ gz)
+    bound = np.finfo(float).eps * np.linalg.norm(np.linalg.inv(Hred), 2) * (
+        np.linalg.norm(gz)
+        + (np.linalg.norm(Hz, 2) + abs(cv) + abs(cw)) * np.linalg.norm(step))
+    return step, bound
+
+
+def lagrange_root_mp(masses, r, lam, sigma, dps=50):
+    """Root of the 8 Lagrange equations of the constrained problem, found
+    by mpmath.findroot at dps digits from the float guess (r, lam, sigma):
+    the six stationarity equations
+
+        m_i m_j (r_ij^-3 - lam) - sign_ij sigma r_kl / r_ij = 0,
+
+    I = 1 and P = 0.  Returns the six distances as mpf."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        m = [mpmath.mpf(x) for x in masses]
+        M = sum(m)
+        mm = [m[i] * m[j] for i, j in _PAIRS]
+
+        def equations(*x):
+            d, lam_, sigma_ = x[:6], x[6], x[7]
+            out = [mm[k] * (d[k] ** -3 - lam_) - PAIR_SIGN[k] * sigma_ * d[5 - k] / d[k]
+                   for k in range(6)]
+            out.append(sum(mm[k] * d[k] ** 2 for k in range(6)) / (2 * M) - 1)
+            out.append(d[0] * d[5] + d[2] * d[3] - d[1] * d[4])
+            return out
+
+        guess = [mpmath.mpf(float(x)) for x in r] + [mpmath.mpf(lam), mpmath.mpf(sigma)]
+        root = mpmath.findroot(equations, guess)
+        return [root[k] for k in range(6)]
+
+
+def relative_distance_mp(r, root, dps=50):
+    """max_k |r_k - root_k| / root_k for float r and mpf root, as a float."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return float(max(abs(float(x) - y) / y for x, y in zip(r, root)))

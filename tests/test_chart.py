@@ -13,7 +13,7 @@ from ccc4.inverse import shape_to_distances
 from ccc4.oracle import sample_cyclic_shapes
 
 from helpers import (normalized_to_unit_inertia, random_masses,
-                     sample_interior_one_draw_at_a_time)
+                     sample_interior_one_draw_at_a_time, sample_interior_unfolded)
 
 SQRT2 = math.sqrt(2.0)
 SQUARE = DistanceVector(1.0, SQRT2, 1.0, 1.0, SQRT2, 1.0)
@@ -138,29 +138,61 @@ def test_sampler_determinism_and_interior():
 
 
 def test_sampler_is_stream_exact():
-    # the batched sampler returns the bits of the one-draw-at-a-time loop
-    draws = {}
+    # the scalar sampler returns the bits of the numpy one-draw-at-a-time loop
     for seed in range(2000):
         got = sample_interior(np.random.default_rng(seed))
-        want, draws[seed] = sample_interior_one_draw_at_a_time(
-            np.random.default_rng(seed))
+        want, _ = sample_interior_one_draw_at_a_time(np.random.default_rng(seed))
         assert got.v.tobytes() == want.v.tobytes(), seed
         assert got.w.tobytes() == want.w.tobytes(), seed
-    # both batch boundaries are crossed: acceptance in the 2nd and 5th batch
-    assert chart.SAMPLE_BATCH == 64
-    assert draws[7] == 81 and draws[51] == 271
-    assert sum(d > chart.SAMPLE_BATCH for d in draws.values()) > 400
 
 
 def test_sampler_draw_bound(monkeypatch):
-    # default_rng(51) first accepts at draw 271
-    monkeypatch.setattr(chart, "MAX_DRAWS", 270)
+    # default_rng(2) first accepts at draw 12
+    want, draws = sample_interior_one_draw_at_a_time(np.random.default_rng(2))
+    assert draws == 12
+    monkeypatch.setattr(chart, "MAX_DRAWS", 11)
     with pytest.raises(RuntimeError):
-        sample_interior(np.random.default_rng(51))
-    monkeypatch.setattr(chart, "MAX_DRAWS", 271)
-    want, _ = sample_interior_one_draw_at_a_time(np.random.default_rng(51))
-    got = sample_interior(np.random.default_rng(51))
+        sample_interior(np.random.default_rng(2))
+    monkeypatch.setattr(chart, "MAX_DRAWS", 12)
+    got = sample_interior(np.random.default_rng(2))
     assert got.v.tobytes() == want.v.tobytes() and got.w.tobytes() == want.w.tobytes()
+
+
+class _CountingRng:
+    """A numpy Generator that counts the normal variates drawn from it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.variates = 0
+
+    def normal(self, size):
+        out = self.rng.normal(size=size)
+        self.variates += out.size
+        return out
+
+
+def test_sampler_draws_per_accepted_point():
+    # the fold maps 8 mirror images of E onto E: about 6 draws, not 48
+    variates = 0
+    for seed in range(2000):
+        rng = _CountingRng(np.random.default_rng(seed))
+        sample_interior(rng)
+        variates += rng.variates
+    assert 5.0 <= variates / 6 / 2000 <= 7.0
+
+
+def test_folded_sampler_matches_unfolded_means():
+    # the fold keeps the distribution on E: per-coordinate means of 20k
+    # folded and 20k plain-rejection points agree within 4 sigma
+    n = 20000
+    rng = np.random.default_rng(40)
+    folded = np.array([np.concatenate([vw.v, vw.w])
+                       for vw in (sample_interior(rng) for _ in range(n))])
+    plain = sample_interior_unfolded(n, seed=41)
+    for k in range(6):
+        a, b = folded[:, k], plain[:, k]
+        sigma = math.sqrt(a.var() / n + b.var() / n)
+        assert abs(a.mean() - b.mean()) <= 4.0 * sigma, k
 
 
 def test_sampler_measure_consistency():

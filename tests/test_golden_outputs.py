@@ -11,6 +11,7 @@ after an intended output change, run
 
 import contextlib
 import io
+import json
 import platform
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from ccc4 import cli
 from ccc4.chart import sample_interior
 from ccc4.geometry import MassVector
 from ccc4.solver import minimize_U
+
+from helpers import lagrange_root_mp, relative_distance_mp
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_outputs.txt"
 SOLVE_VECTORS = 12
@@ -65,6 +68,21 @@ def test_outputs_match_golden_bytes():
         want, got = _split(expected), _split(actual)
         changed = [t for t in sorted(set(want) | set(got)) if want.get(t) != got.get(t)]
         raise AssertionError(f"golden outputs changed in: {changed}")
+
+
+def test_golden_records_sit_at_their_50_digit_roots():
+    # each golden r* within 1e-10 relative of the root of the 8 Lagrange
+    # equations that mpmath refines from it at 50 digits
+    text = GOLDEN.read_text()
+    records = [json.loads(body) for title, body in _split(text[text.index("=== "):]).items()
+               if title.startswith("minimize_U")]
+    assert len(records) == SOLVE_VECTORS
+    for doc in records:
+        masses = [doc["masses"][k] for k in ("m1", "m2", "m3", "m4")]
+        r = [doc["r_star"][k] for k in ("r12", "r13", "r14", "r23", "r24", "r34")]
+        root = lagrange_root_mp(masses, r, doc["multipliers"]["lambda"],
+                                doc["multipliers"]["sigma"])
+        assert relative_distance_mp(r, root) <= 1e-10, masses
 
 
 def write_golden():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from ccc4 import kernels
-from ccc4.chart import square_chart_point, vw_to_p_array, sample_interior
+from ccc4.chart import P_FROM_VW, sample_interior, square_chart_point, vw_to_p_array
 from ccc4.geometry import MassVector
+from ccc4.solver import NEWTON_SWITCH, _newton_polish
+
+from helpers import newton_step_numpy
 
 
 def u_coeffs(masses):
@@ -32,19 +35,20 @@ def test_descend_deterministic():
     assert first[2] == second[2] and first[4] == second[4]
 
 
-def test_eval_potential_matches_chart():
+def test_potential_matches_chart():
     u = u_coeffs((1.0, 2.0, 0.5, 1.5))
     for seed in range(5):
         vw = sample_interior(np.random.default_rng(seed + 100))
-        U, gv, gw = kernels.eval_potential(vw.v, vw.w, u)
+        _, U, g, _ = kernels.potential((*vw.v, *vw.w), u)
         p = vw_to_p_array(vw.v, vw.w)
         assert U == pytest.approx(float(np.sum(u / p)), rel=1e-14)
 
 
-def test_eval_potential_gradient_finite_difference():
+def test_potential_gradient_finite_difference():
     u = u_coeffs((1.0, 2.0, 0.5, 1.5))
     vw = sample_interior(np.random.default_rng(11))
-    U0, gv, gw = kernels.eval_potential(vw.v, vw.w, u)
+    _, U0, g, _ = kernels.potential((*vw.v, *vw.w), u)
+    gv, gw = g[:3], g[3:]
     h = 1e-7
     for block, grad in (("v", gv), ("w", gw)):
         for k in range(3):
@@ -56,9 +60,67 @@ def test_eval_potential_gradient_finite_difference():
             else:
                 wp[k] += h
                 wm[k] -= h
-            up = kernels.eval_potential(vp, wp, u)[0]
-            um = kernels.eval_potential(vm, wm, u)[0]
+            up = kernels.potential((*vp, *wp), u)[1]
+            um = kernels.potential((*vm, *wm), u)[1]
             assert (up - um) / (2 * h) == pytest.approx(grad[k], rel=1e-6)
+
+
+def test_potential_hessian_central_differences():
+    # H_z = P^T diag(h) P against central differences of the gradient
+    rng = np.random.default_rng(12)
+    step = 1e-6
+    for _ in range(200):
+        u = u_coeffs(10.0 ** rng.uniform(-1.0, 1.0, 4))
+        vw = sample_interior(rng)
+        z = np.concatenate([vw.v, vw.w])
+        _, _, _, h = kernels.potential(z.tolist(), u)
+        Hz = P_FROM_VW.T @ np.diag(h) @ P_FROM_VW
+        for j in range(6):
+            e = np.zeros(6)
+            e[j] = step
+            gp = np.array(kernels.potential((z + e).tolist(), u)[2])
+            gm = np.array(kernels.potential((z - e).tolist(), u)[2])
+            fd = (gp - gm) / (2.0 * step)
+            assert np.allclose(fd, Hz[:, j], rtol=1e-5, atol=1e-6 * np.abs(Hz).max())
+
+
+def test_newton_step_matches_numpy_algebra():
+    # at sampled starts and where descent hands over to Newton; the two
+    # routes round differently, by at most their first-order rounding bound
+    rng = np.random.default_rng(13)
+    checked = 0
+    for index in range(200):
+        u = u_coeffs(10.0 ** rng.uniform(-3.0, 3.0, 4))
+        vw = sample_interior(rng)
+        v, w = vw.v, vw.w
+        if index % 2:
+            v, w, *_ = kernels.descend(v, w, u, NEWTON_SWITCH, 500)
+            v, w = np.array(v), np.array(w)
+        z = (*v, *w)
+        _, _, g, h = kernels.potential(z, u)
+        cv, cw, _ = kernels.tangent_gradient(z, g)
+        got = kernels.newton_step(z, g, h, cv, cw)
+        if got is None:
+            # a sampled start may lie where the reduced Hessian is not
+            # positive definite; the descent's endpoints may not
+            assert index % 2 == 0
+            continue
+        want, bound = newton_step_numpy(v, w, u)
+        assert np.linalg.norm(np.array(got) - want) <= 4.0 * bound
+        checked += 1
+    assert checked >= 150
+
+
+def test_newton_polish_fails_on_a_nonpositive_pivot():
+    # at this point the reduced Hessian of -U has a negative first pivot
+    u = u_coeffs((1.0, 2.0, 0.5, 1.5))
+    vw = sample_interior(np.random.default_rng(14))
+    z = (*vw.v, *vw.w)
+    _, _, g, h = kernels.potential(z, tuple(-u))
+    cv, cw, _ = kernels.tangent_gradient(z, g)
+    assert kernels.newton_step(z, g, h, cv, cw) is None
+    *_, iters, ok = _newton_polish(vw.v, vw.w, tuple(-u), 1e-11, 40)
+    assert iters == 0 and ok is False
 
 
 def test_descend_rejects_infeasible_start():

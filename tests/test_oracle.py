@@ -7,10 +7,10 @@ from ccc4.errors import NonRealizableError
 from ccc4.geometry import (DistanceVector, MassVector, Q_term, cayley_menger_H,
                            moment_I, potential_U, ptolemy_P)
 from ccc4.inverse import shape_to_distances
-from ccc4.oracle import (PlanarConfig, cartesian_cc_residual, circumcenter,
-                         circumradius, embed_cyclic, embed_planar_lsq,
-                         fd_gradient, fd_hessian, multistart_uniqueness,
-                         run_identity_battery, sample_cyclic_shapes)
+from ccc4.oracle import (PlanarConfig, cartesian_cc_residual, circumradius,
+                         embed_cyclic, embed_planar_lsq, fd_gradient, fd_hessian,
+                         multistart_uniqueness, run_identity_battery,
+                         sample_cyclic_shapes)
 from ccc4.solver import minimize_U
 
 from helpers import random_planar_distance_vectors
@@ -147,14 +147,6 @@ def test_uniqueness_report_json():
     doc = rep.to_json_dict()
     assert doc["cluster_count"] == 1
     assert len(doc["clusters"][0]["r"]) == 6
-
-
-def test_circumcenter_differs_from_center_of_mass():
-    # nothing forces the circle center onto the center of mass
-    rec = minimize_U(MassVector(2.0, 2.0, 1.0, 1.0))
-    cfg = embed_cyclic(rec.r_star, rec.masses)
-    center = circumcenter(cfg.positions)
-    assert np.linalg.norm(center) > 1e-3
 
 
 def test_non_cocircular_minimizer_fails_cartesian_equations():
