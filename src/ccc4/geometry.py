@@ -5,6 +5,12 @@ labeling convention: bodies are numbered consecutively around the
 quadrilateral, so r13 and r24 are the diagonals.  That convention is a
 documented contract of every function here; relabeling is the caller's job.
 
+The six scalar invariants (U, I, P, K, Q, H) also take a stack of vectors:
+r of shape (6,) gives a float, r of shape (n, 6) an (n,) array, and U and I
+take one mass vector or an (n, 4) stack of them.  A stack is evaluated by
+the same elementwise expressions as a single vector, so each row of the
+result has the bits of the single-vector call.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -116,58 +122,101 @@ def _m(m) -> MassVector:
     return m if isinstance(m, MassVector) else MassVector.from_iterable(m)
 
 
-def potential_U(r, m) -> float:
+def _rows(r) -> np.ndarray:
+    """One distance vector as a (6,) array, or a stack of them as (n, 6)."""
+    if isinstance(r, DistanceVector):
+        return r.array
+    arr = np.asarray(r, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 6:
+        raise ValueError(f"expected 6 distances or an (n, 6) stack, got shape {arr.shape}")
+    return arr
+
+
+_PAIR_I = [i - 1 for i, _ in DISTANCE_PAIRS]
+_PAIR_J = [j - 1 for _, j in DISTANCE_PAIRS]
+
+
+def _products_and_total(m):
+    """Pair products m_i m_j in distance-slot order and the total mass M of
+    one mass vector, or of each row of an (n, 4) stack validated as
+    MassVector validates one."""
+    if isinstance(m, MassVector) or np.ndim(m) != 2:
+        masses = _m(m)
+        return masses.products(), masses.M
+    arr = np.asarray(m, dtype=float)
+    if arr.shape[1] != 4:
+        raise ValueError(f"expected an (n, 4) stack of masses, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise ValueError("stacked masses must be positive and finite")
+    return (arr[:, _PAIR_I] * arr[:, _PAIR_J],
+            arr[:, 0] + arr[:, 1] + arr[:, 2] + arr[:, 3])
+
+
+def _out(x):
+    """A float for one vector, the (n,) array for a stack."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
+def potential_U(r, m):
     """Newtonian potential sum m_i m_j / r_ij (homogeneous of degree -1)."""
-    return float(np.sum(_m(m).products() / _r6(r)))
+    products, _ = _products_and_total(m)
+    return _out(np.sum(products / _rows(r), axis=-1))
 
 
-def moment_I(r, m) -> float:
+def moment_I(r, m):
     """Moment of inertia (1 / 2M) sum m_i m_j r_ij^2 about the center of mass."""
-    masses = _m(m)
-    return float(np.sum(masses.products() * _r6(r) ** 2) / (2.0 * masses.M))
+    products, total = _products_and_total(m)
+    return _out(np.sum(products * _rows(r) ** 2, axis=-1) / (2.0 * total))
 
 
-def ptolemy_P(r) -> float:
+def ptolemy_P(r):
     """Cyclic-quadrilateral defect r12 r34 + r14 r23 - r13 r24.
 
     Zero exactly on sequentially ordered cyclic quadrilaterals; positive on
     every other convex sequential quadrilateral and on tetrahedra.
     """
-    r12, r13, r14, r23, r24, r34 = _r6(r)
-    return float(r12 * r34 + r14 * r23 - r13 * r24)
+    r12, r13, r14, r23, r24, r34 = _rows(r).T
+    return _out(r12 * r34 + r14 * r23 - r13 * r24)
 
 
-def cayley_menger_H(r) -> float:
+# Index of each entry of the bordered Cayley-Menger matrix in
+# (r12^2, r13^2, r14^2, r23^2, r24^2, r34^2, 0, 1).
+_CM_ENTRIES = np.array([
+    [6, 7, 7, 7, 7],
+    [7, 6, 0, 1, 2],
+    [7, 0, 6, 3, 4],
+    [7, 1, 3, 6, 5],
+    [7, 2, 4, 5, 6],
+])
+
+
+def cayley_menger_H(r):
     """Cayley-Menger determinant of the four points, H = 288 V^2.
 
     Evaluated directly as the bordered 5x5 determinant of squared distances,
     never through the Ptolemy factorization, so the two stay independent
-    cross-checks of each other.
+    cross-checks of each other.  A stack is one (n, 5, 5) determinant call.
     """
-    r12, r13, r14, r23, r24, r34 = _r6(r) ** 2
-    mat = np.array([
-        [0.0, 1.0, 1.0, 1.0, 1.0],
-        [1.0, 0.0, r12, r13, r14],
-        [1.0, r12, 0.0, r23, r24],
-        [1.0, r13, r23, 0.0, r34],
-        [1.0, r14, r24, r34, 0.0],
-    ])
-    return float(np.linalg.det(mat))
+    sq = _rows(r) ** 2
+    entries = np.zeros(sq.shape[:-1] + (8,))
+    entries[..., :6] = sq
+    entries[..., 7] = 1.0
+    return _out(np.linalg.det(entries[..., _CM_ENTRIES]))
 
 
-def K_term(r) -> float:
+def K_term(r):
     """Odd cubic K = r12 r13 r23 - r12 r14 r24 + r13 r14 r34 - r23 r24 r34.
 
     Together with P it factors the Cayley-Menger determinant (Pech
     decomposition H/2 = P Q - K^2); on geometrically realizable vectors with
     P = 0 it must vanish, so |K| serves as the co-circularity residual.
     """
-    r12, r13, r14, r23, r24, r34 = _r6(r)
-    return float(r12 * r13 * r23 - r12 * r14 * r24
-                 + r13 * r14 * r34 - r23 * r24 * r34)
+    r12, r13, r14, r23, r24, r34 = _rows(r).T
+    return _out(r12 * r13 * r23 - r12 * r14 * r24
+                + r13 * r14 * r34 - r23 * r24 * r34)
 
 
-def Q_term(r) -> float:
+def Q_term(r):
     """The degree-4 cofactor Q of the Pech decomposition H/2 = P Q - K^2.
 
     Each line groups one opposite pair with the sum of the four other
@@ -176,12 +225,12 @@ def Q_term(r) -> float:
     makes the decomposition hold against the raw determinant, which the
     randomized identity suite checks.)
     """
-    r12, r13, r14, r23, r24, r34 = _r6(r)
+    r12, r13, r14, r23, r24, r34 = _rows(r).T
     s12, s13, s14, s23, s24, s34 = (r12 * r12, r13 * r13, r14 * r14,
                                     r23 * r23, r24 * r24, r34 * r34)
-    return float(r12 * r34 * (-s12 - s34 + s23 + s14 + s13 + s24)
-                 + r14 * r23 * (s12 + s34 - s23 - s14 + s13 + s24)
-                 - r13 * r24 * (s12 + s34 + s23 + s14 - s13 - s24))
+    return _out(r12 * r34 * (-s12 - s34 + s23 + s14 + s13 + s24)
+                + r14 * r23 * (s12 + s34 - s23 - s14 + s13 + s24)
+                - r13 * r24 * (s12 + s34 + s23 + s14 - s13 - s24))
 
 
 @dataclass(frozen=True)

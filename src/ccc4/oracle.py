@@ -16,8 +16,9 @@ import numpy as np
 from . import serialize
 from .chart import seeded_start
 from .errors import NonRealizableError
-from .geometry import (MassVector, K_term, Q_term, _m, _r6, cayley_menger_H,
-                       is_geometric, moment_I, potential_U, ptolemy_P)
+from .geometry import (OPPOSITE_SLOT, PAIR_SIGN, MassVector, K_term, Q_term, _m,
+                       _r6, _rows, cayley_menger_H, is_geometric, moment_I,
+                       potential_U, ptolemy_P)
 from .inverse import CyclicShape, shape_to_distances
 from .solver import SolverOptions, _multistart
 
@@ -163,20 +164,23 @@ def embed_planar_lsq(r, m) -> PlanarConfig:
 def _steps(r_arr: np.ndarray, h) -> np.ndarray:
     if h is None:
         return 1e-5 * np.maximum(1.0, r_arr)
-    h_arr = np.asarray(h, dtype=float)
-    return np.full(6, float(h)) if h_arr.ndim == 0 else h_arr
+    return np.broadcast_to(np.asarray(h, dtype=float), r_arr.shape)
 
 
 def fd_gradient(f, r, h=None) -> np.ndarray:
-    """Central-difference gradient of a scalar field on distance vectors."""
-    r_arr = _r6(r)
+    """Central-difference gradient of a scalar field on distance vectors.
+
+    r is one vector (6,) or a stack (n, 6).  For a stack, f must map an
+    (n, 6) array to its n values, and row i of the result is the gradient
+    at row i, equal to the gradient of a one-vector call."""
+    r_arr = _rows(r)
     hs = _steps(r_arr, h)
-    out = np.zeros(6)
+    out = np.zeros(r_arr.shape)
     for k in range(6):
         up, dn = r_arr.copy(), r_arr.copy()
-        up[k] += hs[k]
-        dn[k] -= hs[k]
-        out[k] = (f(up) - f(dn)) / (2.0 * hs[k])
+        up[..., k] += hs[..., k]
+        dn[..., k] -= hs[..., k]
+        out[..., k] = (f(up) - f(dn)) / (2.0 * hs[..., k])
     return out
 
 
@@ -274,27 +278,54 @@ class IdentityRow:
     max_residual: float
     threshold: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "max_residual", float(self.max_residual))
+
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.threshold
+
+
+BATTERY_CHUNK = 4096     # samples evaluated as one stack, bounding memory
+
+
+def _chunks(n: int) -> list:
+    """Sizes of the consecutive stacks that n samples are evaluated in."""
+    return [min(BATTERY_CHUNK, n - start) for start in range(0, n, BATTERY_CHUNK)]
+
+
+def _pow_each(x: np.ndarray, e: int) -> np.ndarray:
+    """x ** e through the C library's pow, one value at a time, as a scalar
+    float computes it; numpy's vectorized power may round the last bit
+    differently, and even x * x differs from pow(x, 2) on rare inputs."""
+    return np.array([v ** e for v in x.tolist()])
+
+
+def _worst(maxima: list) -> float:
+    """Largest of the per-stack maxima.  np.max propagates NaN where max()
+    would drop it, so a sample that evaluates to NaN fails its row."""
+    return float(np.max(maxima))
 
 
 def run_identity_battery(samples: int, seed: int) -> list:
     """The randomized identity suite behind `ccc4 identities` and the
     acceptance criteria: the determinant factorization, the cyclic
     vanishing of K and H, gradient parallelism, the circumradius relation,
-    and the homogeneity table."""
+    and the homogeneity table.
+
+    Each identity is evaluated on stacks of at most BATTERY_CHUNK samples,
+    drawn from the generator in the order of one sample at a time, so each
+    residual has the bits of its one-sample evaluation."""
     rng = np.random.default_rng(seed)
-    rows = []
 
     # determinant factorization H/2 = P Q - K^2 against the raw determinant
-    worst = 0.0
-    for _ in range(samples):
-        arr = rng.uniform(0.05, 10.0, 6)
-        res = abs(0.5 * cayley_menger_H(arr)
-                  - (ptolemy_P(arr) * Q_term(arr) - K_term(arr) ** 2))
-        worst = max(worst, res / (1.0 + arr.max()) ** 8)
-    rows.append(IdentityRow("pech_identity", samples, worst, 1e-9))
+    pech = []
+    for n in _chunks(samples):
+        arr = rng.uniform(0.05, 10.0, (n, 6))
+        res = np.abs(0.5 * cayley_menger_H(arr)
+                     - (ptolemy_P(arr) * Q_term(arr) - _pow_each(K_term(arr), 2)))
+        pech.append(np.max(res / _pow_each(1.0 + arr.max(axis=1), 8)))
+    rows = [IdentityRow("pech_identity", samples, _worst(pech), 1e-9)]
 
     sq = np.array([1.0, math.sqrt(2.0), 1.0, 1.0, math.sqrt(2.0), 1.0])
     ones = np.ones(6)
@@ -302,54 +333,61 @@ def run_identity_battery(samples: int, seed: int) -> list:
                             max(abs(Q_term(sq) - 8.0), abs(Q_term(ones) - 2.0)),
                             1e-12))
 
+    # circumradius and shape_to_distances can each raise for one shape, so
+    # they run per shape; the invariants run on the stack of the chunk
     n_shapes = max(100, samples // 10)
     shapes = sample_cyclic_shapes(n_shapes, seed + 1)
-    worst_k = worst_h = worst_grad = worst_rc = 0.0
-    for shape in shapes:
-        arr = shape_to_distances(shape).array
-        worst_k = max(worst_k, abs(K_term(arr)))
-        worst_h = max(worst_h, abs(cayley_menger_H(arr)))
+    worst_k, worst_h, worst_grad, worst_rc = [], [], [], []
+    for start in range(0, n_shapes, BATTERY_CHUNK):
+        arr = np.array([shape_to_distances(shape).array
+                        for shape in shapes[start:start + BATTERY_CHUNK]])
+        rc = np.array([circumradius(row) for row in arr])
+        worst_k.append(np.max(np.abs(K_term(arr))))
+        worst_h.append(np.max(np.abs(cayley_menger_H(arr))))
         q2 = 2.0 * Q_term(arr)
-        grad_p = np.array([arr[5], -arr[4], arr[3], arr[2], -arr[1], arr[0]])
+        q2_grad_p = q2[:, None] * (arr[:, OPPOSITE_SLOT] * PAIR_SIGN)
         fd_h = fd_gradient(cayley_menger_H, arr)
-        worst_grad = max(worst_grad, float(np.max(
-            np.abs(fd_h - q2 * grad_p) / np.abs(q2 * grad_p))))
-        rc = circumradius(arr)
-        worst_rc = max(worst_rc, abs(q2 - 4.0 / rc ** 2 * float(np.prod(arr))) / abs(q2))
-    rows.append(IdentityRow("cyclic_K_vanishes", n_shapes, worst_k, 1e-10))
-    rows.append(IdentityRow("cyclic_H_vanishes", n_shapes, worst_h, 1e-9))
-    rows.append(IdentityRow("gradient_parallelism", n_shapes, worst_grad, 1e-6))
-    rows.append(IdentityRow("circumradius_relation", n_shapes, worst_rc, 1e-9))
+        worst_grad.append(np.max(np.abs(fd_h - q2_grad_p) / np.abs(q2_grad_p)))
+        worst_rc.append(np.max(np.abs(q2 - 4.0 / _pow_each(rc, 2) * np.prod(arr, axis=1))
+                               / np.abs(q2)))
+    rows.append(IdentityRow("cyclic_K_vanishes", n_shapes, _worst(worst_k), 1e-10))
+    rows.append(IdentityRow("cyclic_H_vanishes", n_shapes, _worst(worst_h), 1e-9))
+    rows.append(IdentityRow("gradient_parallelism", n_shapes, _worst(worst_grad), 1e-6))
+    rows.append(IdentityRow("circumradius_relation", n_shapes, _worst(worst_rc), 1e-9))
 
     # homogeneity degrees: U -1, I 2, P 2, K 3, Q 4, H 6 (the bordered
     # determinant is 288 V^2 and the volume scales as k^3, consistent with
     # deg P + deg Q = 2 deg K = 6 in the factorization).  Residuals are
     # normalized by the positive monomial sum of each function (P, K, Q can
     # cancel catastrophically, so relative-to-value is meaningless there).
+    # One sample draws 6 distances, 4 masses and k in turn; a row of 11
+    # uniforms scaled column by column is the same stream.
     n_hom = max(100, samples // 10)
-    worst_hom = 0.0
-    for _ in range(n_hom):
-        arr = rng.uniform(0.2, 3.0, 6)
-        masses = MassVector.from_iterable(rng.uniform(0.2, 5.0, 4))
-        k = float(rng.uniform(0.1, 10.0))
-        scaled = k * arr
-        r12, r13, r14, r23, r24, r34 = arr
+    hom = []
+    for n in _chunks(n_hom):
+        x = rng.random((n, 11))
+        arr = 0.2 + (3.0 - 0.2) * x[:, :6]
+        masses = 0.2 + (5.0 - 0.2) * x[:, 6:10]
+        k = 0.1 + (10.0 - 0.1) * x[:, 10]
+        k2, k3, k4, k6 = (_pow_each(k, e) for e in (2, 3, 4, 6))
+        scaled = k[:, None] * arr
+        r12, r13, r14, r23, r24, r34 = arr.T
         scale_p = r12 * r34 + r14 * r23 + r13 * r24
         scale_k = (r12 * r13 * r23 + r12 * r14 * r24
                    + r13 * r14 * r34 + r23 * r24 * r34)
-        scale_q = 6.0 * float(np.max(arr)) ** 4
+        scale_q = 6.0 * _pow_each(arr.max(axis=1), 4)
+        u_want = potential_U(arr, masses) / k
+        i_want = moment_I(arr, masses) * k2
         checks = [
-            (potential_U(scaled, masses), potential_U(arr, masses) / k,
-             potential_U(arr, masses) / k),
-            (moment_I(scaled, masses), moment_I(arr, masses) * k ** 2,
-             moment_I(arr, masses) * k ** 2),
-            (ptolemy_P(scaled), ptolemy_P(arr) * k ** 2, scale_p * k ** 2),
-            (K_term(scaled), K_term(arr) * k ** 3, scale_k * k ** 3),
-            (Q_term(scaled), Q_term(arr) * k ** 4, scale_q * k ** 4),
+            (potential_U(scaled, masses), u_want, u_want),
+            (moment_I(scaled, masses), i_want, i_want),
+            (ptolemy_P(scaled), ptolemy_P(arr) * k2, scale_p * k2),
+            (K_term(scaled), K_term(arr) * k3, scale_k * k3),
+            (Q_term(scaled), Q_term(arr) * k4, scale_q * k4),
         ]
         for got, want, scale in checks:
-            worst_hom = max(worst_hom, abs(got - want) / (1e-12 * abs(scale)))
-        res_h = abs(cayley_menger_H(scaled) - cayley_menger_H(arr) * k ** 6)
-        worst_hom = max(worst_hom, res_h / (1e-9 * (1.0 + scaled.max()) ** 8))
-    rows.append(IdentityRow("homogeneity_degrees", n_hom, worst_hom, 1.0))
+            hom.append(np.max(np.abs(got - want) / (1e-12 * np.abs(scale))))
+        res_h = np.abs(cayley_menger_H(scaled) - cayley_menger_H(arr) * k6)
+        hom.append(np.max(res_h / (1e-9 * _pow_each(1.0 + scaled.max(axis=1), 8))))
+    rows.append(IdentityRow("homogeneity_degrees", n_hom, _worst(hom), 1.0))
     return rows

@@ -40,8 +40,8 @@ RECORD_NEWTON_STEPS = 3      # full Newton steps at most on the record's endpoin
 COCIRCULAR_TOL = 1e-6        # |K| threshold, scaled by (max r)^3
 STATIONARITY_TOL = 1e-9      # relative residual of the stationarity equations
 CERT_CONSTRAINT_TOL = 1e-9   # |I - 1| and |P| in r units
-DZIOBEK_TOL = 1e-9           # spread of the opposite-pair products
-SIGMA_SQ_TOL = 1e-9          # relative spread of the three sigma^2 products
+DZIOBEK_RTOL = 1e-12         # Dziobek residual, relative to S^2
+SIGMA_SQ_RTOL = 1e3 * np.finfo(float).eps   # sigma^2 spread, relative to cond
 
 
 @dataclass(frozen=True)
@@ -451,6 +451,14 @@ class CheckResult:
     threshold: float
 
 
+def _scaled_check(value: float, threshold: float) -> CheckResult:
+    """value <= threshold, for a threshold scaled by the record itself.  A
+    zero or non-finite scale gives a threshold that bounds nothing, so the
+    check fails on it."""
+    usable = math.isfinite(threshold) and threshold > 0.0
+    return CheckResult(bool(usable and value <= threshold), value, threshold)
+
+
 @dataclass(frozen=True)
 class CertReport:
     """Outcome of certify_minimum, one entry per check."""
@@ -470,7 +478,7 @@ class CertReport:
 
 def certify_minimum(rec: SolveRecord) -> CertReport:
     """Re-derive every certificate of a nondegenerate constrained minimum
-    from the record's r*, masses and stored multipliers, against the fixed
+    from the record's r*, masses and stored multipliers, against the
     thresholds above.
 
     Checks: lambda > 0; stationarity of the stored multipliers; constraint
@@ -478,6 +486,13 @@ def certify_minimum(rec: SolveRecord) -> CertReport:
     with a Cholesky factorization; the Dziobek relation; mutual consistency
     of the three sigma^2 products; and consistency of the stored
     co-circularity flag with the stored K value.
+
+    The Dziobek and sigma^2 thresholds scale with the record.  With
+    n = r^-3 and S = max(max n, lambda), the Dziobek residual is a
+    difference of products of two factors n_ij - lambda, so it is bounded
+    by DZIOBEK_RTOL S^2; the sigma^2 spread is relative, and the rounding
+    of each factor is amplified by cond = S / min |n - lambda|, so it is
+    bounded by SIGMA_SQ_RTOL cond.  Each check reports the threshold used.
     """
     r_arr = rec.r_star.array
     masses = rec.masses
@@ -505,11 +520,14 @@ def certify_minimum(rec: SolveRecord) -> CertReport:
     checks["posdef_agreement"] = CheckResult(chol_ok == minors_ok,
                                              float(chol_ok == minors_ok), 1.0)
 
-    dz = dziobek_residual(r_arr, mult.lam)
-    checks["dziobek"] = CheckResult(dz <= DZIOBEK_TOL, dz, DZIOBEK_TOL)
-
-    spread = sigma_sq_spread(r_arr, masses, mult.lam)
-    checks["sigma_sq_consistent"] = CheckResult(spread <= SIGMA_SQ_TOL, spread, SIGMA_SQ_TOL)
+    n = [x ** -3 for x in r_arr.tolist()]
+    scale = max(max(n), mult.lam)
+    gap = min(abs(x - mult.lam) for x in n)
+    cond = scale / gap if gap > 0.0 else math.inf
+    checks["dziobek"] = _scaled_check(dziobek_residual(r_arr, mult.lam),
+                                      DZIOBEK_RTOL * scale ** 2)
+    checks["sigma_sq_consistent"] = _scaled_check(
+        sigma_sq_spread(r_arr, masses, mult.lam), SIGMA_SQ_RTOL * cond)
 
     k_ok = classify_cocircular(rec) == rec.is_cocircular
     checks["cocircular_consistent"] = CheckResult(

@@ -2,13 +2,17 @@
 compare ccc4 against, and the environment for running ccc4 in a child
 process."""
 
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 from ccc4.chart import INTERIOR_MARGIN, P_FROM_VW, VWPoint, in_region_E, vw_to_p_array
-from ccc4.geometry import PAIR_SIGN, MassVector, moment_I, triangle_margins
+from ccc4.geometry import (PAIR_SIGN, K_term, MassVector, Q_term, cayley_menger_H,
+                           moment_I, potential_U, ptolemy_P, triangle_margins)
+from ccc4.inverse import shape_to_distances
+from ccc4.oracle import IdentityRow, circumradius, fd_gradient, sample_cyclic_shapes
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -152,3 +156,71 @@ def relative_distance_mp(r, root, dps=50):
 
     with mpmath.workdps(dps):
         return float(max(abs(float(x) - y) / y for x, y in zip(r, root)))
+
+
+def identity_battery_one_sample_at_a_time(samples, seed):
+    """Reference route of oracle.run_identity_battery: the same draws and
+    residuals, evaluated one sample at a time on one-vector invariants, so
+    the stacked battery must reproduce every row bit for bit."""
+    rng = np.random.default_rng(seed)
+    rows = []
+
+    worst = 0.0
+    for _ in range(samples):
+        arr = rng.uniform(0.05, 10.0, 6)
+        res = abs(0.5 * cayley_menger_H(arr)
+                  - (ptolemy_P(arr) * Q_term(arr) - K_term(arr) ** 2))
+        worst = max(worst, res / (1.0 + arr.max()) ** 8)
+    rows.append(IdentityRow("pech_identity", samples, worst, 1e-9))
+
+    sq = np.array([1.0, math.sqrt(2.0), 1.0, 1.0, math.sqrt(2.0), 1.0])
+    ones = np.ones(6)
+    rows.append(IdentityRow("pech_anchor_points", 2,
+                            max(abs(Q_term(sq) - 8.0), abs(Q_term(ones) - 2.0)),
+                            1e-12))
+
+    n_shapes = max(100, samples // 10)
+    worst_k = worst_h = worst_grad = worst_rc = 0.0
+    for shape in sample_cyclic_shapes(n_shapes, seed + 1):
+        arr = shape_to_distances(shape).array
+        worst_k = max(worst_k, abs(K_term(arr)))
+        worst_h = max(worst_h, abs(cayley_menger_H(arr)))
+        q2 = 2.0 * Q_term(arr)
+        grad_p = np.array([arr[5], -arr[4], arr[3], arr[2], -arr[1], arr[0]])
+        fd_h = fd_gradient(cayley_menger_H, arr)
+        worst_grad = max(worst_grad, float(np.max(
+            np.abs(fd_h - q2 * grad_p) / np.abs(q2 * grad_p))))
+        rc = circumradius(arr)
+        worst_rc = max(worst_rc, abs(q2 - 4.0 / rc ** 2 * float(np.prod(arr))) / abs(q2))
+    rows.append(IdentityRow("cyclic_K_vanishes", n_shapes, worst_k, 1e-10))
+    rows.append(IdentityRow("cyclic_H_vanishes", n_shapes, worst_h, 1e-9))
+    rows.append(IdentityRow("gradient_parallelism", n_shapes, worst_grad, 1e-6))
+    rows.append(IdentityRow("circumradius_relation", n_shapes, worst_rc, 1e-9))
+
+    n_hom = max(100, samples // 10)
+    worst_hom = 0.0
+    for _ in range(n_hom):
+        arr = rng.uniform(0.2, 3.0, 6)
+        masses = MassVector.from_iterable(rng.uniform(0.2, 5.0, 4))
+        k = float(rng.uniform(0.1, 10.0))
+        scaled = k * arr
+        r12, r13, r14, r23, r24, r34 = arr
+        scale_p = r12 * r34 + r14 * r23 + r13 * r24
+        scale_k = (r12 * r13 * r23 + r12 * r14 * r24
+                   + r13 * r14 * r34 + r23 * r24 * r34)
+        scale_q = 6.0 * float(np.max(arr)) ** 4
+        checks = [
+            (potential_U(scaled, masses), potential_U(arr, masses) / k,
+             potential_U(arr, masses) / k),
+            (moment_I(scaled, masses), moment_I(arr, masses) * k ** 2,
+             moment_I(arr, masses) * k ** 2),
+            (ptolemy_P(scaled), ptolemy_P(arr) * k ** 2, scale_p * k ** 2),
+            (K_term(scaled), K_term(arr) * k ** 3, scale_k * k ** 3),
+            (Q_term(scaled), Q_term(arr) * k ** 4, scale_q * k ** 4),
+        ]
+        for got, want, scale in checks:
+            worst_hom = max(worst_hom, abs(got - want) / (1e-12 * abs(scale)))
+        res_h = abs(cayley_menger_H(scaled) - cayley_menger_H(arr) * k ** 6)
+        worst_hom = max(worst_hom, res_h / (1e-9 * (1.0 + scaled.max()) ** 8))
+    rows.append(IdentityRow("homogeneity_degrees", n_hom, worst_hom, 1.0))
+    return rows

@@ -218,3 +218,40 @@ def test_canonical_distance_tuple_identifies_copies():
 def test_realizable_vectors_are_geometric():
     for arr in random_planar_distance_vectors(50, seed=24):
         assert is_geometric(arr)
+
+
+STACKED_DISTANCE_INVARIANTS = (ptolemy_P, K_term, Q_term, cayley_menger_H)
+
+
+def test_stacked_invariants_equal_their_rows_bit_for_bit():
+    rng = np.random.default_rng(90)
+    r = rng.uniform(0.05, 10.0, (500, 6))
+    m = rng.uniform(0.2, 5.0, (500, 4))
+    for f in STACKED_DISTANCE_INVARIANTS:
+        got = f(r)
+        assert got.shape == (500,)
+        assert np.array_equal(got, [f(row) for row in r]), f.__name__
+        assert type(f(r[0])) is float
+    for f in (potential_U, moment_I):
+        got = f(r, m)
+        assert got.shape == (500,)
+        assert np.array_equal(got, [f(row, MassVector.from_iterable(mm))
+                                    for row, mm in zip(r, m)]), f.__name__
+        # one mass vector for the whole stack
+        assert np.array_equal(f(r, UNIT), [f(row, UNIT) for row in r]), f.__name__
+        assert type(f(r[0], m[0])) is float
+
+
+def test_stacked_invariants_reject_malformed_stacks():
+    for f in STACKED_DISTANCE_INVARIANTS:
+        for bad in (np.ones((3, 5)), np.ones((3, 7)), np.ones((2, 3, 6)), np.ones(5)):
+            with pytest.raises(ValueError):
+                f(bad)
+    r = np.ones((3, 6))
+    for bad_m in (np.ones((3, 3)), np.array([[1.0, 1.0, 0.0, 1.0]] * 3),
+                  np.array([[1.0, -2.0, 1.0, 1.0]] * 3),
+                  np.array([[1.0, math.nan, 1.0, 1.0]] * 3),
+                  np.array([[1.0, math.inf, 1.0, 1.0]] * 3)):
+        for f in (potential_U, moment_I):
+            with pytest.raises(ValueError):
+                f(r, bad_m)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ccc4 import oracle
 from ccc4.errors import NonRealizableError
-from ccc4.geometry import (DistanceVector, MassVector, Q_term, cayley_menger_H,
+from ccc4.geometry import (DistanceVector, K_term, MassVector, Q_term, cayley_menger_H,
                            moment_I, potential_U, ptolemy_P)
 from ccc4.inverse import shape_to_distances
 from ccc4.oracle import (PlanarConfig, cartesian_cc_residual, circumradius,
@@ -13,7 +14,7 @@ from ccc4.oracle import (PlanarConfig, cartesian_cc_residual, circumradius,
                          sample_cyclic_shapes)
 from ccc4.solver import minimize_U
 
-from helpers import random_planar_distance_vectors
+from helpers import identity_battery_one_sample_at_a_time, random_planar_distance_vectors
 
 SQRT2 = math.sqrt(2.0)
 SQUARE = DistanceVector(1.0, SQRT2, 1.0, 1.0, SQRT2, 1.0)
@@ -190,3 +191,49 @@ def test_embed_and_circumradius_stable_on_thin_shapes():
         cfg = embed_cyclic(r, UNIT)
         assert np.max(np.abs(cfg.distances() - r.array)) <= 1e-12 * r.array.max()
         assert circumradius(r.array) == pytest.approx(shape.radius, rel=1e-12)
+
+
+def test_stacked_fd_gradient_equals_its_rows_bit_for_bit():
+    rng = np.random.default_rng(91)
+    r = rng.uniform(0.05, 10.0, (200, 6))
+    for f in (cayley_menger_H, ptolemy_P, Q_term):
+        got = fd_gradient(f, r)
+        assert got.shape == (200, 6)
+        assert np.array_equal(got, [fd_gradient(f, row) for row in r])
+    assert np.array_equal(fd_gradient(Q_term, r, h=1e-4),
+                          [fd_gradient(Q_term, row, h=1e-4) for row in r])
+    with pytest.raises(ValueError):
+        fd_gradient(Q_term, np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("samples, seed", [(1, 0), (100, 1), (500, 71), (10000, 1)])
+def test_stacked_battery_equals_the_one_sample_route(samples, seed):
+    assert run_identity_battery(samples, seed) == \
+        identity_battery_one_sample_at_a_time(samples, seed)
+
+
+def test_stacked_battery_equals_the_one_sample_route_across_chunks(monkeypatch):
+    monkeypatch.setattr(oracle, "BATTERY_CHUNK", 7)
+    assert run_identity_battery(150, 5) == identity_battery_one_sample_at_a_time(150, 5)
+
+
+def test_identity_rows_hold_python_floats():
+    for row in run_identity_battery(100, seed=1):
+        assert type(row.max_residual) is float, row.name
+
+
+def test_nan_residual_fails_its_row(monkeypatch):
+    # the fourth K value the battery asks for belongs to the fourth Pech sample
+    seen = [0]
+
+    def k_with_one_nan(r):
+        values = np.array(K_term(r), dtype=float, ndmin=1)
+        if seen[0] <= 3 < seen[0] + values.size:
+            values[3 - seen[0]] = math.nan
+        seen[0] += values.size
+        return values if np.ndim(r) == 2 else float(values[0])
+
+    monkeypatch.setattr(oracle, "K_term", k_with_one_nan)
+    rows = {row.name: row for row in run_identity_battery(100, seed=1)}
+    assert not rows.pop("pech_identity").passed
+    assert all(row.passed for row in rows.values())

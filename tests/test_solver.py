@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccc4.chart import vw_to_p_array
 from ccc4.errors import UniquenessAlarmError
 from ccc4.geometry import DistanceVector, MassVector, moment_I
-from ccc4.solver import (Multipliers, SolveRecord, SolverOptions, a_terms,
+from ccc4.solver import (DZIOBEK_RTOL, SIGMA_SQ_RTOL, Multipliers, SolveRecord,
+                         SolverOptions, _scaled_check, a_terms,
                          certify_minimum, classify_cocircular,
                          dziobek_residual, hessian_L, lagrangian_L,
                          minimize_U, principal_minors,
@@ -216,6 +218,61 @@ def test_certify_detects_tampered_lambda():
     report = certify_minimum(tampered)
     assert not report.checks["stationarity"].passed
     assert not report.checks["dziobek"].passed
+
+
+def _log_uniform_masses(n, seed):
+    rng = np.random.default_rng(seed)
+    return [MassVector.from_iterable(10.0 ** rng.uniform(-3.0, 3.0, 4)) for _ in range(n)]
+
+
+def test_certify_detects_heaviest_pair_stretched_by_1e_minus_8():
+    for m in _log_uniform_masses(20, seed=44):
+        rec = minimize_U(m)
+        assert certify_minimum(rec).passed
+        r = rec.r_star.array
+        r[np.argmax(m.products())] *= 1.0 + 1e-8
+        assert not certify_minimum(replace(rec, r_star=DistanceVector(*r))).passed
+
+
+def test_certify_thresholds_scale_with_the_record():
+    rec = minimize_U(MassVector(1e-3, 2.0, 1e3, 0.5))
+    report = certify_minimum(rec)
+    assert report.passed
+    lam = rec.multipliers.lam
+    n = [x ** -3 for x in rec.r_star.astuple()]
+    scale = max(max(n), lam)
+    assert report.checks["dziobek"].threshold == DZIOBEK_RTOL * scale ** 2
+    assert report.checks["sigma_sq_consistent"].threshold == \
+        SIGMA_SQ_RTOL * (scale / min(abs(x - lam) for x in n))
+
+
+def test_certify_fails_where_lambda_leaves_no_scale():
+    rec = minimize_U(UNIT)
+    r12 = rec.r_star.r12
+    # lambda = r12^-3 makes cond infinite; an infinite lambda, an infinite S
+    for lam in (r12 ** -3, math.inf, math.nan):
+        mult = replace(rec.multipliers, lam=lam)
+        with np.errstate(invalid="ignore"):
+            report = certify_minimum(replace(rec, multipliers=mult))
+        assert not report.checks["dziobek"].passed
+        assert not report.checks["sigma_sq_consistent"].passed
+    mult = replace(rec.multipliers, lam=r12 ** -3)
+    check = certify_minimum(replace(rec, multipliers=mult)).checks["sigma_sq_consistent"]
+    assert check.threshold == math.inf
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1e-12, math.inf, math.nan])
+def test_scaled_check_never_passes_on_a_degenerate_threshold(threshold):
+    assert not _scaled_check(0.0, threshold).passed
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+def test_solve_and_certify_over_six_decades_of_mass(log_m):
+    rec = minimize_U(MassVector.from_iterable(10.0 ** np.array(log_m)))
+    assert rec.converged
+    report = certify_minimum(rec)
+    assert report.passed, [name for name, c in report.checks.items() if not c.passed]
 
 
 def test_classify_threshold_semantics():
