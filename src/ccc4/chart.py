@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 
 INTERIOR_MARGIN = 1e-4   # sampled starts keep every p_ij above this
 MAX_DRAWS = 10**6        # rejection-sampling bound of sample_interior
+REGION_TOL = 1e-12       # vw_to_p rounds p_ij in [-REGION_TOL, 0) up to zero
 
 # p = P_FROM_VW @ (v1, v2, v3, w1, w2, w3), slot order (12, 13, 14, 23, 24, 34)
 P_FROM_VW = 0.5 * np.array([
@@ -113,15 +114,25 @@ def p_to_r(p: PCoords, m) -> DistanceVector:
     """Inverse weighting r_ij = sqrt(2M / m_i m_j) p_ij.
 
     Raises DegeneratePointError on the boundary (any p_ij <= 0), where two
-    bodies collide and the potential is infinite.
+    bodies collide and the potential is infinite.  Computed in plain
+    floats: each operation is correctly rounded, so the result has the
+    bits of the elementwise numpy expression.
     """
     masses = _m(m)
-    arr = p.array if isinstance(p, PCoords) else np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0):
-        bad = int(np.argmin(arr))
+    vals = p.astuple() if isinstance(p, PCoords) else np.asarray(p, dtype=float).tolist()
+    if len(vals) != 6:
+        raise ValueError(f"expected 6 coordinates, got {len(vals)}")
+    if any(x <= 0.0 for x in vals):
+        bad = int(np.argmin(vals))
         raise DegeneratePointError(
-            f"coordinate p[{bad}] = {arr[bad]:.3g} is not strictly positive")
-    return DistanceVector.from_iterable(arr * np.sqrt(2.0 * masses.M / masses.products()))
+            f"coordinate p[{bad}] = {vals[bad]:.3g} is not strictly positive")
+    m1, m2, m3, m4 = masses.astuple()
+    two_m = 2.0 * masses.M
+    p12, p13, p14, p23, p24, p34 = vals
+    return DistanceVector(
+        p12 * math.sqrt(two_m / (m1 * m2)), p13 * math.sqrt(two_m / (m1 * m3)),
+        p14 * math.sqrt(two_m / (m1 * m4)), p23 * math.sqrt(two_m / (m2 * m3)),
+        p24 * math.sqrt(two_m / (m2 * m4)), p34 * math.sqrt(two_m / (m3 * m4)))
 
 
 def p_to_vw(p) -> VWPoint:
@@ -140,17 +151,17 @@ def vw_to_p_array(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return P_FROM_VW @ np.concatenate([v, w])
 
 
-def vw_to_p(vw: VWPoint, tol: float = 1e-12) -> PCoords:
+def vw_to_p(vw: VWPoint) -> PCoords:
     """Inverse change of variable, rejecting points outside the region E.
 
-    Entries in [-tol, 0) are rounded up to zero; anything below -tol raises
-    RegionViolationError.
+    Entries in [-REGION_TOL, 0) are rounded up to zero; anything below
+    -REGION_TOL raises RegionViolationError.
     """
     p = vw_to_p_array(vw.v, vw.w)
-    if np.any(p < -tol):
+    if np.any(p < -REGION_TOL):
         bad = int(np.argmin(p))
         raise RegionViolationError(
-            f"reconstructed p[{bad}] = {p[bad]:.3g} < -{tol:g}")
+            f"reconstructed p[{bad}] = {p[bad]:.3g} < -{REGION_TOL:g}")
     return PCoords.from_iterable(np.maximum(p, 0.0))
 
 

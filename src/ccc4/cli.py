@@ -25,7 +25,8 @@ from .geometry import MassVector
 from .inverse import CyclicShape, recover_masses, shape_to_distances
 from .oracle import cartesian_cc_residual, embed_cyclic, run_identity_battery
 from .serialize import dumps, format_float
-from .solver import SolveRecord, SolverOptions, certify_minimum, minimize_U
+from .solver import (SolveRecord, SolverOptions, _draw_starts, _minimize,
+                     certify_minimum, minimize_U)
 
 EX_OK = 0
 EX_FAIL = 1
@@ -64,6 +65,10 @@ def _parse_floats(text, count, what, parser):
         return [float(p) for p in parts]
     except ValueError:
         raise SystemExit(_usage_error(parser, f"malformed {what}: {text!r}"))
+
+
+def _positive_finite(value: float) -> bool:
+    return 0.0 < value < math.inf
 
 
 def _write_output(text, path):
@@ -124,8 +129,8 @@ def build_parser() -> _Parser:
 
 def cmd_solve(args, parser) -> int:
     values = _parse_floats(args.masses, 4, "masses", parser)
-    if any(v <= 0 for v in values):
-        return _usage_error(parser, "masses must be positive")
+    if not all(_positive_finite(v) for v in values):
+        return _usage_error(parser, "masses must be positive and finite")
     if args.starts < 1:
         return _usage_error(parser, "--starts must be at least 1")
     if args.seed < 0:
@@ -151,9 +156,9 @@ def _scan_grid_values(n: int) -> list:
     return [float(x) for x in np.linspace(SCAN_GRID_LO, SCAN_GRID_HI, n)]
 
 
-def _scan_row(raw_masses) -> str:
+def _scan_row(raw_masses, opts, starts) -> str:
     masses = MassVector.from_iterable(raw_masses).normalized(4.0)
-    rec = minimize_U(masses, SolverOptions())
+    rec = _minimize(masses, opts, starts)
     cells = [format_float(masses.m1), format_float(masses.m2),
              format_float(masses.m3), format_float(masses.m4)]
     if rec.converged:
@@ -175,8 +180,8 @@ def cmd_scan(args, parser) -> int:
         fixed_value = float(value)
     except (KeyError, ValueError):
         return _usage_error(parser, f"malformed --fix {args.fix!r}; expected e.g. m4=1")
-    if fixed_value <= 0:
-        return _usage_error(parser, "fixed mass must be positive")
+    if not _positive_finite(fixed_value):
+        return _usage_error(parser, "masses must be positive and finite")
     if args.jobs < 1:
         return _usage_error(parser, "--jobs must be at least 1")
 
@@ -190,8 +195,11 @@ def cmd_scan(args, parser) -> int:
             raw[slot] = val
         points.append(raw)
 
+    # the starts depend on the options only, so one draw serves every row
+    opts = SolverOptions()
+    starts = _draw_starts(opts)
     try:
-        rows = [_scan_row(p) for p in points]
+        rows = [_scan_row(p, opts, starts) for p in points]
     except UniquenessAlarmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_ALARM

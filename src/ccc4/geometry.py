@@ -265,37 +265,43 @@ def triangle_margins(r) -> np.ndarray:
     return np.array(margins)
 
 
-def is_geometric(r, *, eps_h_coeff: float = 1e-9, eps_tri: float = 1e-12) -> bool:
+# Fixed tolerances of is_geometric and in_D.
+GEOMETRIC_H_COEFF = 1e-9   # H >= -GEOMETRIC_H_COEFF max(1, max r)^8
+TRIANGLE_MARGIN = 1e-12    # every triangle margin must exceed this
+IN_D_TOL = 1e-8            # |I - 1|, |P| and |K| in in_D
+
+
+def is_geometric(r) -> bool:
     """True iff r is realizable by four points in space.
 
-    Requires H(r) >= -eps_h_coeff * max(1, max r)^8 (degree-8 scale of the
-    determinant) and all twelve triangle inequalities strict with margin
-    > eps_tri.  The margins make the open conditions decidable in floats.
+    Requires H(r) >= -GEOMETRIC_H_COEFF * max(1, max r)^8 (degree-8 scale
+    of the determinant) and all twelve triangle inequalities strict with
+    margin > TRIANGLE_MARGIN.  The margins make the open conditions
+    decidable in floats.
     """
     arr = _r6(r)
     scale = max(1.0, float(arr.max()))
-    if cayley_menger_H(arr) < -eps_h_coeff * scale**8:
+    if cayley_menger_H(arr) < -GEOMETRIC_H_COEFF * scale**8:
         return False
-    return bool(np.all(triangle_margins(arr) > eps_tri))
+    return bool(np.all(triangle_margins(arr) > TRIANGLE_MARGIN))
 
 
-def in_D(r, m, tol: float = 1e-8, *, eps_h_coeff: float = 1e-9,
-         eps_tri: float = 1e-12) -> bool:
-    """True iff r is a normalized realizable cyclic vector: |I - 1| <= tol,
-    |P| <= tol, geometric realizability, and |K| <= tol.
+def in_D(r, m) -> bool:
+    """True iff r is a normalized realizable cyclic vector: |I - 1|, |P|
+    and |K| at most IN_D_TOL, and geometric realizability.
 
     K = 0 stands in for the coplanarity condition H = 0; the two are
     equivalent on realizable vectors with P = 0 and K is far better
     conditioned (degree 3 versus degree 8).
     """
     arr = _r6(r)
-    if abs(moment_I(arr, m) - 1.0) > tol:
+    if abs(moment_I(arr, m) - 1.0) > IN_D_TOL:
         return False
-    if abs(ptolemy_P(arr)) > tol:
+    if abs(ptolemy_P(arr)) > IN_D_TOL:
         return False
-    if abs(K_term(arr)) > tol:
+    if abs(K_term(arr)) > IN_D_TOL:
         return False
-    return is_geometric(arr, eps_h_coeff=eps_h_coeff, eps_tri=eps_tri)
+    return is_geometric(arr)
 
 
 # --- relabelings preserving the sequential convention ---------------------
@@ -363,13 +369,27 @@ def admissible_relabelings(m):
     return [perm for perm, _ in _admissible_entries(m)]
 
 
-def canonical_distance_tuple(r, m) -> tuple:
-    """Lexicographically smallest relabeled copy of r over the relabelings
-    admissible for the mass vector m."""
-    arr = _r6(r).tolist()
-    best = tuple(arr)
-    for _, slots in _admissible_entries(m):
-        cand = tuple(arr[k] for k in slots)
+def _admissible_slots(m) -> tuple:
+    """Slot permutations of the admissible relabelings of m other than the
+    identity, which never yields a smaller copy.  Depends on the masses
+    only, so a caller that canonicalizes many vectors of one mass vector
+    builds it once."""
+    return tuple(slots for perm, slots in _admissible_entries(m)
+                 if perm != SEQUENTIAL_RELABELINGS["identity"])
+
+
+def _canonical(values, slot_perms) -> tuple:
+    """Lexicographically smallest of the six floats `values` and their
+    copies under each permutation of `slot_perms`."""
+    best = tuple(values)
+    for slots in slot_perms:
+        cand = tuple(values[k] for k in slots)
         if cand < best:
             best = cand
     return best
+
+
+def canonical_distance_tuple(r, m) -> tuple:
+    """Lexicographically smallest relabeled copy of r over the relabelings
+    admissible for the mass vector m."""
+    return _canonical(_r6(r).tolist(), _admissible_slots(m))

@@ -24,6 +24,10 @@ from .solver import recover_multipliers, sigma_sq_spread
 
 TWO_PI = 2.0 * math.pi
 
+# Fixed tolerances of recover_masses.
+COMPAT_TOL = 1e-9        # |lam_a - lam_b| at the I = 1 scale
+MAX_ROUNDS = 5           # rescale-and-re-derive rounds at most
+
 
 @dataclass(frozen=True)
 class CyclicShape:
@@ -144,19 +148,20 @@ def _mass_candidates(r_arr: np.ndarray, lam: float) -> np.ndarray:
     return np.array([m1, m2, m3, m4])
 
 
-def recover_masses(r, tol: float = 1e-9, max_rounds: int = 5) -> MassRecovery:
+def recover_masses(r) -> MassRecovery:
     """Masses making the distance vector a stationary point, normalized to
     sum 4, or InfeasibleShapeError / IndeterminateShapeError.
 
     Recovery runs at the raw scale first, then rescales to I = 1 with the
     candidate masses and re-derives until the masses are stable (mass
     ratios are scale-equivariant, so this settles in a round or two).  The
-    compatibility test |lam_a - lam_b| <= tol applies at the I = 1 scale.
+    compatibility test |lam_a - lam_b| <= COMPAT_TOL applies at the I = 1
+    scale; at most MAX_ROUNDS rounds are run.
     """
     arr = _r6(r)
     masses = None
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         dz = dziobek_lambda(arr)
         lam = 0.5 * (dz.lam_a + dz.lam_b)
         try:
@@ -177,7 +182,7 @@ def recover_masses(r, tol: float = 1e-9, max_rounds: int = 5) -> MassRecovery:
         arr = arr / math.sqrt(moment_I(arr, MassVector.from_iterable(masses)))
 
     dz = dziobek_lambda(arr)
-    if dz.compat_residual > tol:
+    if dz.compat_residual > COMPAT_TOL:
         raise InfeasibleShapeError(
             "Dziobek multipliers of the two pairings disagree",
             dz.compat_residual)
@@ -194,7 +199,7 @@ def recover_masses(r, tol: float = 1e-9, max_rounds: int = 5) -> MassRecovery:
                         rounds=rounds)
 
 
-def masses_from_shape(r, tol: float = 1e-9) -> MassVector:
+def masses_from_shape(r) -> MassVector:
     """The positive masses for which r is a cyclic central configuration
     (normalized to sum 4); raises when no such masses exist."""
-    return recover_masses(r, tol=tol).masses
+    return recover_masses(r).masses

@@ -24,6 +24,8 @@ from .solver import SolverOptions, _multistart
 
 _PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+EMBED_RTOL = 1e-9        # relative agreement of circumradii and embedded distances
+
 
 @dataclass(frozen=True, eq=False)
 class PlanarConfig:
@@ -56,26 +58,27 @@ def _heron_area(a: float, b: float, c: float) -> float:
     return 0.25 * math.sqrt((a + (b + c)) * inner * (c + (a - b)) * (a + (b - c)))
 
 
-def circumradius(r, rtol: float = 1e-9) -> float:
+def circumradius(r) -> float:
     """Circumradius of the cyclic quadrilateral from triangle (1,2,3),
-    cross-checked against triangle (1,2,4)."""
+    cross-checked against triangle (1,2,4) to EMBED_RTOL."""
     r12, r13, r14, r23, r24, r34 = _r6(r)
     rc1 = r12 * r13 * r23 / (4.0 * _heron_area(r12, r13, r23))
     rc2 = r12 * r14 * r24 / (4.0 * _heron_area(r12, r14, r24))
-    if abs(rc1 - rc2) > rtol * max(rc1, rc2):
+    if abs(rc1 - rc2) > EMBED_RTOL * max(rc1, rc2):
         raise NonRealizableError(
             f"triangle circumradii disagree ({rc1:.12g} vs {rc2:.12g}); "
             "the four bodies are not concyclic")
     return rc1
 
 
-def embed_cyclic(r, m, rtol: float = 1e-9) -> PlanarConfig:
+def embed_cyclic(r, m) -> PlanarConfig:
     """Planar positions of a realizable cyclic distance vector, with the
     center of mass moved to the origin.
 
     The first three bodies are placed by trilateration and the fourth by
     its two circle-consistent candidates, keeping the one that reproduces
-    r34; every mutual distance of the result matches the input to rtol.
+    r34; every mutual distance of the result matches the input to
+    EMBED_RTOL relative to the largest.
     """
     arr = _r6(r)
     scale = float(arr.max())
@@ -89,24 +92,24 @@ def embed_cyclic(r, m, rtol: float = 1e-9) -> PlanarConfig:
     p2 = np.array([r12, 0.0])
     x3 = (r12 ** 2 + r13 ** 2 - r23 ** 2) / (2.0 * r12)
     y3sq = r13 ** 2 - x3 ** 2
-    if y3sq < -rtol * scale ** 2:
+    if y3sq < -EMBED_RTOL * scale ** 2:
         raise NonRealizableError("triangle (1,2,3) cannot be embedded")
     p3 = np.array([x3, math.sqrt(max(y3sq, 0.0))])
     x4 = (r12 ** 2 + r14 ** 2 - r24 ** 2) / (2.0 * r12)
     y4sq = r14 ** 2 - x4 ** 2
-    if y4sq < -rtol * scale ** 2:
+    if y4sq < -EMBED_RTOL * scale ** 2:
         raise NonRealizableError("triangle (1,2,4) cannot be embedded")
     y4 = math.sqrt(max(y4sq, 0.0))
     cands = [np.array([x4, y4]), np.array([x4, -y4])]
     p4 = min(cands, key=lambda q: abs(np.linalg.norm(q - p3) - r34))
-    if abs(np.linalg.norm(p4 - p3) - r34) > rtol * scale:
+    if abs(np.linalg.norm(p4 - p3) - r34) > EMBED_RTOL * scale:
         raise NonRealizableError("no embedding reproduces r34; input is not "
                                  "a realizable cyclic vector")
     pos = np.vstack([p1, p2, p3, p4])
     masses = _m(m)
     pos -= masses.array @ pos / masses.M
     cfg = PlanarConfig(positions=pos, masses=masses)
-    if np.max(np.abs(cfg.distances() - arr)) > rtol * scale:
+    if np.max(np.abs(cfg.distances() - arr)) > EMBED_RTOL * scale:
         raise NonRealizableError("embedded distances do not reproduce the input")
     return cfg
 

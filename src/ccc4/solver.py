@@ -28,7 +28,7 @@ from . import kernels, serialize
 from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_array
 from .errors import IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
-                       ScalarReport, _m, _r6, canonical_distance_tuple)
+                       ScalarReport, _admissible_slots, _canonical, _m, _r6)
 
 RNG_NAME = "numpy-pcg64"
 RECORD_SCHEMA = "ccc4-solverecord-1"
@@ -350,8 +350,9 @@ def _multistart(masses: MassVector, starts, opts: SolverOptions):
     endpoints, up to admissible relabelings, within opts.cluster_tol times
     the largest distance of each cluster's representative.  Returns one
     _Endpoint per start and (canonical representative, member indices) per
-    cluster."""
+    cluster.  The starts are only read."""
     u = _u_coefficients(masses)
+    relabelings = _admissible_slots(masses)
     endpoints, clusters = [], []
     for index, start in enumerate(starts):
         v, w, U, _, iters, ok = _solve_from(start, u, opts)
@@ -364,7 +365,7 @@ def _multistart(masses: MassVector, starts, opts: SolverOptions):
         endpoints.append(_Endpoint(v, w, U, iters, r))
         if r is None:
             continue
-        canon = np.array(canonical_distance_tuple(r, masses))
+        canon = np.array(_canonical(r.astuple(), relabelings))
         for rep, members in clusters:
             if np.linalg.norm(canon - rep) <= opts.cluster_tol * rep.max():
                 members.append(index)
@@ -401,6 +402,16 @@ def _record_from_point(v, w, masses: MassVector, iterations: int,
     )
 
 
+def _draw_starts(opts: SolverOptions) -> list:
+    """The starts of a solve: the equal-mass square image, then
+    seeded_start(opts.seed, i) for i = 1 .. opts.starts - 1.  They depend
+    on (seed, starts) only, not on the masses."""
+    if opts.starts < 1:
+        raise ValueError("need at least one start")
+    return [square_chart_point()] + [seeded_start(opts.seed, i)
+                                     for i in range(1, opts.starts)]
+
+
 def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """Minimizer of the potential over the normalized cyclic-constraint
     manifold for the given masses.
@@ -415,10 +426,13 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """
     masses = _m(m)
     opts = opts or SolverOptions()
-    if opts.starts < 1:
-        raise ValueError("need at least one start")
-    starts = [square_chart_point()]
-    starts += [seeded_start(opts.seed, i) for i in range(1, opts.starts)]
+    return _minimize(masses, opts, _draw_starts(opts))
+
+
+def _minimize(masses: MassVector, opts: SolverOptions, starts) -> SolveRecord:
+    """minimize_U from the given starts, which it does not modify; a caller
+    that solves many mass vectors with one opts draws them once, by
+    _draw_starts(opts), and gets the records of minimize_U."""
     endpoints, clusters = _multistart(masses, starts, opts)
 
     if len(clusters) > 1:

@@ -218,3 +218,18 @@ def test_vwpoint_renormalizes():
     assert np.linalg.norm(vw.w) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         VWPoint(v=np.zeros(3), w=np.array([1.0, 0.0, 0.0]))
+
+
+def test_p_to_r_has_the_bits_of_the_numpy_expression():
+    rng = np.random.default_rng(93)
+    for _ in range(2000):
+        m = MassVector.from_iterable(10.0 ** rng.uniform(-3.0, 3.0, 4))
+        p = 10.0 ** rng.uniform(-4.0, 0.0, 6)
+        want = p * np.sqrt(2.0 * m.M / m.products())
+        assert p_to_r(p, m).array.tobytes() == want.tobytes()
+        assert p_to_r(PCoords.from_iterable(p), m).array.tobytes() == want.tobytes()
+
+
+def test_p_to_r_boundary_message_names_the_smallest_coordinate():
+    with pytest.raises(DegeneratePointError, match=r"p\[3\] = -0\.2 "):
+        p_to_r([0.4, 0.0, 0.4, -0.2, 0.4, 0.4], UNIT)

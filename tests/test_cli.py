@@ -229,12 +229,12 @@ def test_scan_sentinel_fields_for_nonconverged(tmp_path, capsys, monkeypatch):
     # force a non-converged record through the row formatter
     from dataclasses import replace
     from ccc4 import cli as cli_mod
-    from ccc4.solver import minimize_U as real_minimize
+    from ccc4.solver import _minimize as real_minimize
 
-    def crippled(masses, opts):
-        return replace(real_minimize(masses, opts), converged=False)
+    def crippled(masses, opts, starts):
+        return replace(real_minimize(masses, opts, starts), converged=False)
 
-    monkeypatch.setattr(cli_mod, "minimize_U", crippled)
+    monkeypatch.setattr(cli_mod, "_minimize", crippled)
     out = tmp_path / "scan.csv"
     assert cli_mod.main(["scan", "--grid", "2", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -243,3 +243,50 @@ def test_scan_sentinel_fields_for_nonconverged(tmp_path, capsys, monkeypatch):
         assert cells[4] == "" and cells[5] == "" and cells[6] == "" and cells[7] == ""
         assert cells[9] == "false"
         assert cells[8].isdigit()
+
+
+def test_solve_rejects_nonfinite_masses(capsys):
+    for bad in ("nan", "inf"):
+        code, out, err = run_cli(["solve", "--masses", f"1,1,1,{bad}"], capsys)
+        assert code == 64 and out == ""
+        assert "masses must be positive and finite" in err
+
+
+def test_scan_rejects_nonfinite_fixed_mass(capsys):
+    for bad in ("nan", "inf"):
+        code, out, err = run_cli(["scan", "--grid", "2", "--fix", f"m4={bad}"], capsys)
+        assert code == 64 and out == ""
+        assert "masses must be positive and finite" in err
+
+
+@pytest.mark.parametrize("fix", ["m4=1", "m2=1.7"])
+def test_scan_rows_equal_standalone_solves(fix, capsys, monkeypatch):
+    # scan draws its starts once per grid; each row must still be the row
+    # of a standalone minimize_U of that row's normalized masses
+    from ccc4.solver import minimize_U
+
+    code, shared, _ = run_cli(["scan", "--grid", "4", "--fix", fix], capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "_minimize",
+                        lambda masses, opts, starts: minimize_U(masses, opts))
+    code, standalone, _ = run_cli(["scan", "--grid", "4", "--fix", fix], capsys)
+    assert code == 0
+    assert len(shared.splitlines()) == 2 + 4 ** 3
+    assert shared == standalone
+
+
+def test_scan_leaves_its_starts_unchanged(capsys, monkeypatch):
+    from ccc4.solver import SolverOptions, _draw_starts
+
+    drawn = []
+
+    def recording(opts):
+        drawn.append(_draw_starts(opts))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "_draw_starts", recording)
+    assert run_cli(["scan", "--grid", "2"], capsys)[0] == 0
+    assert len(drawn) == 1
+    fresh = _draw_starts(SolverOptions())
+    assert [(s.v.tobytes(), s.w.tobytes()) for s in drawn[0]] == \
+        [(s.v.tobytes(), s.w.tobytes()) for s in fresh]

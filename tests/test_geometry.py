@@ -255,3 +255,25 @@ def test_stacked_invariants_reject_malformed_stacks():
         for f in (potential_U, moment_I):
             with pytest.raises(ValueError):
                 f(r, bad_m)
+
+
+def test_canonicalization_against_one_relabeling_set_matches_the_reference():
+    # the per-solve path canonicalizes many vectors against one relabeling
+    # set; both it and canonical_distance_tuple must give the smallest of
+    # the admissible relabeled copies
+    from ccc4.geometry import _admissible_slots, _canonical
+    rng = np.random.default_rng(94)
+    patterns = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0), (0, 1, 0, 1),
+                (0, 1, 0, 2), (0, 1, 2, 1), (0, 1, 2, 3))
+    for pattern in patterns:
+        base = 10.0 ** rng.uniform(-3.0, 3.0, 4)
+        m = MassVector.from_iterable(base[k] for k in pattern)
+        slots = _admissible_slots(m)
+        for _ in range(50):
+            arr = rng.uniform(0.3, 2.0, 6)
+            if rng.random() < 0.3:       # exact ties between slots
+                arr[rng.integers(6)] = arr[rng.integers(6)]
+            want = min(tuple(relabel_distances(arr, perm).tolist())
+                       for perm in admissible_relabelings(m))
+            assert canonical_distance_tuple(arr, m) == want
+            assert _canonical(arr.tolist(), slots) == want

@@ -386,3 +386,32 @@ def test_uniqueness_alarm_on_inconsistent_endpoints():
     opts = SolverOptions(starts=8, cluster_tol=1e-18)
     with pytest.raises(UniquenessAlarmError):
         minimize_U(MassVector(1.0, 2.0, 3.0, 1.0), opts)
+
+
+def _start_bits(starts):
+    return [(s.v.tobytes(), s.w.tobytes()) for s in starts]
+
+
+def test_minimize_from_drawn_starts_leaves_them_unchanged():
+    from ccc4.solver import _draw_starts, _minimize
+    opts = SolverOptions()
+    starts = _draw_starts(opts)
+    m = MassVector(1.7, 0.4, 2.2, 0.9)
+    rec = _minimize(m, opts, starts)
+    assert _start_bits(starts) == _start_bits(_draw_starts(opts))
+    assert rec.to_json() == minimize_U(m, opts).to_json()
+
+
+def test_multistart_representatives_are_canonical_distance_tuples():
+    # the per-solve relabeling set must canonicalize as the per-vector rule
+    from ccc4.chart import seeded_start
+    from ccc4.geometry import canonical_distance_tuple
+    from ccc4.solver import _multistart
+    opts = SolverOptions()
+    starts = [seeded_start(5, i) for i in range(6)]
+    for masses in ((1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 1.0, 1.0), (1.0, 3.0, 3.0, 1.0),
+                   (1.0, 2.0, 1.0, 2.0), (0.5, 1.5, 0.5, 2.5)):
+        m = MassVector(*masses)
+        endpoints, clusters = _multistart(m, starts, opts)
+        for rep, members in clusters:
+            assert tuple(rep) == canonical_distance_tuple(endpoints[members[0]].r, m)
