@@ -113,13 +113,20 @@ def r_to_p(r, m) -> PCoords:
 def p_to_r(p: PCoords, m) -> DistanceVector:
     """Inverse weighting r_ij = sqrt(2M / m_i m_j) p_ij.
 
-    Raises DegeneratePointError on the boundary (any p_ij <= 0), where two
-    bodies collide and the potential is infinite.  Computed in plain
-    floats: each operation is correctly rounded, so the result has the
-    bits of the elementwise numpy expression.
+    p is a PCoords, a tuple of six floats (taken as it is) or anything
+    numpy reads as six floats.  Raises DegeneratePointError on the boundary
+    (any p_ij <= 0), where two bodies collide and the potential is
+    infinite.  Computed in plain floats: each operation is correctly
+    rounded, so the result has the bits of the elementwise numpy
+    expression.
     """
     masses = _m(m)
-    vals = p.astuple() if isinstance(p, PCoords) else np.asarray(p, dtype=float).tolist()
+    if isinstance(p, tuple):
+        vals = p
+    elif isinstance(p, PCoords):
+        vals = p.astuple()
+    else:
+        vals = np.asarray(p, dtype=float).tolist()
     if len(vals) != 6:
         raise ValueError(f"expected 6 coordinates, got {len(vals)}")
     if any(x <= 0.0 for x in vals):
@@ -149,6 +156,16 @@ def p_to_vw(p) -> VWPoint:
 def vw_to_p_array(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Raw halved sums/differences; may be negative off the region E."""
     return P_FROM_VW @ np.concatenate([v, w])
+
+
+def vw_to_p_floats(v, w) -> tuple:
+    """vw_to_p_array in plain floats, for triples of floats: each p_ij is
+    half of one sum or difference, which the matrix product also rounds
+    only once, so the values have its bits."""
+    v1, v2, v3 = v
+    w1, w2, w3 = w
+    return (0.5 * (v1 + w1), 0.5 * (v2 + w2), 0.5 * (v3 + w3),
+            0.5 * (v3 - w3), 0.5 * (w2 - v2), 0.5 * (v1 - w1))
 
 
 def vw_to_p(vw: VWPoint) -> PCoords:

@@ -16,17 +16,19 @@ import argparse
 import itertools
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
+from .chart import p_to_r, vw_to_p_floats
 from .errors import (CCC4Error, IndeterminateShapeError, InfeasibleShapeError,
                      NonRealizableError, UniquenessAlarmError)
-from .geometry import MassVector
+from .geometry import K_term, MassVector, potential_U
 from .inverse import CyclicShape, recover_masses, shape_to_distances
 from .oracle import cartesian_cc_residual, embed_cyclic, run_identity_battery
 from .serialize import dumps, format_float
-from .solver import (SolveRecord, SolverOptions, _draw_starts, _minimize,
-                     certify_minimum, minimize_U)
+from .solver import (SolveRecord, SolverOptions, _cocircular, _draw_starts,
+                     _polished_endpoint, certify_minimum, minimize_U, recover_multipliers)
 
 EX_OK = 0
 EX_FAIL = 1
@@ -156,18 +158,43 @@ def _scan_grid_values(n: int) -> list:
     return [float(x) for x in np.linspace(SCAN_GRID_LO, SCAN_GRID_HI, n)]
 
 
+class _RowValues(NamedTuple):
+    """The fields of a solve record that a scan row prints; K, U and lambda
+    are None when the solve did not converge."""
+
+    k_value: float | None
+    U: float | None
+    lam: float | None
+    is_cocircular: bool
+    iterations: int
+    converged: bool
+
+
+def _scan_values(masses: MassVector, opts, starts) -> _RowValues:
+    """The row fields of the record _minimize(masses, opts, starts) would
+    build, computed from the same polished endpoint by the functions the
+    record uses, without the rest of the record."""
+    v, w, iterations, converged = _polished_endpoint(masses, opts, starts)
+    if not converged:
+        return _RowValues(None, None, None, False, iterations, False)
+    r = p_to_r(vw_to_p_floats(v, w), masses)
+    k = K_term(r)
+    return _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
+                      _cocircular(k, r.astuple()), iterations, True)
+
+
 def _scan_row(raw_masses, opts, starts) -> str:
     masses = MassVector.from_iterable(raw_masses).normalized(4.0)
-    rec = _minimize(masses, opts, starts)
+    row = _scan_values(masses, opts, starts)
     cells = [format_float(masses.m1), format_float(masses.m2),
              format_float(masses.m3), format_float(masses.m4)]
-    if rec.converged:
-        cells += [format_float(rec.k_value), format_float(rec.scalars.U),
-                  format_float(rec.multipliers.lam),
-                  "true" if rec.is_cocircular else "false"]
+    if row.converged:
+        cells += [format_float(row.k_value), format_float(row.U),
+                  format_float(row.lam),
+                  "true" if row.is_cocircular else "false"]
     else:
         cells += ["", "", "", ""]
-    cells += [str(rec.iterations), "true" if rec.converged else "false"]
+    cells += [str(row.iterations), "true" if row.converged else "false"]
     return ",".join(cells)
 
 

@@ -12,6 +12,11 @@ backtracking, renormalization retraction) and then by Newton steps on the
 reduced 4x4 system (see solver._newton_polish).  Steps that would cross
 the boundary p_k <= 0 are rejected, which is all the region handling the
 problem needs: the potential blows up there.
+
+`potential` returns U with its gradient and Hessian diagonal, which the
+Newton steps use.  `descend` writes the same expressions out in one flat
+loop instead: most of its work is line-search trials, which need only p
+and U, so it computes the gradient only at accepted points.
 """
 
 import math
@@ -22,10 +27,6 @@ STALLED = 2
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACK = 40
-
-
-def _pack(v, w):
-    return float(v[0]), float(v[1]), float(v[2]), float(w[0]), float(w[1]), float(w[2])
 
 
 def _normalize3(x1, x2, x3):
@@ -183,17 +184,30 @@ def descend(v, w, u, gtol, max_iter):
     Returns (v, w, U, rgnorm, iters, status); status is CONVERGED once the
     projected-gradient norm is <= gtol * max(1, |U|), MAXITER at the
     iteration cap, STALLED if the line search cannot make progress.
+
+    One flat loop: the renormalization and the potential are written out in
+    the order of _normalize3 and potential, so every iterate has their
+    bits, but a trial step computes only p and U, and the gradient is
+    computed once a trial passes the Armijo test.
     """
-    v1, v2, v3, w1, w2, w3 = _pack(v, w)
-    u = tuple(float(x) for x in u)
+    u1, u2, u3, u4, u5, u6 = (float(x) for x in u)
 
-    v1, v2, v3 = _normalize3(v1, v2, v3)
-    w1, w2, w3 = _normalize3(w1, w2, w3)
+    x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
+    n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    v1, v2, v3 = x1 / n, x2 / n, x3 / n
+    x1, x2, x3 = float(w[0]), float(w[1]), float(w[2])
+    n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    w1, w2, w3 = x1 / n, x2 / n, x3 / n
 
-    res = potential((v1, v2, v3, w1, w2, w3), u)
-    if res is None:
+    p1 = 0.5 * (v1 + w1)
+    p2 = 0.5 * (v2 + w2)
+    p3 = 0.5 * (v3 + w3)
+    p4 = 0.5 * (v3 - w3)
+    p5 = 0.5 * (w2 - v2)
+    p6 = 0.5 * (v1 - w1)
+    if not (p1 > 0.0 and p2 > 0.0 and p3 > 0.0 and p4 > 0.0 and p5 > 0.0 and p6 > 0.0):
         return ([v1, v2, v3], [w1, w2, w3], math.inf, math.inf, 0, STALLED)
-    _, U, g, _ = res
+    U = u1 / p1 + u2 / p2 + u3 / p3 + u4 / p4 + u5 / p5 + u6 / p6
 
     # previous point and projected gradient, for the BB step
     pv1 = pv2 = pv3 = pw1 = pw2 = pw3 = 0.0
@@ -204,7 +218,19 @@ def descend(v, w, u, gtol, max_iter):
     iters = 0
     rgnorm = math.inf
     while iters < max_iter:
-        gv1, gv2, gv3, gw1, gw2, gw3 = g
+        # the gradient at the current point, as potential computes it
+        q1 = -u1 / (p1 * p1)
+        q2 = -u2 / (p2 * p2)
+        q3 = -u3 / (p3 * p3)
+        q4 = -u4 / (p4 * p4)
+        q5 = -u5 / (p5 * p5)
+        q6 = -u6 / (p6 * p6)
+        gv1 = 0.5 * (q1 + q6)
+        gv2 = 0.5 * (q2 - q5)
+        gv3 = 0.5 * (q3 + q4)
+        gw1 = 0.5 * (q1 - q6)
+        gw2 = 0.5 * (q2 + q5)
+        gw3 = 0.5 * (q3 - q4)
         # project onto the tangent spaces of the two spheres
         cv = gv1 * v1 + gv2 * v2 + gv3 * v3
         cw = gw1 * w1 + gw2 * w2 + gw3 * w3
@@ -250,21 +276,31 @@ def descend(v, w, u, gtol, max_iter):
         pd1, pd2, pd3, pe1, pe2, pe3 = d1, d2, d3, e1, e2, e3
         have_prev = True
 
-        accepted = False
+        # Armijo backtracking; a trial point gets p and U only
         a = alpha
         for _ in range(_MAX_BACKTRACK):
-            t1, t2, t3 = _normalize3(v1 - a * d1, v2 - a * d2, v3 - a * d3)
-            r1, r2, r3 = _normalize3(w1 - a * e1, w2 - a * e2, w3 - a * e3)
-            trial = potential((t1, t2, t3, r1, r2, r3), u)
-            if trial is not None and trial[1] <= U - _ARMIJO * a * g2:
-                accepted = True
-                break
+            x1, x2, x3 = v1 - a * d1, v2 - a * d2, v3 - a * d3
+            n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+            t1, t2, t3 = x1 / n, x2 / n, x3 / n
+            x1, x2, x3 = w1 - a * e1, w2 - a * e2, w3 - a * e3
+            n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+            r1, r2, r3 = x1 / n, x2 / n, x3 / n
+            p1 = 0.5 * (t1 + r1)
+            p2 = 0.5 * (t2 + r2)
+            p3 = 0.5 * (t3 + r3)
+            p4 = 0.5 * (t3 - r3)
+            p5 = 0.5 * (r2 - t2)
+            p6 = 0.5 * (t1 - r1)
+            if p1 > 0.0 and p2 > 0.0 and p3 > 0.0 and p4 > 0.0 and p5 > 0.0 and p6 > 0.0:
+                Ut = u1 / p1 + u2 / p2 + u3 / p3 + u4 / p4 + u5 / p5 + u6 / p6
+                if Ut <= U - _ARMIJO * a * g2:
+                    break
             a *= 0.5
-        if not accepted:
+        else:
             status = STALLED
             break
         v1, v2, v3, w1, w2, w3 = t1, t2, t3, r1, r2, r3
-        _, U, g, _ = trial
+        U = Ut
         iters += 1
 
     return ([v1, v2, v3], [w1, w2, w3], U, rgnorm, iters, status)

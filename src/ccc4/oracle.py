@@ -258,14 +258,17 @@ def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0,
                           opts: SolverOptions | None = None) -> UniquenessReport:
     """Solve from n_starts seeded interior starts and report the clusters
     of the accepted endpoints, by the same acceptance and cluster rules as
-    minimize_U.  Each cluster carries U at its first member's own r*."""
+    minimize_U.  Each cluster carries U at its first member's own r*.
+    Raises ValueError for n_starts < 1, which would report no cluster."""
+    if n_starts < 1:
+        raise ValueError("need at least one start")
     masses = _m(m)
     opts = opts or SolverOptions()
     endpoints, clusters = _multistart(
         masses, [seeded_start(seed, i) for i in range(n_starts)], opts)
     return UniquenessReport(
         n_starts=n_starts, seed=seed, cluster_count=len(clusters),
-        clusters=tuple((tuple(float(x) for x in rep), len(members),
+        clusters=tuple((rep, len(members),
                         potential_U(endpoints[members[0]].r, masses))
                        for rep, members in clusters),
         failures=tuple(i for i, e in enumerate(endpoints) if e.r is None),

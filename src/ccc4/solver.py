@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, serialize
-from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_array
+from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_floats
 from .errors import IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
                        ScalarReport, _admissible_slots, _canonical, _m, _r6)
@@ -255,11 +255,15 @@ def dziobek_residual(r, lam: float) -> float:
     return max(abs(p_sides - p_diag), abs(p_sides - p_other))
 
 
+def _cocircular(k_value: float, r: tuple, tol: float = COCIRCULAR_TOL) -> bool:
+    # the co-circularity rule, on K and the six distances as floats
+    return bool(abs(k_value) <= tol * max(r) ** 3)
+
+
 def classify_cocircular(rec: SolveRecord, tol: float = COCIRCULAR_TOL) -> bool:
     """True iff |K(r*)| <= tol * (max r)^3; K is stored raw on the record so
     callers can re-threshold."""
-    scale = max(rec.r_star.astuple())
-    return bool(abs(rec.k_value) <= tol * scale ** 3)
+    return _cocircular(rec.k_value, rec.r_star.astuple(), tol)
 
 
 # --- optimization ----------------------------------------------------------
@@ -326,9 +330,8 @@ def _polish_record(v, w, u):
     return z[:3], z[3:], steps
 
 
-def _solve_from(vw: VWPoint, u: tuple, opts: SolverOptions):
-    v, w, U, rg, iters, status = kernels.descend(
-        vw.v, vw.w, u, NEWTON_SWITCH, opts.max_iter)
+def _solve_from(v, w, u: tuple, opts: SolverOptions):
+    v, w, U, rg, iters, status = kernels.descend(v, w, u, NEWTON_SWITCH, opts.max_iter)
     if not math.isfinite(U):
         return v, w, math.inf, math.inf, iters, False
     v, w, U, rg, nit, ok = _newton_polish(v, w, u, opts.gtol, opts.max_newton)
@@ -350,24 +353,27 @@ def _multistart(masses: MassVector, starts, opts: SolverOptions):
     endpoints, up to admissible relabelings, within opts.cluster_tol times
     the largest distance of each cluster's representative.  Returns one
     _Endpoint per start and (canonical representative, member indices) per
-    cluster.  The starts are only read."""
+    cluster, the representative as a tuple of floats.  The starts are
+    only read; the bookkeeping is done in Python floats."""
     u = _u_coefficients(masses)
     relabelings = _admissible_slots(masses)
     endpoints, clusters = [], []
-    for index, start in enumerate(starts):
-        v, w, U, _, iters, ok = _solve_from(start, u, opts)
+    for index, (v, w) in enumerate([(s.v.tolist(), s.w.tolist()) for s in starts]):
+        v, w, U, _, iters, ok = _solve_from(v, w, u, opts)
         r = None
         if ok:
-            p = vw_to_p_array(v, w)
-            if (abs(p @ p - 1.0) <= CONSTRAINT_TOL
-                    and abs(p[0] * p[5] + p[2] * p[3] - p[1] * p[4]) <= CONSTRAINT_TOL):
+            p = vw_to_p_floats(v, w)
+            p12, p13, p14, p23, p24, p34 = p
+            if (abs(p12 * p12 + p13 * p13 + p14 * p14 + p23 * p23 + p24 * p24
+                    + p34 * p34 - 1.0) <= CONSTRAINT_TOL
+                    and abs(p12 * p34 + p14 * p23 - p13 * p24) <= CONSTRAINT_TOL):
                 r = p_to_r(p, masses)
         endpoints.append(_Endpoint(v, w, U, iters, r))
         if r is None:
             continue
-        canon = np.array(_canonical(r.astuple(), relabelings))
+        canon = _canonical(r.astuple(), relabelings)
         for rep, members in clusters:
-            if np.linalg.norm(canon - rep) <= opts.cluster_tol * rep.max():
+            if math.dist(canon, rep) <= opts.cluster_tol * max(rep):
                 members.append(index)
                 break
         else:
@@ -377,7 +383,7 @@ def _multistart(masses: MassVector, starts, opts: SolverOptions):
 
 def _record_from_point(v, w, masses: MassVector, iterations: int,
                        converged: bool, meta: dict) -> SolveRecord:
-    r_star = p_to_r(vw_to_p_array(v, w), masses)
+    r_star = p_to_r(vw_to_p_floats(v, w), masses)
     r_arr = r_star.array
     scalars = ScalarReport.evaluate(r_star, masses)
     mult = recover_multipliers(r_arr, masses)
@@ -433,27 +439,37 @@ def _minimize(masses: MassVector, opts: SolverOptions, starts) -> SolveRecord:
     """minimize_U from the given starts, which it does not modify; a caller
     that solves many mass vectors with one opts draws them once, by
     _draw_starts(opts), and gets the records of minimize_U."""
+    v, w, iterations, converged = _polished_endpoint(masses, opts, starts)
+    meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
+            "seed": opts.seed, "starts": opts.starts}
+    rec = _record_from_point(v, w, masses, iterations, converged, meta)
+    if converged:
+        rec = replace(rec, is_cocircular=classify_cocircular(rec))
+    return rec
+
+
+def _polished_endpoint(masses: MassVector, opts: SolverOptions, starts):
+    """The point a record of _minimize is built from: (v, w, iterations,
+    converged), v and w triples of floats.  Raises UniquenessAlarmError
+    when the accepted endpoints form more than one cluster; polishes the
+    accepted endpoint of lowest U by _polish_record, or returns the best
+    iterate with converged False if no endpoint is accepted."""
     endpoints, clusters = _multistart(masses, starts, opts)
 
     if len(clusters) > 1:
-        gap = float(np.linalg.norm(clusters[1][0] - clusters[0][0]))
+        gap = float(np.linalg.norm(np.subtract(clusters[1][0], clusters[0][0])))
         raise UniquenessAlarmError(
             f"multistart endpoints form {len(clusters)} clusters, the first two "
             f"{gap:.3e} apart in r-space (> {opts.cluster_tol:g} x max r); this "
             "contradicts uniqueness of the minimizer and indicates a solver bug")
 
-    meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
-            "seed": opts.seed, "starts": opts.starts}
     accepted = [e for e in endpoints if e.r is not None]
     best = min(accepted or endpoints, key=lambda e: e.U)
     v, w, iterations = best.v, best.w, best.iterations
     if accepted:
         v, w, steps = _polish_record(v, w, _u_coefficients(masses))
         iterations += steps
-    rec = _record_from_point(v, w, masses, iterations, bool(accepted), meta)
-    if accepted:
-        rec = replace(rec, is_cocircular=classify_cocircular(rec))
-    return rec
+    return v, w, iterations, bool(accepted)
 
 
 # --- certification ---------------------------------------------------------

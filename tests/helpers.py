@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ccc4 import kernels
 from ccc4.chart import INTERIOR_MARGIN, P_FROM_VW, VWPoint, in_region_E, vw_to_p_array
 from ccc4.geometry import (PAIR_SIGN, K_term, MassVector, Q_term, cayley_menger_H,
                            moment_I, potential_U, ptolemy_P, triangle_margins)
@@ -85,6 +86,97 @@ def sample_interior_unfolded(n, seed):
         rows.append(keep)
         count += len(keep)
     return np.concatenate(rows)[:n]
+
+
+def descend_reference(v, w, u, gtol, max_iter):
+    """Reference route of kernels.descend: the same projected-gradient
+    descent written around kernels.potential, which returns p, U, the
+    gradient and the Hessian diagonal at every trial point.  The flat loop
+    must return the same six outputs bit for bit."""
+    _normalize3, potential = kernels._normalize3, kernels.potential
+    v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
+    w1, w2, w3 = float(w[0]), float(w[1]), float(w[2])
+    u = tuple(float(x) for x in u)
+
+    v1, v2, v3 = _normalize3(v1, v2, v3)
+    w1, w2, w3 = _normalize3(w1, w2, w3)
+
+    res = potential((v1, v2, v3, w1, w2, w3), u)
+    if res is None:
+        return ([v1, v2, v3], [w1, w2, w3], math.inf, math.inf, 0, kernels.STALLED)
+    _, U, g, _ = res
+
+    pv1 = pv2 = pv3 = pw1 = pw2 = pw3 = 0.0
+    pd1 = pd2 = pd3 = pe1 = pe2 = pe3 = 0.0
+    have_prev = False
+
+    status = kernels.MAXITER
+    iters = 0
+    rgnorm = math.inf
+    while iters < max_iter:
+        gv1, gv2, gv3, gw1, gw2, gw3 = g
+        cv = gv1 * v1 + gv2 * v2 + gv3 * v3
+        cw = gw1 * w1 + gw2 * w2 + gw3 * w3
+        d1 = gv1 - cv * v1
+        d2 = gv2 - cv * v2
+        d3 = gv3 - cv * v3
+        e1 = gw1 - cw * w1
+        e2 = gw2 - cw * w2
+        e3 = gw3 - cw * w3
+        g2 = d1 * d1 + d2 * d2 + d3 * d3 + e1 * e1 + e2 * e2 + e3 * e3
+        rgnorm = math.sqrt(g2)
+        if rgnorm <= gtol * max(1.0, abs(U)):
+            status = kernels.CONVERGED
+            break
+
+        if have_prev:
+            s1 = v1 - pv1
+            s2 = v2 - pv2
+            s3 = v3 - pv3
+            s4 = w1 - pw1
+            s5 = w2 - pw2
+            s6 = w3 - pw3
+            y1 = d1 - pd1
+            y2 = d2 - pd2
+            y3 = d3 - pd3
+            y4 = e1 - pe1
+            y5 = e2 - pe2
+            y6 = e3 - pe3
+            ss = s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4 + s5 * s5 + s6 * s6
+            sy = s1 * y1 + s2 * y2 + s3 * y3 + s4 * y4 + s5 * y5 + s6 * y6
+            if sy > 0.0:
+                alpha = ss / sy
+                if alpha < 1e-14:
+                    alpha = 1e-14
+                elif alpha > 1e4:
+                    alpha = 1e4
+            else:
+                alpha = 1e-2
+        else:
+            alpha = 0.1 / (1.0 + rgnorm)
+
+        pv1, pv2, pv3, pw1, pw2, pw3 = v1, v2, v3, w1, w2, w3
+        pd1, pd2, pd3, pe1, pe2, pe3 = d1, d2, d3, e1, e2, e3
+        have_prev = True
+
+        accepted = False
+        a = alpha
+        for _ in range(kernels._MAX_BACKTRACK):
+            t1, t2, t3 = _normalize3(v1 - a * d1, v2 - a * d2, v3 - a * d3)
+            r1, r2, r3 = _normalize3(w1 - a * e1, w2 - a * e2, w3 - a * e3)
+            trial = potential((t1, t2, t3, r1, r2, r3), u)
+            if trial is not None and trial[1] <= U - kernels._ARMIJO * a * g2:
+                accepted = True
+                break
+            a *= 0.5
+        if not accepted:
+            status = kernels.STALLED
+            break
+        v1, v2, v3, w1, w2, w3 = t1, t2, t3, r1, r2, r3
+        _, U, g, _ = trial
+        iters += 1
+
+    return ([v1, v2, v3], [w1, w2, w3], U, rgnorm, iters, status)
 
 
 def _tangent_basis(x):

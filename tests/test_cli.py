@@ -226,15 +226,15 @@ def test_console_entry_point_subprocess(tmp_path):
 
 
 def test_scan_sentinel_fields_for_nonconverged(tmp_path, capsys, monkeypatch):
-    # force a non-converged record through the row formatter
-    from dataclasses import replace
+    # force non-converged row values through the row formatter
     from ccc4 import cli as cli_mod
-    from ccc4.solver import _minimize as real_minimize
+
+    real_values = cli_mod._scan_values
 
     def crippled(masses, opts, starts):
-        return replace(real_minimize(masses, opts, starts), converged=False)
+        return real_values(masses, opts, starts)._replace(converged=False)
 
-    monkeypatch.setattr(cli_mod, "_minimize", crippled)
+    monkeypatch.setattr(cli_mod, "_scan_values", crippled)
     out = tmp_path / "scan.csv"
     assert cli_mod.main(["scan", "--grid", "2", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -261,14 +261,19 @@ def test_scan_rejects_nonfinite_fixed_mass(capsys):
 
 @pytest.mark.parametrize("fix", ["m4=1", "m2=1.7"])
 def test_scan_rows_equal_standalone_solves(fix, capsys, monkeypatch):
-    # scan draws its starts once per grid; each row must still be the row
-    # of a standalone minimize_U of that row's normalized masses
+    # scan draws its starts once per grid and computes only the printed
+    # fields; each row must still print the fields of the record of a
+    # standalone minimize_U of that row's normalized masses
     from ccc4.solver import minimize_U
+
+    def standalone_values(masses, opts, starts):
+        rec = minimize_U(masses, opts)
+        return cli._RowValues(rec.k_value, rec.scalars.U, rec.multipliers.lam,
+                              rec.is_cocircular, rec.iterations, rec.converged)
 
     code, shared, _ = run_cli(["scan", "--grid", "4", "--fix", fix], capsys)
     assert code == 0
-    monkeypatch.setattr(cli, "_minimize",
-                        lambda masses, opts, starts: minimize_U(masses, opts))
+    monkeypatch.setattr(cli, "_scan_values", standalone_values)
     code, standalone, _ = run_cli(["scan", "--grid", "4", "--fix", fix], capsys)
     assert code == 0
     assert len(shared.splitlines()) == 2 + 4 ** 3

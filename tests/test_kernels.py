@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ccc4 import kernels
-from ccc4.chart import P_FROM_VW, sample_interior, square_chart_point, vw_to_p_array
+from ccc4.chart import (P_FROM_VW, sample_interior, seeded_start, square_chart_point,
+                        vw_to_p_array)
 from ccc4.geometry import MassVector
-from ccc4.solver import NEWTON_SWITCH, _newton_polish
+from ccc4.solver import NEWTON_SWITCH, SolverOptions, _draw_starts, _newton_polish
 
-from helpers import newton_step_numpy
+from helpers import descend_reference, newton_step_numpy
 
 
 def u_coeffs(masses):
@@ -131,3 +132,27 @@ def test_descend_rejects_infeasible_start():
     assert out[5] == kernels.STALLED
     assert math.isinf(out[2])
 
+
+
+def test_descend_matches_reference_bit_for_bit():
+    # the flat loop against the loop around kernels.potential, on the
+    # default starts (start 5 runs into the 500 cap on a few percent of
+    # these masses), seeded starts, small iteration caps and a start
+    # outside E
+    rng = np.random.default_rng(21)
+    starts = [(s.v, s.w) for s in _draw_starts(SolverOptions())]
+    starts += [(s.v, s.w) for s in (seeded_start(3, i) for i in range(8))]
+    starts.append((np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])))
+    cases = 0
+    statuses = set()
+    for index in range(180):
+        u = tuple(u_coeffs(10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist())
+        max_iter = (500, 500, 500, 3)[index % 4]
+        for v, w in starts:
+            got = kernels.descend(v, w, u, NEWTON_SWITCH, max_iter)
+            want = descend_reference(v, w, u, NEWTON_SWITCH, max_iter)
+            assert [repr(x) for x in got] == [repr(x) for x in want]
+            statuses.add(got[5])
+            cases += 1
+    assert cases >= 3000
+    assert statuses == {kernels.CONVERGED, kernels.MAXITER, kernels.STALLED}

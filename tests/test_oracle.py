@@ -143,6 +143,13 @@ def test_multistart_uniqueness_reports():
     assert rep.cluster_count == 1
 
 
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_multistart_uniqueness_rejects_no_starts(n_starts):
+    # no start gives no cluster, which would read as "no violation"
+    with pytest.raises(ValueError, match="at least one start"):
+        multistart_uniqueness(UNIT, n_starts=n_starts)
+
+
 def test_uniqueness_report_json():
     rep = multistart_uniqueness(UNIT, n_starts=3, seed=70)
     doc = rep.to_json_dict()
