@@ -116,9 +116,10 @@ def p_to_r(p: PCoords, m) -> DistanceVector:
     p is a PCoords, a tuple of six floats (taken as it is) or anything
     numpy reads as six floats.  Raises DegeneratePointError on the boundary
     (any p_ij <= 0), where two bodies collide and the potential is
-    infinite.  Computed in plain floats: each operation is correctly
-    rounded, so the result has the bits of the elementwise numpy
-    expression.
+    infinite, and where a distance is not a positive finite float (a mass
+    product under- or overflows).  Computed in plain floats: each
+    operation is correctly rounded, so the result has the bits of the
+    elementwise numpy expression.
     """
     masses = _m(m)
     if isinstance(p, tuple):
@@ -136,10 +137,15 @@ def p_to_r(p: PCoords, m) -> DistanceVector:
     m1, m2, m3, m4 = masses.astuple()
     two_m = 2.0 * masses.M
     p12, p13, p14, p23, p24, p34 = vals
-    return DistanceVector(
-        p12 * math.sqrt(two_m / (m1 * m2)), p13 * math.sqrt(two_m / (m1 * m3)),
-        p14 * math.sqrt(two_m / (m1 * m4)), p23 * math.sqrt(two_m / (m2 * m3)),
-        p24 * math.sqrt(two_m / (m2 * m4)), p34 * math.sqrt(two_m / (m3 * m4)))
+    try:
+        return DistanceVector(
+            p12 * math.sqrt(two_m / (m1 * m2)), p13 * math.sqrt(two_m / (m1 * m3)),
+            p14 * math.sqrt(two_m / (m1 * m4)), p23 * math.sqrt(two_m / (m2 * m3)),
+            p24 * math.sqrt(two_m / (m2 * m4)), p34 * math.sqrt(two_m / (m3 * m4)))
+    except (ZeroDivisionError, ValueError) as exc:
+        raise DegeneratePointError(
+            f"masses {masses.astuple()} give no positive finite distances "
+            f"({exc})") from None
 
 
 def p_to_vw(p) -> VWPoint:

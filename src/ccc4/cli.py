@@ -16,19 +16,17 @@ import argparse
 import itertools
 import math
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
-from .chart import p_to_r, vw_to_p_floats
 from .errors import (CCC4Error, IndeterminateShapeError, InfeasibleShapeError,
                      NonRealizableError, UniquenessAlarmError)
-from .geometry import K_term, MassVector, potential_U
+from .geometry import MassVector
 from .inverse import CyclicShape, recover_masses, shape_to_distances
 from .oracle import cartesian_cc_residual, embed_cyclic, run_identity_battery
 from .serialize import dumps, format_float
-from .solver import (SolveRecord, SolverOptions, _cocircular, _draw_starts,
-                     _polished_endpoint, certify_minimum, minimize_U, recover_multipliers)
+from .solver import (SolveRecord, SolverOptions, _draw_starts, _scan_values,
+                     certify_minimum, minimize_U)
 
 EX_OK = 0
 EX_FAIL = 1
@@ -156,31 +154,6 @@ def cmd_solve(args, parser) -> int:
 
 def _scan_grid_values(n: int) -> list:
     return [float(x) for x in np.linspace(SCAN_GRID_LO, SCAN_GRID_HI, n)]
-
-
-class _RowValues(NamedTuple):
-    """The fields of a solve record that a scan row prints; K, U and lambda
-    are None when the solve did not converge."""
-
-    k_value: float | None
-    U: float | None
-    lam: float | None
-    is_cocircular: bool
-    iterations: int
-    converged: bool
-
-
-def _scan_values(masses: MassVector, opts, starts) -> _RowValues:
-    """The row fields of the record _minimize(masses, opts, starts) would
-    build, computed from the same polished endpoint by the functions the
-    record uses, without the rest of the record."""
-    v, w, iterations, converged = _polished_endpoint(masses, opts, starts)
-    if not converged:
-        return _RowValues(None, None, None, False, iterations, False)
-    r = p_to_r(vw_to_p_floats(v, w), masses)
-    k = K_term(r)
-    return _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
-                      _cocircular(k, r.astuple()), iterations, True)
 
 
 def _scan_row(raw_masses, opts, starts) -> str:

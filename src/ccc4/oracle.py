@@ -20,7 +20,7 @@ from .geometry import (OPPOSITE_SLOT, PAIR_SIGN, MassVector, K_term, Q_term, _m,
                        _r6, _rows, cayley_menger_H, is_geometric, moment_I,
                        potential_U, ptolemy_P)
 from .inverse import CyclicShape, shape_to_distances
-from .solver import SolverOptions, _multistart
+from .solver import SolverOptions, _multistart, _u_coefficients
 
 _PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -254,8 +254,7 @@ class UniquenessReport:
         return serialize.dumps(self.to_json_dict())
 
 
-def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0,
-                          opts: SolverOptions | None = None) -> UniquenessReport:
+def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0) -> UniquenessReport:
     """Solve from n_starts seeded interior starts and report the clusters
     of the accepted endpoints, by the same acceptance and cluster rules as
     minimize_U.  Each cluster carries U at its first member's own r*.
@@ -263,9 +262,9 @@ def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0,
     if n_starts < 1:
         raise ValueError("need at least one start")
     masses = _m(m)
-    opts = opts or SolverOptions()
     endpoints, clusters = _multistart(
-        masses, [seeded_start(seed, i) for i in range(n_starts)], opts)
+        masses, _u_coefficients(masses), [seeded_start(seed, i) for i in range(n_starts)],
+        SolverOptions().gtol)
     return UniquenessReport(
         n_starts=n_starts, seed=seed, cluster_count=len(clusters),
         clusters=tuple((rep, len(members),

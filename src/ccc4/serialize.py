@@ -20,9 +20,9 @@ def format_float(x: float) -> str:
     return text
 
 
-def _emit(obj, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(obj, level):
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if isinstance(obj, np.generic):
         obj = obj.item()
     if obj is None:
@@ -41,18 +41,17 @@ def _emit(obj, indent, level):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (f'{inner}"{k}": {_emit(v, indent, level + 1)}'
-                 for k, v in obj.items())
+        items = (f'{inner}"{k}": {_emit(v, level + 1)}' for k, v in obj.items())
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = (f"{inner}{_emit(v, indent, level + 1)}" for v in obj)
+        items = (f"{inner}{_emit(v, level + 1)}" for v in obj)
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize dict/list/scalar structures; floats carry 17 significant
-    digits, keys keep insertion order."""
-    return _emit(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    """Serialize dict/list/scalar structures, indented by two spaces;
+    floats carry 17 significant digits, keys keep insertion order."""
+    return _emit(obj, 0) + "\n"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +27,9 @@ import numpy as np
 from . import kernels, serialize
 from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_floats
 from .errors import IndeterminateShapeError, UniquenessAlarmError
-from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
-                       ScalarReport, _admissible_slots, _canonical, _m, _r6)
+from .geometry import (DistanceVector, K_term, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
+                       ScalarReport, _admissible_slots, _canonical, _m, _r6,
+                       moment_I, potential_U, ptolemy_P)
 
 RNG_NAME = "numpy-pcg64"
 RECORD_SCHEMA = "ccc4-solverecord-1"
@@ -43,17 +44,19 @@ CERT_CONSTRAINT_TOL = 1e-9   # |I - 1| and |P| in r units
 DZIOBEK_RTOL = 1e-12         # Dziobek residual, relative to S^2
 SIGMA_SQ_RTOL = 1e3 * np.finfo(float).eps   # sigma^2 spread, relative to cond
 
+# Budgets and cluster radius of the multistart solve, read at call time.
+MAX_ITER = 500               # descent iterations per start
+MAX_NEWTON = 40              # Newton steps per start after the descent
+CLUSTER_TOL = 1e-6           # endpoint agreement radius, relative to max r
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Budgets, starts, seed and cluster radius of the multistart solve."""
+    """Tolerance, start count and seed of the multistart solve."""
 
     gtol: float = 1e-11              # projected-gradient norm, relative to max(1, |U|)
-    max_iter: int = 500
-    max_newton: int = 40
     starts: int = 8
     seed: int = 0
-    cluster_tol: float = 1e-6        # endpoint agreement radius, relative to max r
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,6 @@ class SolveRecord:
 
 def lagrangian_L(r, m, lam: float, sigma: float) -> float:
     """U + lambda M (I - 1) + sigma P as a function of the distance vector."""
-    from .geometry import moment_I, potential_U, ptolemy_P
     masses = _m(m)
     return (potential_U(r, masses) + lam * masses.M * (moment_I(r, masses) - 1.0)
             + sigma * ptolemy_P(r))
@@ -168,24 +170,27 @@ def _stationarity_system(r_arr: np.ndarray, masses: MassVector):
     return A, b
 
 
+def _relative_residual(A: np.ndarray, b: np.ndarray, lam: float, sigma: float) -> float:
+    return float(np.linalg.norm(A @ np.array([lam, sigma]) - b) / np.linalg.norm(b))
+
+
 def stationarity_residual(r, m, lam: float, sigma: float) -> float:
     """Relative residual of the six stationarity equations at (lam, sigma)."""
     A, b = _stationarity_system(_r6(r), _m(m))
-    return float(np.linalg.norm(A @ np.array([lam, sigma]) - b) / np.linalg.norm(b))
+    return _relative_residual(A, b, lam, sigma)
 
 
 def recover_multipliers(r, m) -> Multipliers:
     """Best (lambda, sigma) for the stationarity equations, by 6x2 least
     squares, together with the relative residual norm."""
-    r_arr = _r6(r)
-    A, b = _stationarity_system(r_arr, _m(m))
+    A, b = _stationarity_system(_r6(r), _m(m))
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < 2:
         raise IndeterminateShapeError(
             "stationarity system is rank-deficient at this distance vector")
     lam, sigma = float(sol[0]), float(sol[1])
     return Multipliers(lam=lam, sigma=sigma,
-                       stationarity_residual=stationarity_residual(r_arr, m, lam, sigma))
+                       stationarity_residual=_relative_residual(A, b, lam, sigma))
 
 
 def hessian_L(r, m, mult: Multipliers) -> np.ndarray:
@@ -273,20 +278,20 @@ def _u_coefficients(masses: MassVector) -> tuple:
     return tuple((masses.products() ** 1.5 / math.sqrt(2.0 * masses.M)).tolist())
 
 
-def _newton_polish(v, w, u, gtol, max_newton):
-    """Projected Newton on S^2 x S^2; quadratic near the nondegenerate
-    minimum.  u is a tuple of floats.  Returns (v, w, U, rgnorm, iters,
-    converged)."""
+def _newton_polish(v, w, u, gtol):
+    """Projected Newton on S^2 x S^2, at most MAX_NEWTON steps; quadratic
+    near the nondegenerate minimum.  u is a tuple of floats.  Returns (v,
+    w, U, rgnorm, iters, converged)."""
     z = (*v, *w)
     res = kernels.potential(z, u)
-    for nit in range(max_newton + 1):
+    for nit in range(MAX_NEWTON + 1):
         if res is None:
             return z[:3], z[3:], math.inf, math.inf, nit, False
         _, U, g, h = res
         cv, cw, rg = kernels.tangent_gradient(z, g)
         if rg <= gtol * max(1.0, abs(U)):
             return z[:3], z[3:], U, rg, nit, True
-        if nit == max_newton:
+        if nit == MAX_NEWTON:
             break
         step = kernels.newton_step(z, g, h, cv, cw)
         if step is None:
@@ -330,14 +335,6 @@ def _polish_record(v, w, u):
     return z[:3], z[3:], steps
 
 
-def _solve_from(v, w, u: tuple, opts: SolverOptions):
-    v, w, U, rg, iters, status = kernels.descend(v, w, u, NEWTON_SWITCH, opts.max_iter)
-    if not math.isfinite(U):
-        return v, w, math.inf, math.inf, iters, False
-    v, w, U, rg, nit, ok = _newton_polish(v, w, u, opts.gtol, opts.max_newton)
-    return v, w, U, rg, iters + nit, ok
-
-
 class _Endpoint(NamedTuple):
     v: tuple
     w: tuple
@@ -346,20 +343,26 @@ class _Endpoint(NamedTuple):
     r: DistanceVector | None     # None unless the endpoint was accepted
 
 
-def _multistart(masses: MassVector, starts, opts: SolverOptions):
-    """Solve from every start; accept an endpoint when descent plus Newton
-    converged and |sum p^2 - 1|, |p12 p34 + p14 p23 - p13 p24| <=
-    CONSTRAINT_TOL (chart units, free of the mass scale); cluster accepted
-    endpoints, up to admissible relabelings, within opts.cluster_tol times
-    the largest distance of each cluster's representative.  Returns one
-    _Endpoint per start and (canonical representative, member indices) per
-    cluster, the representative as a tuple of floats.  The starts are
-    only read; the bookkeeping is done in Python floats."""
-    u = _u_coefficients(masses)
+def _multistart(masses: MassVector, u: tuple, starts, gtol: float):
+    """Solve from every start, by descent and then Newton, with u =
+    _u_coefficients(masses); accept an endpoint when both converged and
+    |sum p^2 - 1|, |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart
+    units, free of the mass scale); cluster accepted endpoints, up to
+    admissible relabelings, within CLUSTER_TOL times the largest distance
+    of each cluster's representative.  Returns one _Endpoint per start and
+    (canonical representative, member indices) per cluster, the
+    representative as a tuple of floats.  The starts are only read; the
+    bookkeeping is done in Python floats."""
     relabelings = _admissible_slots(masses)
     endpoints, clusters = [], []
     for index, (v, w) in enumerate([(s.v.tolist(), s.w.tolist()) for s in starts]):
-        v, w, U, _, iters, ok = _solve_from(v, w, u, opts)
+        v, w, U, _, iters, _ = kernels.descend(v, w, u, NEWTON_SWITCH, MAX_ITER)
+        ok = math.isfinite(U)
+        if ok:
+            v, w, U, _, nit, ok = _newton_polish(v, w, u, gtol)
+            iters += nit
+        else:
+            U = math.inf            # a start outside E
         r = None
         if ok:
             p = vw_to_p_floats(v, w)
@@ -373,7 +376,7 @@ def _multistart(masses: MassVector, starts, opts: SolverOptions):
             continue
         canon = _canonical(r.astuple(), relabelings)
         for rep, members in clusters:
-            if math.dist(canon, rep) <= opts.cluster_tol * max(rep):
+            if math.dist(canon, rep) <= CLUSTER_TOL * max(rep):
                 members.append(index)
                 break
         else:
@@ -402,7 +405,7 @@ def _record_from_point(v, w, masses: MassVector, iterations: int,
         sigma_sq_residuals=tuple(float(x) for x in s2 - mult.sigma ** 2),
         iterations=iterations,
         converged=converged,
-        is_cocircular=False,
+        is_cocircular=converged and _cocircular(scalars.K, r_star.astuple()),
         k_value=scalars.K,
         meta=meta,
     )
@@ -432,44 +435,62 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """
     masses = _m(m)
     opts = opts or SolverOptions()
-    return _minimize(masses, opts, _draw_starts(opts))
-
-
-def _minimize(masses: MassVector, opts: SolverOptions, starts) -> SolveRecord:
-    """minimize_U from the given starts, which it does not modify; a caller
-    that solves many mass vectors with one opts draws them once, by
-    _draw_starts(opts), and gets the records of minimize_U."""
-    v, w, iterations, converged = _polished_endpoint(masses, opts, starts)
+    v, w, iterations, converged = _polished_endpoint(masses, opts, _draw_starts(opts))
     meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
             "seed": opts.seed, "starts": opts.starts}
-    rec = _record_from_point(v, w, masses, iterations, converged, meta)
-    if converged:
-        rec = replace(rec, is_cocircular=classify_cocircular(rec))
-    return rec
+    return _record_from_point(v, w, masses, iterations, converged, meta)
 
 
 def _polished_endpoint(masses: MassVector, opts: SolverOptions, starts):
-    """The point a record of _minimize is built from: (v, w, iterations,
+    """The point a record of minimize_U is built from: (v, w, iterations,
     converged), v and w triples of floats.  Raises UniquenessAlarmError
     when the accepted endpoints form more than one cluster; polishes the
     accepted endpoint of lowest U by _polish_record, or returns the best
-    iterate with converged False if no endpoint is accepted."""
-    endpoints, clusters = _multistart(masses, starts, opts)
+    iterate with converged False if no endpoint is accepted.  The starts
+    are only read."""
+    u = _u_coefficients(masses)
+    endpoints, clusters = _multistart(masses, u, starts, opts.gtol)
 
     if len(clusters) > 1:
         gap = float(np.linalg.norm(np.subtract(clusters[1][0], clusters[0][0])))
         raise UniquenessAlarmError(
             f"multistart endpoints form {len(clusters)} clusters, the first two "
-            f"{gap:.3e} apart in r-space (> {opts.cluster_tol:g} x max r); this "
+            f"{gap:.3e} apart in r-space (> {CLUSTER_TOL:g} x max r); this "
             "contradicts uniqueness of the minimizer and indicates a solver bug")
 
     accepted = [e for e in endpoints if e.r is not None]
     best = min(accepted or endpoints, key=lambda e: e.U)
     v, w, iterations = best.v, best.w, best.iterations
     if accepted:
-        v, w, steps = _polish_record(v, w, _u_coefficients(masses))
+        v, w, steps = _polish_record(v, w, u)
         iterations += steps
     return v, w, iterations, bool(accepted)
+
+
+class _RowValues(NamedTuple):
+    """The fields of a solve record that a scan row prints; K, U and lambda
+    are None when the solve did not converge."""
+
+    k_value: float | None
+    U: float | None
+    lam: float | None
+    is_cocircular: bool
+    iterations: int
+    converged: bool
+
+
+def _scan_values(masses: MassVector, opts: SolverOptions, starts) -> _RowValues:
+    """The row fields of the record minimize_U(masses, opts) builds, from
+    starts drawn once by _draw_starts(opts) and only read, computed from
+    the same polished endpoint by the functions the record uses, without
+    the rest of the record."""
+    v, w, iterations, converged = _polished_endpoint(masses, opts, starts)
+    if not converged:
+        return _RowValues(None, None, None, False, iterations, False)
+    r = p_to_r(vw_to_p_floats(v, w), masses)
+    k = K_term(r)
+    return _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
+                      _cocircular(k, r.astuple()), iterations, True)
 
 
 # --- certification ---------------------------------------------------------

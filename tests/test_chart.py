@@ -42,6 +42,13 @@ def test_p_to_r_boundary_error():
         p_to_r(p, UNIT)
 
 
+@pytest.mark.parametrize("masses", [(1e-170, 1e-170, 1.0, 1.0), (5e-324, 1.0, 1.0, 1.0)])
+def test_p_to_r_without_finite_distances_is_degenerate(masses):
+    p = PCoords.from_iterable([1.0 / math.sqrt(6.0)] * 6)
+    with pytest.raises(DegeneratePointError, match="no positive finite distances"):
+        p_to_r(p, MassVector(*masses))
+
+
 def test_p_to_r_uniform():
     p = PCoords.from_iterable([1.0 / math.sqrt(6.0)] * 6)
     r = p_to_r(p, UNIT)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ccc4 import cli
+from ccc4 import cli, solver
 
 from helpers import subprocess_env
 
@@ -259,6 +259,39 @@ def test_scan_rejects_nonfinite_fixed_mass(capsys):
         assert "masses must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv", [["solve", "--masses", "1e-170,1e-170,1,1"],
+                                  ["solve", "--masses", "5e-324,1,1,1"],
+                                  ["scan", "--grid", "2", "--fix", "m4=1e300"]])
+def test_masses_without_finite_distances_exit_1(argv, capsys):
+    # a mass product that under- or overflows leaves no finite distance
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "no positive finite distances" in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--masses", "1,2,3,1"], ["scan", "--grid", "2"]])
+def test_uniqueness_alarm_exits_3(argv, capsys, monkeypatch):
+    # a cluster radius below the attainable endpoint agreement splits the
+    # endpoints of one minimizer into several clusters
+    monkeypatch.setattr(solver, "CLUSTER_TOL", 1e-18)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: multistart endpoints form")
+
+
+def test_scan_rows_that_did_not_converge_print_sentinels(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
+    monkeypatch.setattr(solver, "MAX_NEWTON", 0)
+    code, out, _ = run_cli(["scan", "--grid", "2"], capsys)
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[2:]]
+    failed = [cells for cells in rows if cells[9] != "true"]
+    assert failed
+    for cells in failed:
+        assert cells[4:8] == ["", "", "", ""]
+        assert cells[9] == "false" and int(cells[8]) <= 2
+
+
 @pytest.mark.parametrize("fix", ["m4=1", "m2=1.7"])
 def test_scan_rows_equal_standalone_solves(fix, capsys, monkeypatch):
     # scan draws its starts once per grid and computes only the printed
@@ -268,8 +301,8 @@ def test_scan_rows_equal_standalone_solves(fix, capsys, monkeypatch):
 
     def standalone_values(masses, opts, starts):
         rec = minimize_U(masses, opts)
-        return cli._RowValues(rec.k_value, rec.scalars.U, rec.multipliers.lam,
-                              rec.is_cocircular, rec.iterations, rec.converged)
+        return solver._RowValues(rec.k_value, rec.scalars.U, rec.multipliers.lam,
+                                 rec.is_cocircular, rec.iterations, rec.converged)
 
     code, shared, _ = run_cli(["scan", "--grid", "4", "--fix", fix], capsys)
     assert code == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccc4 import solver
 from ccc4.chart import vw_to_p_array
 from ccc4.errors import UniquenessAlarmError
 from ccc4.geometry import DistanceVector, MassVector, moment_I
@@ -62,6 +63,16 @@ def test_recover_multipliers_square():
     assert mult.lam == pytest.approx(LAMBDA_SQ, abs=1e-14)
     assert mult.sigma == pytest.approx(SIGMA_SQ, abs=1e-14)
     assert mult.stationarity_residual <= 1e-12
+
+
+def test_recovered_residual_has_the_bits_of_stationarity_residual():
+    # recover_multipliers reuses its least-squares system for the residual
+    rng = np.random.default_rng(41)
+    for r in random_planar_distance_vectors(200, seed=41):
+        m = MassVector.from_iterable(10.0 ** rng.uniform(-3.0, 3.0, 4))
+        mult = recover_multipliers(r, m)
+        assert mult.stationarity_residual == stationarity_residual(r, m, mult.lam,
+                                                                   mult.sigma)
 
 
 def test_recovered_multipliers_minimize_residual():
@@ -325,9 +336,11 @@ def test_multistart_agreement_and_determinism():
     assert rec1.converged
 
 
-def test_non_convergence_reports_best_iterate():
+def test_non_convergence_reports_best_iterate(monkeypatch):
     # unequal masses, so the universal square start is not already optimal
-    opts = SolverOptions(starts=1, max_iter=2, max_newton=0)
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
+    monkeypatch.setattr(solver, "MAX_NEWTON", 0)
+    opts = SolverOptions(starts=1)
     rec = minimize_U(MassVector(1.7, 0.4, 2.2, 0.9), opts)
     assert not rec.converged
     assert rec.iterations <= 2
@@ -379,11 +392,12 @@ def test_cluster_radius_is_scale_free(masses):
     assert multistart_uniqueness(m, n_starts=20).cluster_count == 1
 
 
-def test_uniqueness_alarm_on_inconsistent_endpoints():
+def test_uniqueness_alarm_on_inconsistent_endpoints(monkeypatch):
     # forcing distinct endpoints through the public API is impossible (the
     # minimizer is unique), so exercise the guard by shrinking the cluster
     # tolerance below the attainable endpoint agreement
-    opts = SolverOptions(starts=8, cluster_tol=1e-18)
+    monkeypatch.setattr(solver, "CLUSTER_TOL", 1e-18)
+    opts = SolverOptions(starts=8)
     with pytest.raises(UniquenessAlarmError):
         minimize_U(MassVector(1.0, 2.0, 3.0, 1.0), opts)
 
@@ -393,25 +407,38 @@ def _start_bits(starts):
 
 
 def test_minimize_from_drawn_starts_leaves_them_unchanged():
-    from ccc4.solver import _draw_starts, _minimize
+    from ccc4.solver import _draw_starts, _scan_values
     opts = SolverOptions()
     starts = _draw_starts(opts)
     m = MassVector(1.7, 0.4, 2.2, 0.9)
-    rec = _minimize(m, opts, starts)
+    row = _scan_values(m, opts, starts)
     assert _start_bits(starts) == _start_bits(_draw_starts(opts))
-    assert rec.to_json() == minimize_U(m, opts).to_json()
+    rec = minimize_U(m, opts)
+    assert row == (rec.k_value, rec.scalars.U, rec.multipliers.lam,
+                   rec.is_cocircular, rec.iterations, rec.converged)
+
+
+def test_multistart_start_outside_E_is_an_unaccepted_endpoint():
+    from ccc4.chart import VWPoint
+    from ccc4.solver import _multistart, _u_coefficients
+    outside = VWPoint(v=np.array([0.0, 1.0, 0.0]), w=np.array([1.0, 0.0, 0.0]))
+    endpoints, clusters = _multistart(UNIT, _u_coefficients(UNIT), [outside],
+                                      SolverOptions().gtol)
+    assert len(endpoints) == 1
+    assert endpoints[0].U == math.inf and endpoints[0].r is None
+    assert clusters == []
 
 
 def test_multistart_representatives_are_canonical_distance_tuples():
     # the per-solve relabeling set must canonicalize as the per-vector rule
     from ccc4.chart import seeded_start
     from ccc4.geometry import canonical_distance_tuple
-    from ccc4.solver import _multistart
-    opts = SolverOptions()
+    from ccc4.solver import _multistart, _u_coefficients
+    gtol = SolverOptions().gtol
     starts = [seeded_start(5, i) for i in range(6)]
     for masses in ((1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 1.0, 1.0), (1.0, 3.0, 3.0, 1.0),
                    (1.0, 2.0, 1.0, 2.0), (0.5, 1.5, 0.5, 2.5)):
         m = MassVector(*masses)
-        endpoints, clusters = _multistart(m, starts, opts)
+        endpoints, clusters = _multistart(m, _u_coefficients(m), starts, gtol)
         for rep, members in clusters:
             assert tuple(rep) == canonical_distance_tuple(endpoints[members[0]].r, m)
