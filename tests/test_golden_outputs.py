@@ -1,4 +1,5 @@
-"""Byte-exact golden outputs: solve records, a scan CSV and sampler points.
+"""Byte-exact golden outputs: solve records, a scan CSV, sampler points, and
+the output of `ccc4 inverse` and `ccc4 identities`.
 
 A change meant to speed ccc4 up without changing what it computes must
 leave every byte of tests/data/golden_outputs.txt as it is.  The file pins
@@ -28,6 +29,24 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_outputs.txt"
 SOLVE_VECTORS = 12
 SCAN_ARGV = ["scan", "--grid", "3", "--fix", "m4=1"]
 SAMPLER_SEEDS = (0, 7, 51)
+# the square; two shapes on the co-circular central-configuration family,
+# one needing four recovery rounds; a shape no positive masses realize
+INVERSE_ARGVS = [
+    ["inverse", "--angles", "0,90,180,270", "--degrees"],
+    ["inverse", "--angles", "0.0,0.934233763325364,2.103472694063845,4.193729875205513",
+     "--radius", "1.5187722995320474"],
+    ["inverse", "--angles", "0.0,1.661803226858582,2.976272724627719,4.507751061926923",
+     "--radius", "1.3342396633008455"],
+    ["inverse", "--angles", "0,1,2,3"],
+]
+IDENTITIES_ARGV = ["identities", "--samples", "200", "--seed", "3"]
+
+
+def _run_cli(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return f"exit {code}\n{buf.getvalue()}"
 
 
 def render_sections() -> dict:
@@ -37,14 +56,13 @@ def render_sections() -> dict:
               for _ in range(SOLVE_VECTORS)]
     sections = {f"minimize_U {i}": minimize_U(m).to_json()
                 for i, m in enumerate(masses)}
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(SCAN_ARGV)
-    sections["ccc4 " + " ".join(SCAN_ARGV)] = f"exit {code}\n{buf.getvalue()}"
+    sections["ccc4 " + " ".join(SCAN_ARGV)] = _run_cli(SCAN_ARGV)
     for seed in SAMPLER_SEEDS:
         vw = sample_interior(np.random.default_rng(seed))
         sections[f"sample_interior default_rng({seed})"] = (
             f"v {vw.v.tolist()!r}\nw {vw.w.tolist()!r}\n")
+    for argv in INVERSE_ARGVS + [IDENTITIES_ARGV]:
+        sections["ccc4 " + " ".join(argv)] = _run_cli(argv)
     return sections
 
 
