@@ -24,6 +24,8 @@ import numpy as np
 # Pair (i, j) behind each slot of a distance vector.
 DISTANCE_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
+_SLOT_OF_PAIR = {frozenset(p): k for k, p in enumerate(DISTANCE_PAIRS)}
+
 # Slot of the opposite pair: (12)<->(34), (13)<->(24), (14)<->(23).
 OPPOSITE_SLOT = (5, 4, 3, 2, 1, 0)
 
@@ -157,6 +159,16 @@ def _out(x):
     return x if isinstance(x, np.ndarray) else float(x)
 
 
+def _fpow(x: float, e: int) -> float:
+    """x ** e for a Python float, rounded as the C library's pow rounds it,
+    but +-inf where the power overflows: numpy returns inf there, and
+    Python's float power raises OverflowError."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.copysign(math.inf, x) if e % 2 else math.inf
+
+
 def potential_U(r, m):
     """Newtonian potential sum m_i m_j / r_ij (homogeneous of degree -1)."""
     products, _ = _products_and_total(m)
@@ -167,6 +179,17 @@ def moment_I(r, m):
     """Moment of inertia (1 / 2M) sum m_i m_j r_ij^2 about the center of mass."""
     products, total = _products_and_total(m)
     return _out(np.sum(products * _rows(r) ** 2, axis=-1) / (2.0 * total))
+
+
+def _moment_I_floats(r, m) -> float:
+    """moment_I of six distances and four masses given as Python floats,
+    with its bits: the same products, summed in slot order as np.sum sums
+    six terms."""
+    r12, r13, r14, r23, r24, r34 = r
+    m1, m2, m3, m4 = m
+    return ((m1 * m2 * (r12 * r12) + m1 * m3 * (r13 * r13) + m1 * m4 * (r14 * r14)
+             + m2 * m3 * (r23 * r23) + m2 * m4 * (r24 * r24) + m3 * m4 * (r34 * r34))
+            / (2.0 * (m1 + m2 + m3 + m4)))
 
 
 def ptolemy_P(r):
@@ -250,19 +273,26 @@ class ScalarReport:
                    H=cayley_menger_H(r), K=K_term(r), Q=Q_term(r))
 
 
+# Slots of the sides ab, bc and ac of each triangle abc.
+_TRIANGLE_SLOTS = tuple(
+    (_SLOT_OF_PAIR[frozenset((a, b))], _SLOT_OF_PAIR[frozenset((b, c))],
+     _SLOT_OF_PAIR[frozenset((a, c))])
+    for a, b, c in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+
+
+def _margins(values) -> list:
+    """triangle_margins of six floats, as a list of floats."""
+    margins = []
+    for i, j, k in _TRIANGLE_SLOTS:
+        x, y, z = values[i], values[j], values[k]
+        margins.extend((x + y - z, y + z - x, z + x - y))
+    return margins
+
+
 def triangle_margins(r) -> np.ndarray:
     """The twelve strict triangle margins r_ij + r_jk - r_ik, one per
     ordered side of each of the four triangles."""
-    arr = _r6(r)
-    slot = {frozenset(p): k for k, p in enumerate(DISTANCE_PAIRS)}
-    margins = []
-    for tri in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-        a, b, c = tri
-        x = arr[slot[frozenset((a, b))]]
-        y = arr[slot[frozenset((b, c))]]
-        z = arr[slot[frozenset((a, c))]]
-        margins.extend((x + y - z, y + z - x, z + x - y))
-    return np.array(margins)
+    return np.array(_margins(_r6(r).tolist()))
 
 
 # Fixed tolerances of is_geometric and in_D.
@@ -280,10 +310,10 @@ def is_geometric(r) -> bool:
     decidable in floats.
     """
     arr = _r6(r)
-    scale = max(1.0, float(arr.max()))
-    if cayley_menger_H(arr) < -GEOMETRIC_H_COEFF * scale**8:
+    values = arr.tolist()
+    if cayley_menger_H(arr) < -GEOMETRIC_H_COEFF * _fpow(max(1.0, max(values)), 8):
         return False
-    return bool(np.all(triangle_margins(arr) > TRIANGLE_MARGIN))
+    return all(x > TRIANGLE_MARGIN for x in _margins(values))
 
 
 def in_D(r, m) -> bool:
@@ -327,8 +357,6 @@ K_RELABEL_SIGN = {
     "identity": 1, "cycle1": -1, "cycle2": 1, "cycle3": -1,
     "swap12_34": -1, "swap14_23": -1, "transpose13": 1, "transpose24": 1,
 }
-
-_SLOT_OF_PAIR = {frozenset(p): k for k, p in enumerate(DISTANCE_PAIRS)}
 
 
 def distance_index_permutation(body_perm) -> tuple:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IndeterminateShapeError, InfeasibleShapeError
 from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
-                       _r6, moment_I)
+                       _moment_I_floats, _r6)
 from .solver import recover_multipliers, sigma_sq_spread
 
 TWO_PI = 2.0 * math.pi
@@ -41,6 +41,8 @@ class CyclicShape:
         th = tuple(float(t) for t in self.theta)
         if len(th) != 4:
             raise ValueError(f"expected 4 angles, got {len(th)}")
+        if not all(math.isfinite(t) for t in th):
+            raise ValueError(f"angles must be finite, got {th}")
         object.__setattr__(self, "theta", th)
         if not (0.0 <= th[0] < TWO_PI):
             raise ValueError("theta1 must lie in [0, 2*pi)")
@@ -62,15 +64,17 @@ class CyclicShape:
         return cls(theta=tuple(doc["theta"]), radius=float(doc.get("radius", 1.0)))
 
 
+def _chords(theta, radius: float) -> list:
+    """Chord lengths 2 R sin((theta_j - theta_i) / 2) in slot order, as
+    floats."""
+    return [2.0 * radius * math.sin(0.5 * (theta[j] - theta[i]))
+            for i in range(4) for j in range(i + 1, 4)]
+
+
 def shape_to_distances(s: CyclicShape) -> DistanceVector:
     """Chord lengths r_ij = 2 R sin((theta_j - theta_i) / 2); the result
     satisfies the cyclic-quadrilateral relation P = 0 by construction."""
-    th = s.theta
-    out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append(2.0 * s.radius * math.sin(0.5 * (th[j] - th[i])))
-    return DistanceVector.from_iterable(out)
+    return DistanceVector.from_iterable(_chords(s.theta, s.radius))
 
 
 class DziobekLambda(NamedTuple):
@@ -86,9 +90,21 @@ def dziobek_lambda(r) -> DziobekLambda:
     (the quadratic terms cancel); the shape admits masses only if both
     candidates coincide and are positive.
     """
-    n = _r6(r) ** -3
+    return _dziobek(_inverse_cubes(_r6(r)))
+
+
+def _inverse_cubes(arr) -> list:
+    # numpy's vectorized power on purpose: a float x ** -3 (the C library's
+    # pow) differs from it in the last bit on some inputs, and the recovered
+    # masses keep the bits of the vectorized form; it also gives inf where
+    # the power overflows, where a float power raises
+    return (arr ** -3).tolist()
+
+
+def _dziobek(n: list) -> DziobekLambda:
+    """dziobek_lambda from n = r^-3 as six floats."""
     n12, n13, n14, n23, n24, n34 = n
-    scale = float(np.max(n))
+    scale = max(n)
 
     def solve_pair(a, b, c, d):
         den = (a + b) - (c + d)
@@ -126,26 +142,22 @@ class MassRecovery:
                                 "rounds": self.rounds}}
 
 
-def _mass_candidates(r_arr: np.ndarray, lam: float) -> np.ndarray:
+def _mass_candidates(r: list, n: list, lam: float) -> list:
     """Solve the stationarity equations for the mass products: m_i m_j is
-    proportional to sign_ij (r_kl / r_ij) / (r_ij^-3 - lam)."""
-    n = r_arr ** -3
-    den = n - lam
-    if np.any(np.abs(den) <= 1e-12 * np.abs(n)):
+    proportional to sign_ij (r_kl / r_ij) / (r_ij^-3 - lam).  r and n =
+    r^-3 are six floats each."""
+    den = [x - lam for x in n]
+    if any(abs(d) <= 1e-12 * abs(x) for d, x in zip(den, n)):
         raise IndeterminateShapeError(
             "multiplier coincides with some r_ij^-3; a mass product is "
             "forced to be unbounded")
-    c = np.asarray(PAIR_SIGN) * (r_arr[list(OPPOSITE_SLOT)] / r_arr) / den
-    signs = np.sign(c)
-    if signs.min() != signs.max():
+    c = [s * (r[o] / x) / d for s, o, x, d in zip(PAIR_SIGN, OPPOSITE_SLOT, r, den)]
+    if not (all(x > 0.0 for x in c) or all(x < 0.0 for x in c)):
         raise InfeasibleShapeError("mass products would have mixed signs")
-    d = c * signs[0]   # positive; the common sign is absorbed by sigma
+    d = [abs(x) for x in c]   # the common sign is absorbed by sigma
     # slots: 0=(12) 1=(13) 2=(14) 3=(23) 4=(24) 5=(34)
-    m1 = math.sqrt(d[0] * d[1] / d[3])
-    m2 = math.sqrt(d[0] * d[3] / d[1])
-    m3 = math.sqrt(d[1] * d[3] / d[0])
-    m4 = math.sqrt(d[2] * d[4] / d[0])
-    return np.array([m1, m2, m3, m4])
+    return [math.sqrt(d[0] * d[1] / d[3]), math.sqrt(d[0] * d[3] / d[1]),
+            math.sqrt(d[1] * d[3] / d[0]), math.sqrt(d[2] * d[4] / d[0])]
 
 
 def recover_masses(r) -> MassRecovery:
@@ -156,32 +168,42 @@ def recover_masses(r) -> MassRecovery:
     candidate masses and re-derives until the masses are stable (mass
     ratios are scale-equivariant, so this settles in a round or two).  The
     compatibility test |lam_a - lam_b| <= COMPAT_TOL applies at the I = 1
-    scale; at most MAX_ROUNDS rounds are run.
+    scale; at most MAX_ROUNDS rounds are run.  The rounds run on Python
+    floats.
     """
     arr = _r6(r)
+    n = _inverse_cubes(arr)
+    arr = arr.tolist()
     masses = None
     rounds = 0
     for rounds in range(1, MAX_ROUNDS + 1):
-        dz = dziobek_lambda(arr)
+        dz = _dziobek(n)
         lam = 0.5 * (dz.lam_a + dz.lam_b)
         try:
-            cand = _mass_candidates(arr, lam)
+            cand = _mass_candidates(arr, n, lam)
         except InfeasibleShapeError:
             # prefer reporting the root cause when the multipliers already
             # disagree (scale-free comparison; masses are not known yet)
-            if dz.compat_residual > 1e-9 * float(np.max(arr ** -3)):
+            if dz.compat_residual > 1e-9 * max(n):
                 raise InfeasibleShapeError(
                     "Dziobek multipliers of the two pairings disagree",
                     dz.compat_residual)
             raise
-        cand *= 4.0 / cand.sum()
-        if masses is not None and np.max(np.abs(cand - masses)) <= 1e-14:
+        k = 4.0 / (cand[0] + cand[1] + cand[2] + cand[3])
+        cand = [x * k for x in cand]
+        if not all(0.0 < x < math.inf for x in cand):
+            raise IndeterminateShapeError(
+                "a recovered mass under- or overflows the float range")
+        if masses is not None and max(abs(a - b) for a, b in zip(cand, masses)) <= 1e-14:
             masses = cand
             break
         masses = cand
-        arr = arr / math.sqrt(moment_I(arr, MassVector.from_iterable(masses)))
+        scale = math.sqrt(_moment_I_floats(arr, masses))
+        arr = [x / scale for x in arr]
+        n = _inverse_cubes(np.array(arr))
+    else:
+        dz = _dziobek(n)
 
-    dz = dziobek_lambda(arr)
     if dz.compat_residual > COMPAT_TOL:
         raise InfeasibleShapeError(
             "Dziobek multipliers of the two pairings disagree",

@@ -16,10 +16,10 @@ import numpy as np
 from . import serialize
 from .chart import seeded_start
 from .errors import NonRealizableError
-from .geometry import (OPPOSITE_SLOT, PAIR_SIGN, MassVector, K_term, Q_term, _m,
-                       _r6, _rows, cayley_menger_H, is_geometric, moment_I,
+from .geometry import (OPPOSITE_SLOT, PAIR_SIGN, MassVector, K_term, Q_term, _fpow,
+                       _m, _r6, _rows, cayley_menger_H, is_geometric, moment_I,
                        potential_U, ptolemy_P)
-from .inverse import CyclicShape, shape_to_distances
+from .inverse import CyclicShape, _chords
 from .solver import SolverOptions, _multistart, _u_coefficients
 
 _PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -35,16 +35,27 @@ class PlanarConfig:
     masses: MassVector
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).reshape(4, 2).copy()
+        pos = np.array(self.positions, dtype=float).reshape(4, 2)
         object.__setattr__(self, "positions", pos)
-        scale = max(1.0, float(np.abs(pos).max()))
-        com = self.masses.array @ pos / self.masses.M
-        if np.linalg.norm(com) > 1e-12 * scale:
+        rows = pos.tolist()
+        scale = max(1.0, max(abs(c) for row in rows for c in row))
+        com = _center_of_mass(rows, self.masses)
+        if math.hypot(*com) > 1e-12 * scale:
             raise ValueError(f"center of mass {com} is not at the origin")
 
-    def distances(self) -> np.ndarray:
-        pos = self.positions
-        return np.array([np.linalg.norm(pos[i] - pos[j]) for i, j in _PAIR_INDEX])
+    def distances(self) -> tuple:
+        """The six mutual distances in slot order, as floats."""
+        return _pair_distances(self.positions.tolist())
+
+
+def _center_of_mass(rows, masses: MassVector) -> tuple:
+    m, total = masses.astuple(), masses.M
+    return (sum(mi * x for mi, (x, _) in zip(m, rows)) / total,
+            sum(mi * y for mi, (_, y) in zip(m, rows)) / total)
+
+
+def _pair_distances(rows) -> tuple:
+    return tuple(math.dist(rows[i], rows[j]) for i, j in _PAIR_INDEX)
 
 
 def _heron_area(a: float, b: float, c: float) -> float:
@@ -61,7 +72,7 @@ def _heron_area(a: float, b: float, c: float) -> float:
 def circumradius(r) -> float:
     """Circumradius of the cyclic quadrilateral from triangle (1,2,3),
     cross-checked against triangle (1,2,4) to EMBED_RTOL."""
-    r12, r13, r14, r23, r24, r34 = _r6(r)
+    r12, r13, r14, r23, r24, r34 = _r6(r).tolist()
     rc1 = r12 * r13 * r23 / (4.0 * _heron_area(r12, r13, r23))
     rc2 = r12 * r14 * r24 / (4.0 * _heron_area(r12, r14, r24))
     if abs(rc1 - rc2) > EMBED_RTOL * max(rc1, rc2):
@@ -78,40 +89,46 @@ def embed_cyclic(r, m) -> PlanarConfig:
     The first three bodies are placed by trilateration and the fourth by
     its two circle-consistent candidates, keeping the one that reproduces
     r34; every mutual distance of the result matches the input to
-    EMBED_RTOL relative to the largest.
+    EMBED_RTOL relative to the largest.  The placement runs on Python
+    floats.
     """
     arr = _r6(r)
-    scale = float(arr.max())
+    values = arr.tolist()
+    scale = max(values)
     if not is_geometric(arr):
         raise NonRealizableError("distance vector is not geometrically realizable")
-    if abs(K_term(arr)) > 1e-6 * scale ** 3 or abs(ptolemy_P(arr)) > 1e-6 * scale ** 2:
+    if (abs(K_term(arr)) > 1e-6 * _fpow(scale, 3)
+            or abs(ptolemy_P(arr)) > 1e-6 * _fpow(scale, 2)):
         raise NonRealizableError("distance vector is not cyclic (P or K residual "
                                  "too large)")
-    r12, r13, r14, r23, r24, r34 = arr
-    p1 = np.array([0.0, 0.0])
-    p2 = np.array([r12, 0.0])
-    x3 = (r12 ** 2 + r13 ** 2 - r23 ** 2) / (2.0 * r12)
-    y3sq = r13 ** 2 - x3 ** 2
-    if y3sq < -EMBED_RTOL * scale ** 2:
+    r12, r13, r14, r23, r24, r34 = values
+    slack = EMBED_RTOL * _fpow(scale, 2)
+    x3 = (r12 * r12 + r13 * r13 - r23 * r23) / (2.0 * r12)
+    y3sq = r13 * r13 - x3 * x3
+    if y3sq < -slack:
         raise NonRealizableError("triangle (1,2,3) cannot be embedded")
-    p3 = np.array([x3, math.sqrt(max(y3sq, 0.0))])
-    x4 = (r12 ** 2 + r14 ** 2 - r24 ** 2) / (2.0 * r12)
-    y4sq = r14 ** 2 - x4 ** 2
-    if y4sq < -EMBED_RTOL * scale ** 2:
+    y3 = math.sqrt(max(y3sq, 0.0))
+    x4 = (r12 * r12 + r14 * r14 - r24 * r24) / (2.0 * r12)
+    y4sq = r14 * r14 - x4 * x4
+    if y4sq < -slack:
         raise NonRealizableError("triangle (1,2,4) cannot be embedded")
     y4 = math.sqrt(max(y4sq, 0.0))
-    cands = [np.array([x4, y4]), np.array([x4, -y4])]
-    p4 = min(cands, key=lambda q: abs(np.linalg.norm(q - p3) - r34))
-    if abs(np.linalg.norm(p4 - p3) - r34) > EMBED_RTOL * scale:
+    # the candidate below the axis only if it reproduces r34 strictly better
+    miss_up = abs(math.hypot(x4 - x3, y4 - y3) - r34)
+    miss_down = abs(math.hypot(x4 - x3, -y4 - y3) - r34)
+    if miss_down < miss_up:
+        y4, miss_up = -y4, miss_down
+    if miss_up > EMBED_RTOL * scale:
         raise NonRealizableError("no embedding reproduces r34; input is not "
                                  "a realizable cyclic vector")
-    pos = np.vstack([p1, p2, p3, p4])
     masses = _m(m)
-    pos -= masses.array @ pos / masses.M
-    cfg = PlanarConfig(positions=pos, masses=masses)
-    if np.max(np.abs(cfg.distances() - arr)) > EMBED_RTOL * scale:
+    rows = [[0.0, 0.0], [r12, 0.0], [x3, y3], [x4, y4]]
+    cx, cy = _center_of_mass(rows, masses)
+    rows = [[x - cx, y - cy] for x, y in rows]
+    if not all(abs(d - a) <= EMBED_RTOL * scale
+               for d, a in zip(_pair_distances(rows), values)):
         raise NonRealizableError("embedded distances do not reproduce the input")
-    return cfg
+    return PlanarConfig(positions=rows, masses=masses)
 
 
 def cartesian_cc_residual(cfg: PlanarConfig, lambda_q: float | None = None,
@@ -120,25 +137,34 @@ def cartesian_cc_residual(cfg: PlanarConfig, lambda_q: float | None = None,
     lambda m_i q_i = sum_j m_i m_j (q_j - q_i) / r_ij^3.
 
     With fit=True the multiplier is chosen by least squares over all four
-    bodies; otherwise lambda_q must be supplied.
+    bodies; otherwise lambda_q must be supplied.  Coincident bodies give an
+    infinite residual.
     """
-    pos, masses = cfg.positions, cfg.masses.array
-    F = np.zeros((4, 2))
-    for i in range(4):
-        for j in range(4):
+    rows, m = cfg.positions.tolist(), cfg.masses.astuple()
+    force = [[0.0, 0.0] for _ in range(4)]
+    for i, (xi, yi) in enumerate(rows):
+        for j, (xj, yj) in enumerate(rows):
             if i == j:
                 continue
-            diff = pos[j] - pos[i]
-            F[i] += masses[i] * masses[j] * diff / np.linalg.norm(diff) ** 3
-    target = masses[:, None] * pos
+            dx, dy = xj - xi, yj - yi
+            d = math.hypot(dx, dy)
+            d3 = d * d * d
+            if d3 == 0.0:
+                return math.inf
+            c = m[i] * m[j] / d3
+            force[i][0] += c * dx
+            force[i][1] += c * dy
+    target = [(mi * x, mi * y) for mi, (x, y) in zip(m, rows)]
     if fit:
-        denom = float(np.sum(target * target))
+        denom = sum(tx * tx + ty * ty for tx, ty in target)
         if denom == 0.0:
             raise ValueError("all bodies at the origin; multiplier is undefined")
-        lambda_q = float(np.sum(F * target)) / denom
+        lambda_q = sum(fx * tx + fy * ty for (fx, fy), (tx, ty) in zip(force, target)) / denom
     elif lambda_q is None:
         raise ValueError("lambda_q is required unless fit=True")
-    return float(np.max(np.linalg.norm(F - lambda_q * target, axis=1)))
+    res = [math.hypot(fx - lambda_q * tx, fy - lambda_q * ty)
+           for (fx, fy), (tx, ty) in zip(force, target)]
+    return math.nan if any(math.isnan(x) for x in res) else max(res)
 
 
 def embed_planar_lsq(r, m) -> PlanarConfig:
@@ -216,18 +242,28 @@ def fd_hessian(f, r, h=None) -> np.ndarray:
 
 # --- randomized shapes and uniqueness sweeps --------------------------------
 
-def sample_cyclic_shapes(n: int, seed: int, min_gap: float = 0.15,
-                         radius_range=(0.5, 2.0)) -> list:
+SHAPE_MIN_GAP = 0.15          # default angular gap of sample_cyclic_shapes
+SHAPE_RADIUS_RANGE = (0.5, 2.0)
+
+
+def _cyclic_draws(n: int, seed: int, min_gap: float = SHAPE_MIN_GAP,
+                  radius_range=SHAPE_RADIUS_RANGE):
+    """Angles and radius of n random cyclic shapes, as Python floats, in
+    the order the generator draws them."""
+    rng = np.random.default_rng(seed)
+    alpha = np.ones(4)
+    for _ in range(n):
+        g1, g2, g3, _ = (min_gap + rng.dirichlet(alpha)
+                         * (2.0 * math.pi - 4.0 * min_gap)).tolist()
+        yield (0.0, g1, g1 + g2, g1 + g2 + g3), float(rng.uniform(*radius_range))
+
+
+def sample_cyclic_shapes(n: int, seed: int, min_gap: float = SHAPE_MIN_GAP,
+                         radius_range=SHAPE_RADIUS_RANGE) -> list:
     """Deterministic batch of random cyclic shapes with a minimum angular
     separation, keeping all chords well away from zero."""
-    rng = np.random.default_rng(seed)
-    shapes = []
-    for _ in range(n):
-        gaps = min_gap + rng.dirichlet(np.ones(4)) * (2.0 * math.pi - 4.0 * min_gap)
-        theta = (0.0, gaps[0], gaps[0] + gaps[1], gaps[0] + gaps[1] + gaps[2])
-        shapes.append(CyclicShape(theta=theta,
-                                  radius=float(rng.uniform(*radius_range))))
-    return shapes
+    return [CyclicShape(theta=theta, radius=radius)
+            for theta, radius in _cyclic_draws(n, seed, min_gap, radius_range)]
 
 
 @dataclass(frozen=True)
@@ -338,15 +374,17 @@ def run_identity_battery(samples: int, seed: int) -> list:
                             max(abs(Q_term(sq) - 8.0), abs(Q_term(ones) - 2.0)),
                             1e-12))
 
-    # circumradius and shape_to_distances can each raise for one shape, so
-    # they run per shape; the invariants run on the stack of the chunk
+    # the chords of the shapes sample_cyclic_shapes(n_shapes, seed + 1)
+    # draws; circumradius can raise for one shape, so it runs per shape,
+    # and the invariants run on the stack of the chunk
     n_shapes = max(100, samples // 10)
-    shapes = sample_cyclic_shapes(n_shapes, seed + 1)
+    chords = [_chords(theta, radius)
+              for theta, radius in _cyclic_draws(n_shapes, seed + 1)]
     worst_k, worst_h, worst_grad, worst_rc = [], [], [], []
     for start in range(0, n_shapes, BATTERY_CHUNK):
-        arr = np.array([shape_to_distances(shape).array
-                        for shape in shapes[start:start + BATTERY_CHUNK]])
-        rc = np.array([circumradius(row) for row in arr])
+        chunk = chords[start:start + BATTERY_CHUNK]
+        arr = np.array(chunk)
+        rc = np.array([circumradius(row) for row in chunk])
         worst_k.append(np.max(np.abs(K_term(arr))))
         worst_h.append(np.max(np.abs(cayley_menger_H(arr))))
         q2 = 2.0 * Q_term(arr)

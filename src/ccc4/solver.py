@@ -28,8 +28,8 @@ from . import kernels, serialize
 from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_floats
 from .errors import IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DistanceVector, K_term, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
-                       ScalarReport, _admissible_slots, _canonical, _m, _r6,
-                       moment_I, potential_U, ptolemy_P)
+                       ScalarReport, _admissible_slots, _canonical, _fpow, _m,
+                       _moment_I_floats, _r6, moment_I, potential_U, ptolemy_P)
 
 RNG_NAME = "numpy-pcg64"
 RECORD_SCHEMA = "ccc4-solverecord-1"
@@ -218,20 +218,27 @@ def sigma_sq_values(r, m, lam: float) -> np.ndarray:
     """The three opposite-pair products m1 m2 m3 m4 (r_ij^-3 - lam)
     (r_kl^-3 - lam), all equal to sigma^2 at a critical point; ordered by
     pairing (12,34), (14,23), (13,24)."""
-    r12, r13, r14, r23, r24, r34 = _r6(r)
-    m4 = float(np.prod(_m(m).array))
-    return np.array([
-        m4 * (r12 ** -3 - lam) * (r34 ** -3 - lam),
-        m4 * (r14 ** -3 - lam) * (r23 ** -3 - lam),
-        m4 * (r13 ** -3 - lam) * (r24 ** -3 - lam),
-    ])
+    return np.array(_sigma_sq(r, m, lam))
+
+
+def _sigma_sq(r, m, lam: float) -> tuple:
+    """sigma_sq_values as a tuple of Python floats, inf where r^-3
+    overflows."""
+    n12, n13, n14, n23, n24, n34 = (_fpow(x, -3) for x in _r6(r).tolist())
+    m1, m2, m3, m4 = _m(m).astuple()
+    prod = m1 * m2 * m3 * m4
+    return (prod * (n12 - lam) * (n34 - lam),
+            prod * (n14 - lam) * (n23 - lam),
+            prod * (n13 - lam) * (n24 - lam))
 
 
 def sigma_sq_spread(r, m, lam: float) -> float:
     """Relative spread (max - min) / max |.| of the three sigma^2 products;
-    zero at a critical point."""
-    s2 = sigma_sq_values(r, m, lam)
-    return float((s2.max() - s2.min()) / max(np.abs(s2).max(), 1e-300))
+    zero at a critical point, NaN when a product is NaN."""
+    s2 = _sigma_sq(r, m, lam)
+    if any(math.isnan(x) for x in s2):
+        return math.nan
+    return (max(s2) - min(s2)) / max(max(abs(x) for x in s2), 1e-300)
 
 
 def a_terms(r, m, mult: Multipliers) -> ATerms:
@@ -253,16 +260,16 @@ def a_terms(r, m, mult: Multipliers) -> ATerms:
 def dziobek_residual(r, lam: float) -> float:
     """Deviation from the Dziobek relation: the three opposite-pair products
     (r_ij^-3 - lam)(r_kl^-3 - lam) must coincide."""
-    r12, r13, r14, r23, r24, r34 = _r6(r)
-    p_sides = (r12 ** -3 - lam) * (r34 ** -3 - lam)
-    p_diag = (r13 ** -3 - lam) * (r24 ** -3 - lam)
-    p_other = (r14 ** -3 - lam) * (r23 ** -3 - lam)
+    n12, n13, n14, n23, n24, n34 = (_fpow(x, -3) for x in _r6(r).tolist())
+    p_sides = (n12 - lam) * (n34 - lam)
+    p_diag = (n13 - lam) * (n24 - lam)
+    p_other = (n14 - lam) * (n23 - lam)
     return max(abs(p_sides - p_diag), abs(p_sides - p_other))
 
 
 def _cocircular(k_value: float, r: tuple, tol: float = COCIRCULAR_TOL) -> bool:
     # the co-circularity rule, on K and the six distances as floats
-    return bool(abs(k_value) <= tol * max(r) ** 3)
+    return bool(abs(k_value) <= tol * _fpow(max(r), 3))
 
 
 def classify_cocircular(rec: SolveRecord, tol: float = COCIRCULAR_TOL) -> bool:
@@ -392,7 +399,7 @@ def _record_from_point(v, w, masses: MassVector, iterations: int,
     mult = recover_multipliers(r_arr, masses)
     minors = principal_minors(hessian_L(r_arr, masses, mult))
     terms = a_terms(r_arr, masses, mult)
-    s2 = sigma_sq_values(r_arr, masses, mult.lam)
+    s2 = _sigma_sq(r_arr, masses, mult.lam)
     return SolveRecord(
         masses=masses,
         r_star=r_star,
@@ -402,7 +409,7 @@ def _record_from_point(v, w, masses: MassVector, iterations: int,
         minors=minors,
         a_terms=terms.raw,
         dziobek_residual=dziobek_residual(r_arr, mult.lam),
-        sigma_sq_residuals=tuple(float(x) for x in s2 - mult.sigma ** 2),
+        sigma_sq_residuals=tuple(x - mult.sigma ** 2 for x in s2),
         iterations=iterations,
         converged=converged,
         is_cocircular=converged and _cocircular(scalars.K, r_star.astuple()),
@@ -545,21 +552,22 @@ def certify_minimum(rec: SolveRecord) -> CertReport:
     of each factor is amplified by cond = S / min |n - lambda|, so it is
     bounded by SIGMA_SQ_RTOL cond.  Each check reports the threshold used.
     """
-    r_arr = rec.r_star.array
+    r = rec.r_star.astuple()
     masses = rec.masses
     mult = rec.multipliers
     checks = {}
 
     checks["lambda_positive"] = CheckResult(mult.lam > 0.0, mult.lam, 0.0)
 
-    stat = stationarity_residual(r_arr, masses, mult.lam, mult.sigma)
+    stat = stationarity_residual(r, masses, mult.lam, mult.sigma)
     checks["stationarity"] = CheckResult(stat <= STATIONARITY_TOL, stat, STATIONARITY_TOL)
 
-    scalars = ScalarReport.evaluate(r_arr, masses)
-    cons = max(abs(scalars.I - 1.0), abs(scalars.P))
+    r12, r13, r14, r23, r24, r34 = r
+    cons = max(abs(_moment_I_floats(r, masses.astuple()) - 1.0),
+               abs(r12 * r34 + r14 * r23 - r13 * r24))
     checks["constraints"] = CheckResult(cons <= CERT_CONSTRAINT_TOL, cons, CERT_CONSTRAINT_TOL)
 
-    H = hessian_L(r_arr, masses, mult)
+    H = hessian_L(r, masses, mult)
     minors = principal_minors(H)
     minors_ok = min(minors) > 0.0
     try:
@@ -571,16 +579,16 @@ def certify_minimum(rec: SolveRecord) -> CertReport:
     checks["posdef_agreement"] = CheckResult(chol_ok == minors_ok,
                                              float(chol_ok == minors_ok), 1.0)
 
-    n = [x ** -3 for x in r_arr.tolist()]
+    n = [_fpow(x, -3) for x in r]
     scale = max(max(n), mult.lam)
     gap = min(abs(x - mult.lam) for x in n)
     cond = scale / gap if gap > 0.0 else math.inf
-    checks["dziobek"] = _scaled_check(dziobek_residual(r_arr, mult.lam),
-                                      DZIOBEK_RTOL * scale ** 2)
+    checks["dziobek"] = _scaled_check(dziobek_residual(r, mult.lam),
+                                      DZIOBEK_RTOL * _fpow(scale, 2))
     checks["sigma_sq_consistent"] = _scaled_check(
-        sigma_sq_spread(r_arr, masses, mult.lam), SIGMA_SQ_RTOL * cond)
+        sigma_sq_spread(r, masses, mult.lam), SIGMA_SQ_RTOL * cond)
 
     k_ok = classify_cocircular(rec) == rec.is_cocircular
     checks["cocircular_consistent"] = CheckResult(
-        k_ok, abs(rec.k_value), COCIRCULAR_TOL * max(rec.r_star.astuple()) ** 3)
+        k_ok, abs(rec.k_value), COCIRCULAR_TOL * _fpow(max(r), 3))
     return CertReport(checks=checks)

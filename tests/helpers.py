@@ -316,3 +316,75 @@ def identity_battery_one_sample_at_a_time(samples, seed):
         worst_hom = max(worst_hom, res_h / (1e-9 * (1.0 + scaled.max()) ** 8))
     rows.append(IdentityRow("homogeneity_degrees", n_hom, worst_hom, 1.0))
     return rows
+
+
+def recover_masses_numpy(r):
+    """Reference route of inverse.recover_masses on numpy arrays: the same
+    rounds, each re-deriving r^-3, the multipliers and the candidate masses
+    from the distance array.  Returns (masses, lam, sigma, compat_residual,
+    stationarity_residual, sigma_sq_spread, rounds), or raises as
+    recover_masses raises."""
+    from ccc4.errors import IndeterminateShapeError, InfeasibleShapeError
+    from ccc4.geometry import OPPOSITE_SLOT
+    from ccc4.inverse import COMPAT_TOL, MAX_ROUNDS
+    from ccc4.solver import recover_multipliers
+
+    def dziobek(arr):
+        n12, n13, n14, n23, n24, n34 = n = arr ** -3
+        scale = float(np.max(n))
+
+        def solve_pair(a, b, c, d):
+            den = (a + b) - (c + d)
+            if abs(den) <= 1e-13 * scale:
+                raise IndeterminateShapeError("coincide")
+            return (a * b - c * d) / den
+
+        lam_a = solve_pair(n12, n34, n13, n24)
+        lam_b = solve_pair(n14, n23, n13, n24)
+        return lam_a, lam_b, abs(lam_a - lam_b)
+
+    def candidates(arr, lam):
+        n = arr ** -3
+        den = n - lam
+        if np.any(np.abs(den) <= 1e-12 * np.abs(n)):
+            raise IndeterminateShapeError("unbounded")
+        c = np.asarray(PAIR_SIGN) * (arr[list(OPPOSITE_SLOT)] / arr) / den
+        signs = np.sign(c)
+        if signs.min() != signs.max():
+            raise InfeasibleShapeError("mixed signs")
+        d = c * signs[0]
+        return np.array([math.sqrt(d[0] * d[1] / d[3]), math.sqrt(d[0] * d[3] / d[1]),
+                         math.sqrt(d[1] * d[3] / d[0]), math.sqrt(d[2] * d[4] / d[0])])
+
+    arr = np.array(r, dtype=float)
+    masses = None
+    for rounds in range(1, MAX_ROUNDS + 1):
+        lam_a, lam_b, compat = dziobek(arr)
+        try:
+            cand = candidates(arr, 0.5 * (lam_a + lam_b))
+        except InfeasibleShapeError:
+            if compat > 1e-9 * float(np.max(arr ** -3)):
+                raise InfeasibleShapeError("disagree", compat)
+            raise
+        cand *= 4.0 / cand.sum()
+        if masses is not None and np.max(np.abs(cand - masses)) <= 1e-14:
+            masses = cand
+            break
+        masses = cand
+        arr = arr / math.sqrt(moment_I(arr, MassVector.from_iterable(masses)))
+    lam_a, lam_b, compat = dziobek(arr)
+    if compat > COMPAT_TOL:
+        raise InfeasibleShapeError("disagree", compat)
+    if 0.5 * (lam_a + lam_b) <= 0.0:
+        raise InfeasibleShapeError("not positive")
+    mv = MassVector.from_iterable(masses)
+    mult = recover_multipliers(arr, mv)
+    r12, r13, r14, r23, r24, r34 = arr
+    lam = mult.lam
+    prod = float(np.prod(mv.array))
+    s2 = np.array([prod * (r12 ** -3 - lam) * (r34 ** -3 - lam),
+                   prod * (r14 ** -3 - lam) * (r23 ** -3 - lam),
+                   prod * (r13 ** -3 - lam) * (r24 ** -3 - lam)])
+    spread = float((s2.max() - s2.min()) / max(np.abs(s2).max(), 1e-300))
+    return (mv.astuple(), mult.lam, mult.sigma, float(compat),
+            mult.stationarity_residual, spread, rounds)

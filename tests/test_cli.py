@@ -153,6 +153,13 @@ def test_inverse_coincident_angles(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("angles", ["0,1,2,nan", "0,1,2,inf"])
+def test_inverse_nonfinite_angle_is_named(angles, capsys):
+    code, _, err = run_cli(["inverse", "--angles", angles], capsys)
+    assert code == 64
+    assert "angles must be finite" in err
+
+
 def test_inverse_flag_validation(capsys):
     assert run_cli(["inverse", "--angles", "0,1,2"], capsys)[0] == 64
     assert run_cli(["inverse", "--angles", "0,1,2,3", "--radius", "-2"], capsys)[0] == 64
@@ -179,6 +186,24 @@ def test_certify_tampered_record(tmp_path, capsys):
     assert code == 1
     assert "certificate: FAIL" in out
     assert "stationarity: FAIL" in out
+
+
+@pytest.mark.parametrize("field, key, value", [("multipliers", "lambda", 1e308),
+                                                ("r_star", "r12", 1e-200),
+                                                ("r_star", "r12", 1e200)])
+def test_certify_prints_a_failing_certificate_where_a_power_overflows(
+        field, key, value, tmp_path, capsys):
+    # lambda^2, r^-3 and (max r)^3 overflow the float range: the checks
+    # that read them fail instead of raising OverflowError
+    rec_path = tmp_path / "rec.json"
+    assert run_cli(["solve", "--masses", "1,1,1,1", "--out", str(rec_path)],
+                   capsys)[0] == 0
+    doc = json.loads(rec_path.read_text())
+    doc[field][key] = value
+    rec_path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["certify", "--in", str(rec_path)], capsys)
+    assert code == 1
+    assert out.endswith("certificate: FAIL\n")
 
 
 def test_certify_unreadable_inputs(tmp_path, capsys):

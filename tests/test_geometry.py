@@ -8,7 +8,8 @@ from ccc4.geometry import (DistanceVector, K_RELABEL_SIGN, MassVector,
                            K_term, RELABEL_RTOL, admissible_relabelings,
                            canonical_distance_tuple, cayley_menger_H, in_D,
                            is_geometric, moment_I, potential_U, ptolemy_P,
-                           relabel_distances, triangle_margins)
+                           relabel_distances, triangle_margins, _fpow,
+                           _moment_I_floats)
 from ccc4.inverse import CyclicShape, shape_to_distances
 
 from helpers import normalized_to_unit_inertia, random_planar_distance_vectors
@@ -277,3 +278,28 @@ def test_canonicalization_against_one_relabeling_set_matches_the_reference():
                        for perm in admissible_relabelings(m))
             assert canonical_distance_tuple(arr, m) == want
             assert _canonical(arr.tolist(), slots) == want
+
+
+def test_fpow_keeps_the_bits_of_pow_and_gives_inf_on_overflow():
+    rng = np.random.default_rng(23)
+    for x in (10.0 ** rng.uniform(-30.0, 30.0, 2000)).tolist():
+        for e in (-3, 2, 3, 8):
+            assert _fpow(x, e) == x ** e
+    assert _fpow(1e-200, -3) == math.inf
+    assert _fpow(1e200, 3) == math.inf
+    assert _fpow(-1e200, 3) == -math.inf
+    assert _fpow(-1e200, 2) == math.inf
+    assert _fpow(1e308, 2) == math.inf
+
+
+def test_moment_of_floats_has_the_bits_of_moment_I():
+    rng = np.random.default_rng(24)
+    for _ in range(2000):
+        r = (10.0 ** rng.uniform(-3.0, 3.0, 6)).tolist()
+        m = (10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist()
+        assert _moment_I_floats(r, m) == moment_I(r, MassVector(*m))
+
+
+def test_is_geometric_beyond_the_range_of_the_eighth_power():
+    # max(1, max r)^8 overflows for r above 1e38; the bound is then inf
+    assert is_geometric(SQUARE.scaled(1e40))

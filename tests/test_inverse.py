@@ -10,6 +10,8 @@ from ccc4.inverse import (CyclicShape, dziobek_lambda, masses_from_shape,
 from ccc4.oracle import sample_cyclic_shapes
 from ccc4.solver import minimize_U
 
+from helpers import random_masses, recover_masses_numpy
+
 SQUARE_ON_UNIT_CIRCLE = CyclicShape(
     theta=(0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi), radius=1.0)
 
@@ -163,3 +165,36 @@ def test_kite_round_trip_through_forward_solve():
     assert rec.converged and rec.is_cocircular
     want = r_shape.array / math.sqrt(moment_I(r_shape.array, out.masses))
     assert np.max(np.abs(rec.r_star.array - want)) <= 1e-9
+
+
+def _recovery_or_error(route, r):
+    try:
+        return route(r)
+    except (IndeterminateShapeError, InfeasibleShapeError) as exc:
+        return type(exc), getattr(exc, "value", None)
+
+
+def test_recovery_has_the_bits_of_the_numpy_route():
+    # the rounds run on floats with one vectorized r^-3 each; every
+    # recovered value, the round count and the failure kind match the
+    # numpy route bit for bit
+    def floats(r):
+        out = recover_masses(r)
+        return (out.masses.astuple(), out.lam, out.sigma, out.compat_residual,
+                out.stationarity_residual, out.sigma_sq_spread, out.rounds)
+
+    inputs = [shape_to_distances(shape).array * scale
+              for shape in sample_cyclic_shapes(200, seed=52) for scale in (1.0, 3.7)]
+    for deg in range(62, 120, 4):
+        a = math.radians(deg)
+        inputs.append(shape_to_distances(
+            CyclicShape(theta=(0.0, a, math.pi, 2.0 * math.pi - a), radius=1.3)).array)
+    for m in random_masses(6, seed=53):
+        a, b = m.m1, m.m3      # adjacent equal pairs give co-circular trapezoids
+        inputs.append(minimize_U(MassVector(a, a, b, b)).r_star.array)
+    recovered = 0
+    for r in inputs:
+        got = _recovery_or_error(floats, r)
+        assert got == _recovery_or_error(recover_masses_numpy, r)
+        recovered += isinstance(got, tuple)
+    assert recovered >= 20

@@ -61,6 +61,44 @@ def test_cartesian_residual_random_config_bounded_away():
         assert cartesian_cc_residual(cfg, fit=True) > 1e-4
 
 
+def _cartesian_residual_numpy(pos, masses, lambda_q):
+    F = np.zeros((4, 2))
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                diff = pos[j] - pos[i]
+                F[i] += masses[i] * masses[j] * diff / np.linalg.norm(diff) ** 3
+    return float(np.max(np.linalg.norm(F - lambda_q * masses[:, None] * pos, axis=1)))
+
+
+def test_cartesian_residual_agrees_with_the_numpy_route():
+    # the float route sums the forces in another order and takes hypot for
+    # the norms: the residuals agree to rounding, relative to the forces
+    rng = np.random.default_rng(63)
+    for _ in range(200):
+        masses = MassVector.from_iterable(10.0 ** rng.uniform(-2.0, 2.0, 4))
+        pos = rng.normal(size=(4, 2))
+        pos -= masses.array @ pos / masses.M
+        cfg = PlanarConfig(positions=pos, masses=masses)
+        lam = float(rng.uniform(0.1, 2.0))
+        want = _cartesian_residual_numpy(cfg.positions, masses.array, lam)
+        assert cartesian_cc_residual(cfg, lambda_q=lam) == pytest.approx(want, rel=1e-12)
+
+
+def test_coincident_bodies_give_an_infinite_residual():
+    cfg = PlanarConfig(positions=[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]],
+                       masses=UNIT)
+    assert cartesian_cc_residual(cfg, fit=True) == math.inf
+    assert cartesian_cc_residual(cfg, lambda_q=0.5) == math.inf
+
+
+def test_embed_square_beyond_the_range_of_the_eighth_power():
+    # (max r)^8 overflows above 1e38, where the float power raised before
+    cfg = embed_cyclic(SQUARE.scaled(1e40), UNIT)
+    assert np.allclose(cfg.distances(), SQUARE.array * 1e40, rtol=1e-12)
+    assert cartesian_cc_residual(cfg, fit=True) <= 1e-9 * 1e-80
+
+
 def test_cartesian_residual_rotation_invariant():
     cfg = embed_cyclic(SQUARE, UNIT)
     res0 = cartesian_cc_residual(cfg, lambda_q=0.3)

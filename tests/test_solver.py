@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ccc4 import solver
 from ccc4.chart import vw_to_p_array
 from ccc4.errors import UniquenessAlarmError
-from ccc4.geometry import DistanceVector, MassVector, moment_I
+from ccc4.geometry import DistanceVector, MassVector, ScalarReport, moment_I
 from ccc4.solver import (DZIOBEK_RTOL, SIGMA_SQ_RTOL, Multipliers, SolveRecord,
                          SolverOptions, _scaled_check, a_terms,
                          certify_minimum, classify_cocircular,
@@ -270,6 +270,28 @@ def test_certify_fails_where_lambda_leaves_no_scale():
     mult = replace(rec.multipliers, lam=r12 ** -3)
     check = certify_minimum(replace(rec, multipliers=mult)).checks["sigma_sq_consistent"]
     assert check.threshold == math.inf
+
+
+def test_certify_values_have_the_bits_of_the_numpy_routes():
+    # the constraint, Dziobek and sigma^2 values run on floats; they keep
+    # the bits of ScalarReport and of the numpy scalar expressions
+    for m in _log_uniform_masses(20, seed=45):
+        rec = minimize_U(m)
+        checks = certify_minimum(rec).checks
+        arr, lam = rec.r_star.array, rec.multipliers.lam
+        scalars = ScalarReport.evaluate(arr, m)
+        assert checks["constraints"].value == max(abs(scalars.I - 1.0), abs(scalars.P))
+        r12, r13, r14, r23, r24, r34 = arr
+        sides = (r12 ** -3 - lam) * (r34 ** -3 - lam)
+        assert checks["dziobek"].value == max(
+            abs(sides - (r13 ** -3 - lam) * (r24 ** -3 - lam)),
+            abs(sides - (r14 ** -3 - lam) * (r23 ** -3 - lam)))
+        prod = float(np.prod(m.array))
+        s2 = np.array([prod * (r12 ** -3 - lam) * (r34 ** -3 - lam),
+                       prod * (r14 ** -3 - lam) * (r23 ** -3 - lam),
+                       prod * (r13 ** -3 - lam) * (r24 ** -3 - lam)])
+        assert checks["sigma_sq_consistent"].value == \
+            (s2.max() - s2.min()) / max(np.abs(s2).max(), 1e-300)
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1e-12, math.inf, math.nan])
