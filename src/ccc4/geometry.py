@@ -24,8 +24,6 @@ import numpy as np
 # Pair (i, j) behind each slot of a distance vector.
 DISTANCE_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
-_SLOT_OF_PAIR = {frozenset(p): k for k, p in enumerate(DISTANCE_PAIRS)}
-
 # Slot of the opposite pair: (12)<->(34), (13)<->(24), (14)<->(23).
 OPPOSITE_SLOT = (5, 4, 3, 2, 1, 0)
 
@@ -273,11 +271,8 @@ class ScalarReport:
                    H=cayley_menger_H(r), K=K_term(r), Q=Q_term(r))
 
 
-# Slots of the sides ab, bc and ac of each triangle abc.
-_TRIANGLE_SLOTS = tuple(
-    (_SLOT_OF_PAIR[frozenset((a, b))], _SLOT_OF_PAIR[frozenset((b, c))],
-     _SLOT_OF_PAIR[frozenset((a, c))])
-    for a, b, c in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+# Slots of the sides ab, bc and ac of the triangles abc = 123, 124, 134, 234.
+_TRIANGLE_SLOTS = ((0, 3, 1), (0, 4, 2), (1, 5, 2), (3, 5, 4))
 
 
 def _margins(values) -> list:
@@ -357,6 +352,8 @@ K_RELABEL_SIGN = {
     "identity": 1, "cycle1": -1, "cycle2": 1, "cycle3": -1,
     "swap12_34": -1, "swap14_23": -1, "transpose13": 1, "transpose24": 1,
 }
+
+_SLOT_OF_PAIR = {frozenset(p): k for k, p in enumerate(DISTANCE_PAIRS)}
 
 
 def distance_index_permutation(body_perm) -> tuple:

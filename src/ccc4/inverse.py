@@ -202,6 +202,7 @@ def recover_masses(r) -> MassRecovery:
         arr = [x / scale for x in arr]
         n = _inverse_cubes(np.array(arr))
     else:
+        # the rounds ran out after a rescale; judge the final scale
         dz = _dziobek(n)
 
     if dz.compat_residual > COMPAT_TOL:
