@@ -376,7 +376,7 @@ def recover_masses_numpy(r):
     if compat > COMPAT_TOL:
         raise InfeasibleShapeError("disagree", compat)
     if 0.5 * (lam_a + lam_b) <= 0.0:
-        raise InfeasibleShapeError("not positive")
+        raise InfeasibleShapeError("not positive", 0.5 * (lam_a + lam_b))
     mv = MassVector.from_iterable(masses)
     mult = recover_multipliers(arr, mv)
     r12, r13, r14, r23, r24, r34 = arr
