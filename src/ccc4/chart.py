@@ -106,7 +106,7 @@ class VWPoint:
 def r_to_p(r, m) -> PCoords:
     """Mass-weighted normalization p_ij = r_ij sqrt(m_i m_j / 2M)."""
     masses = _m(m)
-    p = _r6(r) * np.sqrt(masses.products() / (2.0 * masses.M))
+    p = np.array(_r6(r)) * np.sqrt(masses.products() / (2.0 * masses.M))
     return PCoords.from_iterable(p)
 
 

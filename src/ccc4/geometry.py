@@ -6,10 +6,11 @@ quadrilateral, so r13 and r24 are the diagonals.  That convention is a
 documented contract of every function here; relabeling is the caller's job.
 
 The six scalar invariants (U, I, P, K, Q, H) also take a stack of vectors:
-r of shape (6,) gives a float, r of shape (n, 6) an (n,) array, and U and I
-take one mass vector or an (n, 4) stack of them.  A stack is evaluated by
-the same elementwise expressions as a single vector, so each row of the
-result has the bits of the single-vector call.
+one distance vector gives a float, an (n, 6) array an (n,) array, and U
+and I take one mass vector or an (n, 4) stack of them.  Each invariant is
+one expression over six columns, which are Python floats for one vector
+and the (n,) columns of a stack, so each row of a stacked result has the
+bits of the single-vector call.
 
 All functions are pure and safe to call concurrently.
 """
@@ -109,52 +110,48 @@ class MassVector:
         return MassVector(k * self.m1, k * self.m2, k * self.m3, k * self.m4)
 
 
-def _r6(r) -> np.ndarray:
+def _r6(r) -> tuple:
+    """One distance vector as six Python floats."""
     if isinstance(r, DistanceVector):
-        return r.array
-    arr = np.asarray(r, dtype=float)
-    if arr.shape != (6,):
-        raise ValueError(f"expected 6 distances, got shape {arr.shape}")
-    return arr
+        return r.astuple()
+    if isinstance(r, np.ndarray):
+        if r.shape != (6,):
+            raise ValueError(f"expected 6 distances, got shape {r.shape}")
+        r = r.tolist()
+    vals = tuple(map(float, r))
+    if len(vals) != 6:
+        raise ValueError(f"expected 6 distances, got {len(vals)}")
+    return vals
 
 
 def _m(m) -> MassVector:
     return m if isinstance(m, MassVector) else MassVector.from_iterable(m)
 
 
-def _rows(r) -> np.ndarray:
-    """One distance vector as a (6,) array, or a stack of them as (n, 6)."""
-    if isinstance(r, DistanceVector):
-        return r.array
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 6:
-        raise ValueError(f"expected 6 distances or an (n, 6) stack, got shape {arr.shape}")
-    return arr
+def _cols(r) -> tuple:
+    """The six distance columns the invariants are written over: six
+    floats for one distance vector, the six (n,) columns of an (n, 6)
+    stack."""
+    if isinstance(r, np.ndarray) and r.ndim == 2:
+        if r.shape[1] != 6:
+            raise ValueError(f"expected an (n, 6) stack of distances, got shape {r.shape}")
+        return tuple(r.astype(float, copy=False).T)
+    return _r6(r)
 
 
-_PAIR_I = [i - 1 for i, _ in DISTANCE_PAIRS]
-_PAIR_J = [j - 1 for _, j in DISTANCE_PAIRS]
-
-
-def _products_and_total(m):
-    """Pair products m_i m_j in distance-slot order and the total mass M of
-    one mass vector, or of each row of an (n, 4) stack validated as
-    MassVector validates one."""
-    if isinstance(m, MassVector) or np.ndim(m) != 2:
-        masses = _m(m)
-        return masses.products(), masses.M
-    arr = np.asarray(m, dtype=float)
-    if arr.shape[1] != 4:
-        raise ValueError(f"expected an (n, 4) stack of masses, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
-        raise ValueError("stacked masses must be positive and finite")
-    return (arr[:, _PAIR_I] * arr[:, _PAIR_J],
-            arr[:, 0] + arr[:, 1] + arr[:, 2] + arr[:, 3])
-
-
-def _out(x):
-    """A float for one vector, the (n,) array for a stack."""
-    return x if isinstance(x, np.ndarray) else float(x)
+def _mass_cols(m) -> tuple:
+    """Pair products m_i m_j in distance-slot order and the total mass M:
+    floats for one mass vector, (n,) columns for an (n, 4) stack validated
+    as MassVector validates one."""
+    if isinstance(m, np.ndarray) and m.ndim == 2:
+        if m.shape[1] != 4:
+            raise ValueError(f"expected an (n, 4) stack of masses, got shape {m.shape}")
+        if not np.all(np.isfinite(m) & (m > 0.0)):
+            raise ValueError("stacked masses must be positive and finite")
+        m1, m2, m3, m4 = m.astype(float, copy=False).T
+    else:
+        m1, m2, m3, m4 = _m(m).astuple()
+    return (m1 * m2, m1 * m3, m1 * m4, m2 * m3, m2 * m4, m3 * m4), m1 + m2 + m3 + m4
 
 
 def _fpow(x: float, e: int) -> float:
@@ -169,25 +166,18 @@ def _fpow(x: float, e: int) -> float:
 
 def potential_U(r, m):
     """Newtonian potential sum m_i m_j / r_ij (homogeneous of degree -1)."""
-    products, _ = _products_and_total(m)
-    return _out(np.sum(products / _rows(r), axis=-1))
+    (p12, p13, p14, p23, p24, p34), _ = _mass_cols(m)
+    r12, r13, r14, r23, r24, r34 = _cols(r)
+    return p12 / r12 + p13 / r13 + p14 / r14 + p23 / r23 + p24 / r24 + p34 / r34
 
 
 def moment_I(r, m):
     """Moment of inertia (1 / 2M) sum m_i m_j r_ij^2 about the center of mass."""
-    products, total = _products_and_total(m)
-    return _out(np.sum(products * _rows(r) ** 2, axis=-1) / (2.0 * total))
-
-
-def _moment_I_floats(r, m) -> float:
-    """moment_I of six distances and four masses given as Python floats,
-    with its bits: the same products, summed in slot order as np.sum sums
-    six terms."""
-    r12, r13, r14, r23, r24, r34 = r
-    m1, m2, m3, m4 = m
-    return ((m1 * m2 * (r12 * r12) + m1 * m3 * (r13 * r13) + m1 * m4 * (r14 * r14)
-             + m2 * m3 * (r23 * r23) + m2 * m4 * (r24 * r24) + m3 * m4 * (r34 * r34))
-            / (2.0 * (m1 + m2 + m3 + m4)))
+    (p12, p13, p14, p23, p24, p34), total = _mass_cols(m)
+    r12, r13, r14, r23, r24, r34 = _cols(r)
+    return ((p12 * (r12 * r12) + p13 * (r13 * r13) + p14 * (r14 * r14)
+             + p23 * (r23 * r23) + p24 * (r24 * r24) + p34 * (r34 * r34))
+            / (2.0 * total))
 
 
 def ptolemy_P(r):
@@ -196,8 +186,8 @@ def ptolemy_P(r):
     Zero exactly on sequentially ordered cyclic quadrilaterals; positive on
     every other convex sequential quadrilateral and on tetrahedra.
     """
-    r12, r13, r14, r23, r24, r34 = _rows(r).T
-    return _out(r12 * r34 + r14 * r23 - r13 * r24)
+    r12, r13, r14, r23, r24, r34 = _cols(r)
+    return r12 * r34 + r14 * r23 - r13 * r24
 
 
 # Index of each entry of the bordered Cayley-Menger matrix in
@@ -218,11 +208,12 @@ def cayley_menger_H(r):
     never through the Ptolemy factorization, so the two stay independent
     cross-checks of each other.  A stack is one (n, 5, 5) determinant call.
     """
-    sq = _rows(r) ** 2
+    sq = np.transpose(_cols(r)) ** 2
     entries = np.zeros(sq.shape[:-1] + (8,))
     entries[..., :6] = sq
     entries[..., 7] = 1.0
-    return _out(np.linalg.det(entries[..., _CM_ENTRIES]))
+    det = np.linalg.det(entries[..., _CM_ENTRIES])
+    return det if det.ndim else float(det)
 
 
 def K_term(r):
@@ -232,9 +223,9 @@ def K_term(r):
     decomposition H/2 = P Q - K^2); on geometrically realizable vectors with
     P = 0 it must vanish, so |K| serves as the co-circularity residual.
     """
-    r12, r13, r14, r23, r24, r34 = _rows(r).T
-    return _out(r12 * r13 * r23 - r12 * r14 * r24
-                + r13 * r14 * r34 - r23 * r24 * r34)
+    r12, r13, r14, r23, r24, r34 = _cols(r)
+    return (r12 * r13 * r23 - r12 * r14 * r24
+            + r13 * r14 * r34 - r23 * r24 * r34)
 
 
 def Q_term(r):
@@ -246,12 +237,12 @@ def Q_term(r):
     makes the decomposition hold against the raw determinant, which the
     randomized identity suite checks.)
     """
-    r12, r13, r14, r23, r24, r34 = _rows(r).T
+    r12, r13, r14, r23, r24, r34 = _cols(r)
     s12, s13, s14, s23, s24, s34 = (r12 * r12, r13 * r13, r14 * r14,
                                     r23 * r23, r24 * r24, r34 * r34)
-    return _out(r12 * r34 * (-s12 - s34 + s23 + s14 + s13 + s24)
-                + r14 * r23 * (s12 + s34 - s23 - s14 + s13 + s24)
-                - r13 * r24 * (s12 + s34 + s23 + s14 - s13 - s24))
+    return (r12 * r34 * (-s12 - s34 + s23 + s14 + s13 + s24)
+            + r14 * r23 * (s12 + s34 - s23 - s14 + s13 + s24)
+            - r13 * r24 * (s12 + s34 + s23 + s14 - s13 - s24))
 
 
 @dataclass(frozen=True)
@@ -287,7 +278,7 @@ def _margins(values) -> list:
 def triangle_margins(r) -> np.ndarray:
     """The twelve strict triangle margins r_ij + r_jk - r_ik, one per
     ordered side of each of the four triangles."""
-    return np.array(_margins(_r6(r).tolist()))
+    return np.array(_margins(_r6(r)))
 
 
 # Fixed tolerances of is_geometric and in_D.
@@ -304,9 +295,8 @@ def is_geometric(r) -> bool:
     margin > TRIANGLE_MARGIN.  The margins make the open conditions
     decidable in floats.
     """
-    arr = _r6(r)
-    values = arr.tolist()
-    if cayley_menger_H(arr) < -GEOMETRIC_H_COEFF * _fpow(max(1.0, max(values)), 8):
+    values = _r6(r)
+    if cayley_menger_H(values) < -GEOMETRIC_H_COEFF * _fpow(max(1.0, max(values)), 8):
         return False
     return all(x > TRIANGLE_MARGIN for x in _margins(values))
 
@@ -319,14 +309,14 @@ def in_D(r, m) -> bool:
     equivalent on realizable vectors with P = 0 and K is far better
     conditioned (degree 3 versus degree 8).
     """
-    arr = _r6(r)
-    if abs(moment_I(arr, m) - 1.0) > IN_D_TOL:
+    values = _r6(r)
+    if abs(moment_I(values, m) - 1.0) > IN_D_TOL:
         return False
-    if abs(ptolemy_P(arr)) > IN_D_TOL:
+    if abs(ptolemy_P(values)) > IN_D_TOL:
         return False
-    if abs(K_term(arr)) > IN_D_TOL:
+    if abs(K_term(values)) > IN_D_TOL:
         return False
-    return is_geometric(arr)
+    return is_geometric(values)
 
 
 # --- relabelings preserving the sequential convention ---------------------
@@ -364,8 +354,8 @@ def distance_index_permutation(body_perm) -> tuple:
 
 
 def relabel_distances(r, body_perm) -> np.ndarray:
-    arr = _r6(r)
-    return arr[list(distance_index_permutation(body_perm))]
+    values = _r6(r)
+    return np.array([values[k] for k in distance_index_permutation(body_perm)])
 
 
 # (body permutation, slot permutation) of each sequential relabeling.
@@ -417,4 +407,4 @@ def _canonical(values, slot_perms) -> tuple:
 def canonical_distance_tuple(r, m) -> tuple:
     """Lexicographically smallest relabeled copy of r over the relabelings
     admissible for the mass vector m."""
-    return _canonical(_r6(r).tolist(), _admissible_slots(m))
+    return _canonical(_r6(r), _admissible_slots(m))

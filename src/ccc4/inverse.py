@@ -18,8 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IndeterminateShapeError, InfeasibleShapeError
-from .geometry import (DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
-                       _moment_I_floats, _r6)
+from .geometry import DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN, _r6, moment_I
 from .solver import recover_multipliers, sigma_sq_spread
 
 TWO_PI = 2.0 * math.pi
@@ -93,12 +92,12 @@ def dziobek_lambda(r) -> DziobekLambda:
     return _dziobek(_inverse_cubes(_r6(r)))
 
 
-def _inverse_cubes(arr) -> list:
+def _inverse_cubes(r) -> list:
     # numpy's vectorized power on purpose: a float x ** -3 (the C library's
     # pow) differs from it in the last bit on some inputs, and the recovered
     # masses keep the bits of the vectorized form; it also gives inf where
     # the power overflows, where a float power raises
-    return (arr ** -3).tolist()
+    return (np.array(r) ** -3).tolist()
 
 
 def _dziobek(n: list) -> DziobekLambda:
@@ -173,7 +172,6 @@ def recover_masses(r) -> MassRecovery:
     """
     arr = _r6(r)
     n = _inverse_cubes(arr)
-    arr = arr.tolist()
     masses = None
     rounds = 0
     for rounds in range(1, MAX_ROUNDS + 1):
@@ -198,9 +196,9 @@ def recover_masses(r) -> MassRecovery:
             masses = cand
             break
         masses = cand
-        scale = math.sqrt(_moment_I_floats(arr, masses))
+        scale = math.sqrt(moment_I(arr, masses))
         arr = [x / scale for x in arr]
-        n = _inverse_cubes(np.array(arr))
+        n = _inverse_cubes(arr)
     else:
         # the rounds ran out after a rescale; judge the final scale
         dz = _dziobek(n)

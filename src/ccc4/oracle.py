@@ -16,8 +16,8 @@ import numpy as np
 from . import serialize
 from .chart import seeded_start
 from .errors import NonRealizableError
-from .geometry import (OPPOSITE_SLOT, PAIR_SIGN, MassVector, K_term, Q_term, _fpow,
-                       _m, _r6, _rows, cayley_menger_H, is_geometric, moment_I,
+from .geometry import (OPPOSITE_SLOT, PAIR_SIGN, MassVector, K_term, Q_term, _cols,
+                       _fpow, _m, _r6, cayley_menger_H, is_geometric, moment_I,
                        potential_U, ptolemy_P)
 from .inverse import CyclicShape, _chords
 from .solver import SolverOptions, _multistart, _u_coefficients
@@ -72,7 +72,7 @@ def _heron_area(a: float, b: float, c: float) -> float:
 def circumradius(r) -> float:
     """Circumradius of the cyclic quadrilateral from triangle (1,2,3),
     cross-checked against triangle (1,2,4) to EMBED_RTOL."""
-    r12, r13, r14, r23, r24, r34 = _r6(r).tolist()
+    r12, r13, r14, r23, r24, r34 = _r6(r)
     rc1 = r12 * r13 * r23 / (4.0 * _heron_area(r12, r13, r23))
     rc2 = r12 * r14 * r24 / (4.0 * _heron_area(r12, r14, r24))
     if abs(rc1 - rc2) > EMBED_RTOL * max(rc1, rc2):
@@ -92,13 +92,12 @@ def embed_cyclic(r, m) -> PlanarConfig:
     EMBED_RTOL relative to the largest.  The placement runs on Python
     floats.
     """
-    arr = _r6(r)
-    values = arr.tolist()
+    values = _r6(r)
     scale = max(values)
-    if not is_geometric(arr):
+    if not is_geometric(values):
         raise NonRealizableError("distance vector is not geometrically realizable")
-    if (abs(K_term(arr)) > 1e-6 * _fpow(scale, 3)
-            or abs(ptolemy_P(arr)) > 1e-6 * _fpow(scale, 2)):
+    if (abs(K_term(values)) > 1e-6 * _fpow(scale, 3)
+            or abs(ptolemy_P(values)) > 1e-6 * _fpow(scale, 2)):
         raise NonRealizableError("distance vector is not cyclic (P or K residual "
                                  "too large)")
     r12, r13, r14, r23, r24, r34 = values
@@ -174,9 +173,8 @@ def embed_planar_lsq(r, m) -> PlanarConfig:
     For non-realizable vectors the embedded distances differ from the input;
     this is the converse route used to show that rejected minimizers are
     genuinely far from any planar configuration."""
-    arr = _r6(r)
     D2 = np.zeros((4, 4))
-    for (i, j), d in zip(_PAIR_INDEX, arr):
+    for (i, j), d in zip(_PAIR_INDEX, _r6(r)):
         D2[i, j] = D2[j, i] = d * d
     J = np.eye(4) - 0.25
     G = -0.5 * J @ D2 @ J
@@ -202,7 +200,7 @@ def fd_gradient(f, r, h=None) -> np.ndarray:
     r is one vector (6,) or a stack (n, 6).  For a stack, f must map an
     (n, 6) array to its n values, and row i of the result is the gradient
     at row i, equal to the gradient of a one-vector call."""
-    r_arr = _rows(r)
+    r_arr = np.transpose(_cols(r))
     hs = _steps(r_arr, h)
     out = np.zeros(r_arr.shape)
     for k in range(6):
@@ -220,7 +218,7 @@ def fd_hessian(f, r, h=None) -> np.ndarray:
     differences divide by h^2, so a coarser step around 1e-4 gives the
     better truncation/roundoff balance here.
     """
-    r_arr = _r6(r)
+    r_arr = np.array(_r6(r))
     hs = _steps(r_arr, h)
     H = np.zeros((6, 6))
     f0 = f(r_arr.copy())

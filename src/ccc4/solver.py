@@ -29,7 +29,7 @@ from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_fl
 from .errors import IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DistanceVector, K_term, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
                        ScalarReport, _admissible_slots, _canonical, _fpow, _m,
-                       _moment_I_floats, _r6, moment_I, potential_U, ptolemy_P)
+                       _r6, moment_I, potential_U, ptolemy_P)
 
 RNG_NAME = "numpy-pcg64"
 RECORD_SCHEMA = "ccc4-solverecord-1"
@@ -162,7 +162,8 @@ def lagrangian_L(r, m, lam: float, sigma: float) -> float:
             + sigma * ptolemy_P(r))
 
 
-def _stationarity_system(r_arr: np.ndarray, masses: MassVector):
+def _stationarity_system(r, masses: MassVector):
+    r_arr = np.array(_r6(r))
     mm = masses.products()
     rho = r_arr[list(OPPOSITE_SLOT)] / r_arr
     A = np.column_stack([mm, np.asarray(PAIR_SIGN) * rho])
@@ -176,14 +177,14 @@ def _relative_residual(A: np.ndarray, b: np.ndarray, lam: float, sigma: float) -
 
 def stationarity_residual(r, m, lam: float, sigma: float) -> float:
     """Relative residual of the six stationarity equations at (lam, sigma)."""
-    A, b = _stationarity_system(_r6(r), _m(m))
+    A, b = _stationarity_system(r, _m(m))
     return _relative_residual(A, b, lam, sigma)
 
 
 def recover_multipliers(r, m) -> Multipliers:
     """Best (lambda, sigma) for the stationarity equations, by 6x2 least
     squares, together with the relative residual norm."""
-    A, b = _stationarity_system(_r6(r), _m(m))
+    A, b = _stationarity_system(r, _m(m))
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < 2:
         raise IndeterminateShapeError(
@@ -197,7 +198,7 @@ def hessian_L(r, m, mult: Multipliers) -> np.ndarray:
     """Second derivative of the Lagrangian in distance coordinates:
     diag(f_ij) + antidiag(sigma, -sigma, sigma, sigma, -sigma, sigma) with
     f_ij = m_i m_j (2 r_ij^-3 + lambda)."""
-    r_arr = _r6(r)
+    r_arr = np.array(_r6(r))
     mm = _m(m).products()
     H = np.diag(mm * (2.0 * r_arr ** -3 + mult.lam))
     anti = mult.sigma * np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
@@ -224,7 +225,7 @@ def sigma_sq_values(r, m, lam: float) -> np.ndarray:
 def _sigma_sq(r, m, lam: float) -> tuple:
     """sigma_sq_values as a tuple of Python floats, inf where r^-3
     overflows."""
-    n12, n13, n14, n23, n24, n34 = (_fpow(x, -3) for x in _r6(r).tolist())
+    n12, n13, n14, n23, n24, n34 = (_fpow(x, -3) for x in _r6(r))
     m1, m2, m3, m4 = _m(m).astuple()
     prod = m1 * m2 * m3 * m4
     return (prod * (n12 - lam) * (n34 - lam),
@@ -245,14 +246,15 @@ def a_terms(r, m, mult: Multipliers) -> ATerms:
     """Quartic factors A0, A1, A2 entering the order-4..6 principal minors,
     ordered by pairing (12,34), (14,23), (13,24)."""
     r12, r13, r14, r23, r24, r34 = _r6(r)
-    m4 = float(np.prod(_m(m).array))
+    m1, m2, m3, m4 = _m(m).astuple()
+    prod = m1 * m2 * m3 * m4
     lam, sig2 = mult.lam, mult.sigma ** 2
     raw = []
     for a, b in ((r12, r34), (r14, r23), (r13, r24)):
-        a3, b3 = a ** 3, b ** 3
-        raw.append(m4 * (lam ** 2 * a3 * b3 + 2.0 * lam * a3 + 2.0 * lam * b3 + 4.0)
+        a3, b3 = _fpow(a, 3), _fpow(b, 3)
+        raw.append(prod * (lam ** 2 * a3 * b3 + 2.0 * lam * a3 + 2.0 * lam * b3 + 4.0)
                    - a3 * b3 * sig2)
-    on_shell = [3.0 * m4 * (lam * a ** 3 + lam * b ** 3 + 1.0)
+    on_shell = [3.0 * prod * (lam * _fpow(a, 3) + lam * _fpow(b, 3) + 1.0)
                 for a, b in ((r12, r34), (r14, r23), (r13, r24))]
     return ATerms(raw=tuple(raw), on_shell=tuple(on_shell))
 
@@ -260,7 +262,7 @@ def a_terms(r, m, mult: Multipliers) -> ATerms:
 def dziobek_residual(r, lam: float) -> float:
     """Deviation from the Dziobek relation: the three opposite-pair products
     (r_ij^-3 - lam)(r_kl^-3 - lam) must coincide."""
-    n12, n13, n14, n23, n24, n34 = (_fpow(x, -3) for x in _r6(r).tolist())
+    n12, n13, n14, n23, n24, n34 = (_fpow(x, -3) for x in _r6(r))
     p_sides = (n12 - lam) * (n34 - lam)
     p_diag = (n13 - lam) * (n24 - lam)
     p_other = (n14 - lam) * (n23 - lam)
@@ -394,12 +396,11 @@ def _multistart(masses: MassVector, u: tuple, starts, gtol: float):
 def _record_from_point(v, w, masses: MassVector, iterations: int,
                        converged: bool, meta: dict) -> SolveRecord:
     r_star = p_to_r(vw_to_p_floats(v, w), masses)
-    r_arr = r_star.array
     scalars = ScalarReport.evaluate(r_star, masses)
-    mult = recover_multipliers(r_arr, masses)
-    minors = principal_minors(hessian_L(r_arr, masses, mult))
-    terms = a_terms(r_arr, masses, mult)
-    s2 = _sigma_sq(r_arr, masses, mult.lam)
+    mult = recover_multipliers(r_star, masses)
+    minors = principal_minors(hessian_L(r_star, masses, mult))
+    terms = a_terms(r_star, masses, mult)
+    s2 = _sigma_sq(r_star, masses, mult.lam)
     return SolveRecord(
         masses=masses,
         r_star=r_star,
@@ -408,7 +409,7 @@ def _record_from_point(v, w, masses: MassVector, iterations: int,
         scalars=scalars,
         minors=minors,
         a_terms=terms.raw,
-        dziobek_residual=dziobek_residual(r_arr, mult.lam),
+        dziobek_residual=dziobek_residual(r_star, mult.lam),
         sigma_sq_residuals=tuple(x - mult.sigma ** 2 for x in s2),
         iterations=iterations,
         converged=converged,
@@ -562,9 +563,7 @@ def certify_minimum(rec: SolveRecord) -> CertReport:
     stat = stationarity_residual(r, masses, mult.lam, mult.sigma)
     checks["stationarity"] = CheckResult(stat <= STATIONARITY_TOL, stat, STATIONARITY_TOL)
 
-    r12, r13, r14, r23, r24, r34 = r
-    cons = max(abs(_moment_I_floats(r, masses.astuple()) - 1.0),
-               abs(r12 * r34 + r14 * r23 - r13 * r24))
+    cons = max(abs(moment_I(r, masses) - 1.0), abs(ptolemy_P(r)))
     checks["constraints"] = CheckResult(cons <= CERT_CONSTRAINT_TOL, cons, CERT_CONSTRAINT_TOL)
 
     H = hessian_L(r, masses, mult)

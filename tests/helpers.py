@@ -56,6 +56,26 @@ def normalized_to_unit_inertia(r, m):
     return arr / np.sqrt(moment_I(arr, m))
 
 
+def invariants_numpy(r, m):
+    """(U, I, P, K, Q) of one distance vector by numpy expressions on a
+    (6,) array: U and I as np.sum over the six slots, P, K and Q on the
+    array's np.float64 entries.  Reference for the column expressions of
+    ccc4.geometry."""
+    arr = np.array(r, dtype=float)
+    m1, m2, m3, m4 = (float(x) for x in m)
+    products = np.array([m1 * m2, m1 * m3, m1 * m4, m2 * m3, m2 * m4, m3 * m4])
+    r12, r13, r14, r23, r24, r34 = arr
+    s12, s13, s14, s23, s24, s34 = (r12 * r12, r13 * r13, r14 * r14,
+                                    r23 * r23, r24 * r24, r34 * r34)
+    return (float(np.sum(products / arr, axis=-1)),
+            float(np.sum(products * arr ** 2, axis=-1) / (2.0 * (m1 + m2 + m3 + m4))),
+            float(r12 * r34 + r14 * r23 - r13 * r24),
+            float(r12 * r13 * r23 - r12 * r14 * r24 + r13 * r14 * r34 - r23 * r24 * r34),
+            float(r12 * r34 * (-s12 - s34 + s23 + s14 + s13 + s24)
+                  + r14 * r23 * (s12 + s34 - s23 - s14 + s13 + s24)
+                  - r13 * r24 * (s12 + s34 + s23 + s14 - s13 - s24)))
+
+
 def sample_interior_one_draw_at_a_time(rng, max_draws=10**6):
     """Reference rejection sampler in numpy: one draw (v, w) of six normal
     variates per loop, folded by v1 -> |v1|, v3 -> |v3|, w2 -> |w2| and

@@ -8,11 +8,11 @@ from ccc4.geometry import (DistanceVector, K_RELABEL_SIGN, MassVector,
                            K_term, RELABEL_RTOL, admissible_relabelings,
                            canonical_distance_tuple, cayley_menger_H, in_D,
                            is_geometric, moment_I, potential_U, ptolemy_P,
-                           relabel_distances, triangle_margins, _fpow,
-                           _moment_I_floats)
+                           relabel_distances, triangle_margins, _fpow)
 from ccc4.inverse import CyclicShape, shape_to_distances
 
-from helpers import normalized_to_unit_inertia, random_planar_distance_vectors
+from helpers import (invariants_numpy, normalized_to_unit_inertia,
+                     random_planar_distance_vectors)
 
 SQRT2 = math.sqrt(2.0)
 SQUARE = DistanceVector(1.0, SQRT2, 1.0, 1.0, SQRT2, 1.0)
@@ -292,12 +292,14 @@ def test_fpow_keeps_the_bits_of_pow_and_gives_inf_on_overflow():
     assert _fpow(1e308, 2) == math.inf
 
 
-def test_moment_of_floats_has_the_bits_of_moment_I():
+def test_one_vector_invariants_have_the_bits_of_the_numpy_expressions():
     rng = np.random.default_rng(24)
     for _ in range(2000):
-        r = (10.0 ** rng.uniform(-3.0, 3.0, 6)).tolist()
-        m = (10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist()
-        assert _moment_I_floats(r, m) == moment_I(r, MassVector(*m))
+        r = (10.0 ** rng.uniform(-30.0, 30.0, 6)).tolist()
+        m = (10.0 ** rng.uniform(-30.0, 30.0, 4)).tolist()
+        got = (potential_U(r, m), moment_I(r, m), ptolemy_P(r), K_term(r), Q_term(r))
+        assert all(type(x) is float for x in got)
+        assert got == invariants_numpy(r, m)
 
 
 def test_is_geometric_beyond_the_range_of_the_eighth_power():
