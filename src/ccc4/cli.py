@@ -25,8 +25,8 @@ from .geometry import MassVector
 from .inverse import CyclicShape, recover_masses, shape_to_distances
 from .oracle import cartesian_cc_residual, embed_cyclic, run_identity_battery
 from .serialize import dumps, format_float
-from .solver import (SolveRecord, SolverOptions, _draw_starts, _scan_values,
-                     certify_minimum, minimize_U)
+from .solver import (SolveRecord, SolverOptions, _draw_starts, _scaled_check,
+                     _scan_values, certify_minimum, minimize_U)
 
 EX_OK = 0
 EX_FAIL = 1
@@ -40,6 +40,11 @@ SCAN_SCHEMA_LINE = "# ccc4-schema=1"
 SCAN_HEADER = "m1,m2,m3,m4,K_star,U_star,lambda,is_cocircular,iterations,converged"
 SCAN_GRID_LO = 0.5
 SCAN_GRID_HI = 3.0
+
+# Cartesian residual of `certify`, relative to the record's largest pair
+# force m_i m_j / r_ij^2: the residual is a force, so it grows as c^3
+# under m -> c m.
+CARTESIAN_RTOL = 1e-7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,9 +245,12 @@ def cmd_certify(args, parser) -> int:
     if rec.is_cocircular:
         try:
             cfg = embed_cyclic(rec.r_star, rec.masses)
-            residual = cartesian_cc_residual(cfg, fit=True)
-            embed_ok = residual <= 1e-7
-            rows.append(("cartesian_embedding", embed_ok, residual, 1e-7))
+            force = max(mm / r / r for mm, r in zip(rec.masses.products().tolist(),
+                                                    rec.r_star.astuple()))
+            check = _scaled_check(cartesian_cc_residual(cfg, fit=True),
+                                  CARTESIAN_RTOL * force)
+            embed_ok = check.passed
+            rows.append(("cartesian_embedding", embed_ok, check.value, check.threshold))
         except (NonRealizableError, CCC4Error) as exc:
             print(f"cartesian_embedding: FAIL ({exc})")
             embed_ok = False

@@ -283,7 +283,7 @@ def triangle_margins(r) -> np.ndarray:
 
 # Fixed tolerances of is_geometric and in_D.
 GEOMETRIC_H_COEFF = 1e-9   # H >= -GEOMETRIC_H_COEFF max(1, max r)^8
-TRIANGLE_MARGIN = 1e-12    # every triangle margin must exceed this
+TRIANGLE_MARGIN = 1e-12    # every triangle margin must exceed this times max r
 IN_D_TOL = 1e-8            # |I - 1|, |P| and |K| in in_D
 
 
@@ -292,13 +292,14 @@ def is_geometric(r) -> bool:
 
     Requires H(r) >= -GEOMETRIC_H_COEFF * max(1, max r)^8 (degree-8 scale
     of the determinant) and all twelve triangle inequalities strict with
-    margin > TRIANGLE_MARGIN.  The margins make the open conditions
-    decidable in floats.
+    margin > TRIANGLE_MARGIN * max r (the margins have degree 1).  The
+    margins make the open conditions decidable in floats.
     """
     values = _r6(r)
-    if cayley_menger_H(values) < -GEOMETRIC_H_COEFF * _fpow(max(1.0, max(values)), 8):
+    top = max(values)
+    if cayley_menger_H(values) < -GEOMETRIC_H_COEFF * _fpow(max(1.0, top), 8):
         return False
-    return all(x > TRIANGLE_MARGIN for x in _margins(values))
+    return all(x > TRIANGLE_MARGIN * top for x in _margins(values))
 
 
 def in_D(r, m) -> bool:

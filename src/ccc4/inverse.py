@@ -163,14 +163,20 @@ def recover_masses(r) -> MassRecovery:
     """Masses making the distance vector a stationary point, normalized to
     sum 4, or InfeasibleShapeError / IndeterminateShapeError.
 
-    Recovery runs at the raw scale first, then rescales to I = 1 with the
-    candidate masses and re-derives until the masses are stable (mass
-    ratios are scale-equivariant, so this settles in a round or two).  The
+    The first round runs on r scaled by the even power of two that brings
+    max r into [0.5, 2), so that r^-3 stays in the float range at any
+    scale; the scaling is exact, and an even power keeps the square roots
+    of the mass candidates exact, so the masses are those of the raw
+    scale.  Then the recovery rescales to I = 1 with the candidate masses
+    and re-derives until the masses are stable (mass ratios are
+    scale-equivariant, so this settles in a round or two).  The
     compatibility test |lam_a - lam_b| <= COMPAT_TOL applies at the I = 1
     scale; at most MAX_ROUNDS rounds are run.  The rounds run on Python
     floats.
     """
     arr = _r6(r)
+    shift = 2 * (math.frexp(max(arr))[1] // 2)
+    arr = [math.ldexp(x, -shift) for x in arr]
     n = _inverse_cubes(arr)
     masses = None
     rounds = 0
@@ -183,9 +189,10 @@ def recover_masses(r) -> MassRecovery:
             # prefer reporting the root cause when the multipliers already
             # disagree (scale-free comparison; masses are not known yet)
             if dz.compat_residual > 1e-9 * max(n):
+                # lambda has degree -3: undo the shift of the first round
                 raise InfeasibleShapeError(
                     "Dziobek multipliers of the two pairings disagree",
-                    dz.compat_residual)
+                    math.ldexp(dz.compat_residual, -3 * shift))
             raise
         k = 4.0 / (cand[0] + cand[1] + cand[2] + cand[3])
         cand = [x * k for x in cand]
@@ -198,6 +205,7 @@ def recover_masses(r) -> MassRecovery:
         masses = cand
         scale = math.sqrt(moment_I(arr, masses))
         arr = [x / scale for x in arr]
+        shift = 0
         n = _inverse_cubes(arr)
     else:
         # the rounds ran out after a rescale; judge the final scale

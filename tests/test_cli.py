@@ -206,6 +206,18 @@ def test_certify_prints_a_failing_certificate_where_a_power_overflows(
     assert out.endswith("certificate: FAIL\n")
 
 
+@pytest.mark.parametrize("scale", [10.0 ** e for e in range(-2, 7)])
+def test_certify_passes_cocircular_records_at_every_mass_scale(scale, tmp_path, capsys):
+    # the Cartesian residual is a force, which grows as scale^3; against
+    # an absolute threshold these correct records failed from 1e3 on
+    masses = ",".join(repr(scale * m) for m in (2.0, 2.0, 1.0, 1.0))
+    rec_path = tmp_path / "rec.json"
+    assert run_cli(["solve", "--masses", masses, "--out", str(rec_path)], capsys)[0] == 0
+    code, out, _ = run_cli(["certify", "--in", str(rec_path)], capsys)
+    assert "cartesian_embedding: ok" in out
+    assert code == 0
+
+
 def test_certify_unreadable_inputs(tmp_path, capsys):
     assert run_cli(["certify", "--in", str(tmp_path / "missing.json")], capsys)[0] == 66
     bad = tmp_path / "bad.json"

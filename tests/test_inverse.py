@@ -83,6 +83,15 @@ def test_masses_from_square_shape():
     assert m.astuple() == pytest.approx((1.0, 1.0, 1.0, 1.0), rel=1e-12)
 
 
+def test_masses_from_square_shape_at_every_radius():
+    # on the raw scale r^-3 leaves the float range at tiny and huge radii,
+    # where the square read as infeasible
+    for e in range(-200, 201):
+        shape = CyclicShape(theta=SQUARE_ON_UNIT_CIRCLE.theta, radius=10.0 ** e)
+        m = masses_from_shape(shape_to_distances(shape))
+        assert max(abs(x - 1.0) for x in m.astuple()) <= 1e-12, e
+
+
 @pytest.mark.parametrize("masses", [(2.0, 2.0, 1.0, 1.0), (1.0, 3.0, 3.0, 1.0),
                                     (1.0, 3.0, 1.0, 3.0), (1.5, 0.7, 2.0, 1.1)])
 def test_round_trip_through_minimizer(masses):

@@ -99,6 +99,17 @@ def test_embed_square_beyond_the_range_of_the_eighth_power():
     assert cartesian_cc_residual(cfg, fit=True) <= 1e-9 * 1e-80
 
 
+def test_embed_square_at_every_scale():
+    # the triangle margins scale with r: against an absolute margin the
+    # square was not realizable below 1e-12
+    for e in range(-100, 101):
+        k = 10.0 ** e
+        cfg = embed_cyclic(SQUARE.scaled(k), UNIT)
+        assert np.allclose(cfg.distances(), SQUARE.array * k, rtol=1e-12)
+        # relative to the largest pair force m_i m_j / r_ij^2 = k^-2
+        assert cartesian_cc_residual(cfg, fit=True) * k * k <= 1e-14, k
+
+
 def test_cartesian_residual_rotation_invariant():
     cfg = embed_cyclic(SQUARE, UNIT)
     res0 = cartesian_cc_residual(cfg, lambda_q=0.3)
