@@ -196,14 +196,16 @@ def recover_masses(r) -> MassRecovery:
             raise
         k = 4.0 / (cand[0] + cand[1] + cand[2] + cand[3])
         cand = [x * k for x in cand]
-        if not all(0.0 < x < math.inf for x in cand):
+        try:
+            mv = MassVector(*cand)
+        except ValueError:
             raise IndeterminateShapeError(
-                "a recovered mass under- or overflows the float range")
+                "a recovered mass under- or overflows the float range") from None
         if masses is not None and max(abs(a - b) for a, b in zip(cand, masses)) <= 1e-14:
             masses = cand
             break
         masses = cand
-        scale = math.sqrt(moment_I(arr, masses))
+        scale = math.sqrt(moment_I(arr, mv))
         arr = [x / scale for x in arr]
         shift = 0
         n = _inverse_cubes(arr)
@@ -219,7 +221,6 @@ def recover_masses(r) -> MassRecovery:
     if lam <= 0.0:
         raise InfeasibleShapeError("recovered multiplier is not positive", lam)
 
-    mv = MassVector.from_iterable(masses)
     mult = recover_multipliers(arr, mv)
     return MassRecovery(masses=mv, lam=mult.lam, sigma=mult.sigma,
                         compat_residual=dz.compat_residual,

@@ -249,13 +249,12 @@ def a_terms(r, m, mult: Multipliers) -> ATerms:
     m1, m2, m3, m4 = _m(m).astuple()
     prod = m1 * m2 * m3 * m4
     lam, sig2 = mult.lam, mult.sigma ** 2
-    raw = []
+    raw, on_shell = [], []
     for a, b in ((r12, r34), (r14, r23), (r13, r24)):
         a3, b3 = _fpow(a, 3), _fpow(b, 3)
         raw.append(prod * (lam ** 2 * a3 * b3 + 2.0 * lam * a3 + 2.0 * lam * b3 + 4.0)
                    - a3 * b3 * sig2)
-    on_shell = [3.0 * prod * (lam * _fpow(a, 3) + lam * _fpow(b, 3) + 1.0)
-                for a, b in ((r12, r34), (r14, r23), (r13, r24))]
+        on_shell.append(3.0 * prod * (lam * a3 + lam * b3 + 1.0))
     return ATerms(raw=tuple(raw), on_shell=tuple(on_shell))
 
 

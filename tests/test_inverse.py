@@ -92,6 +92,14 @@ def test_masses_from_square_shape_at_every_radius():
         assert max(abs(x - 1.0) for x in m.astuple()) <= 1e-12, e
 
 
+def test_masses_out_of_the_float_range_are_indeterminate(monkeypatch):
+    import ccc4.inverse
+    monkeypatch.setattr(ccc4.inverse, "_mass_candidates",
+                        lambda r, n, lam: [1e308, 1e308, 1.0, 1.0])
+    with pytest.raises(IndeterminateShapeError, match="under- or overflows"):
+        recover_masses(shape_to_distances(SQUARE_ON_UNIT_CIRCLE))
+
+
 @pytest.mark.parametrize("masses", [(2.0, 2.0, 1.0, 1.0), (1.0, 3.0, 3.0, 1.0),
                                     (1.0, 3.0, 1.0, 3.0), (1.5, 0.7, 2.0, 1.1)])
 def test_round_trip_through_minimizer(masses):
