@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,12 @@ class PCoords:
 
 
 def _triple(name: str, value):
-    arr = np.asarray(value, dtype=float).reshape(3).copy()
-    norm = float(np.linalg.norm(arr))
+    # a fresh float copy, and its norm by the path np.linalg.norm takes for
+    # a 1-D array: sqrt of arr.dot(arr)
+    arr = np.array(value, dtype=float)
+    if arr.shape != (3,):
+        arr = arr.reshape(3)
+    norm = math.sqrt(arr.dot(arr))
     if not (math.isfinite(norm) and norm > 0.0):
         raise ValueError(f"{name} must be a nonzero finite triple")
     return arr, norm
@@ -85,9 +90,10 @@ class VWPoint:
     w: np.ndarray
 
     def __post_init__(self):
-        for name in ("v", "w"):
-            arr, norm = _triple(name, getattr(self, name))
-            object.__setattr__(self, name, arr / norm)
+        for name, value in (("v", self.v), ("w", self.w)):
+            arr, norm = _triple(name, value)
+            arr /= norm
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def stored(cls, v, w) -> "VWPoint":
@@ -235,9 +241,30 @@ def sample_interior(rng) -> VWPoint:
     raise RuntimeError(f"no interior point found in {MAX_DRAWS} draws")
 
 
+# (thread, seed, index) -> (Generator, its state at the start of the stream)
+_GENERATORS = {}
+MAX_GENERATORS = 256     # cached streams, over all threads
+
+
+def _stream(seed: int, index: int):
+    """The Generator of stream (seed, index), rewound to its first draw.
+    Building one costs far more than rewinding it, so each thread keeps its
+    own and no two threads share one."""
+    key = (threading.get_ident(), seed, index)
+    entry = _GENERATORS.get(key)
+    if entry is None:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
+        entry = (rng, rng.bit_generator.state)
+        if len(_GENERATORS) >= MAX_GENERATORS:
+            _GENERATORS.clear()
+        _GENERATORS[key] = entry
+    else:
+        entry[0].bit_generator.state = entry[1]
+    return entry[0]
+
+
 def seeded_start(seed: int, index: int) -> VWPoint:
     """Interior start number `index` for `seed`.  Each start draws from its
     own stream, keyed by (seed, index), so it does not depend on how many
-    other starts are drawn."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
-    return sample_interior(rng=rng)
+    other starts are drawn, and every call draws it from the beginning."""
+    return sample_interior(rng=_stream(seed, index))

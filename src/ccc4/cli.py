@@ -13,6 +13,7 @@ Exit codes: 0 success; 1 infeasible inverse or failed certificate;
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -130,6 +131,13 @@ def build_parser() -> _Parser:
     p_id.add_argument("--samples", type=int, default=10000)
     p_id.add_argument("--seed", type=int, default=1)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    # parsing leaves the parser as it was, so one per process serves every
+    # call of main
+    return build_parser()
 
 
 def cmd_solve(args, parser) -> int:
@@ -279,7 +287,7 @@ def cmd_identities(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -282,7 +282,7 @@ def triangle_margins(r) -> np.ndarray:
 
 
 # Fixed tolerances of is_geometric and in_D.
-GEOMETRIC_H_COEFF = 1e-9   # H >= -GEOMETRIC_H_COEFF max(1, max r)^8
+GEOMETRIC_H_COEFF = 1e-9   # H >= -GEOMETRIC_H_COEFF (max r)^6
 TRIANGLE_MARGIN = 1e-12    # every triangle margin must exceed this times max r
 IN_D_TOL = 1e-8            # |I - 1|, |P| and |K| in in_D
 
@@ -290,14 +290,19 @@ IN_D_TOL = 1e-8            # |I - 1|, |P| and |K| in in_D
 def is_geometric(r) -> bool:
     """True iff r is realizable by four points in space.
 
-    Requires H(r) >= -GEOMETRIC_H_COEFF * max(1, max r)^8 (degree-8 scale
-    of the determinant) and all twelve triangle inequalities strict with
-    margin > TRIANGLE_MARGIN * max r (the margins have degree 1).  The
-    margins make the open conditions decidable in floats.
+    Requires H(r) >= -GEOMETRIC_H_COEFF * (max r)^6 (H has degree 6) and
+    all twelve triangle inequalities strict with margin > TRIANGLE_MARGIN *
+    max r (the margins have degree 1), so the answer does not depend on
+    the scale of r.  H is evaluated on r divided by the power of two that
+    brings max r into [0.5, 1), which is exact and keeps the determinant
+    in the float range.  The margins make the open conditions decidable in
+    floats.
     """
     values = _r6(r)
     top = max(values)
-    if cayley_menger_H(values) < -GEOMETRIC_H_COEFF * _fpow(max(1.0, top), 8):
+    shift = math.frexp(top)[1]
+    unit = tuple(math.ldexp(x, -shift) for x in values)
+    if cayley_menger_H(unit) < -GEOMETRIC_H_COEFF * _fpow(max(unit), 6):
         return False
     return all(x > TRIANGLE_MARGIN * top for x in _margins(values))
 

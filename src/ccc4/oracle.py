@@ -247,12 +247,17 @@ SHAPE_RADIUS_RANGE = (0.5, 2.0)
 def _cyclic_draws(n: int, seed: int, min_gap: float = SHAPE_MIN_GAP,
                   radius_range=SHAPE_RADIUS_RANGE):
     """Angles and radius of n random cyclic shapes, as Python floats, in
-    the order the generator draws them."""
+    the order the generator draws them.  The gaps are Dirichlet(1, 1, 1, 1)
+    draws made as numpy's Dirichlet makes them for unit weights: four
+    standard exponentials, each multiplied by one over their sum taken
+    left to right."""
     rng = np.random.default_rng(seed)
-    alpha = np.ones(4)
+    span = 2.0 * math.pi - 4.0 * min_gap
     for _ in range(n):
-        g1, g2, g3, _ = (min_gap + rng.dirichlet(alpha)
-                         * (2.0 * math.pi - 4.0 * min_gap)).tolist()
+        e1, e2, e3, e4 = rng.standard_exponential(4).tolist()
+        inv = 1.0 / (e1 + e2 + e3 + e4)
+        g1, g2, g3 = (min_gap + e1 * inv * span, min_gap + e2 * inv * span,
+                      min_gap + e3 * inv * span)
         yield (0.0, g1, g1 + g2, g1 + g2 + g3), float(rng.uniform(*radius_range))
 
 

@@ -29,7 +29,7 @@ from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_fl
 from .errors import IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DistanceVector, K_term, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
                        ScalarReport, _admissible_slots, _canonical, _fpow, _m,
-                       _r6, moment_I, potential_U, ptolemy_P)
+                       _mass_cols, _r6, moment_I, potential_U, ptolemy_P)
 
 RNG_NAME = "numpy-pcg64"
 RECORD_SCHEMA = "ccc4-solverecord-1"
@@ -110,7 +110,7 @@ class SolveRecord:
             "masses": {"m1": m.m1, "m2": m.m2, "m3": m.m3, "m4": m.m4, "M": m.M},
             "r_star": {k: v for k, v in zip(("r12", "r13", "r14", "r23", "r24", "r34"),
                                             r.astuple())},
-            "chart_point": {"v": list(vw.v), "w": list(vw.w)},
+            "chart_point": {"v": vw.v.tolist(), "w": vw.w.tolist()},
             "multipliers": {"lambda": self.multipliers.lam,
                             "sigma": self.multipliers.sigma,
                             "stationarity_residual": self.multipliers.stationarity_residual},
@@ -162,17 +162,28 @@ def lagrangian_L(r, m, lam: float, sigma: float) -> float:
             + sigma * ptolemy_P(r))
 
 
+def _inverse_cubes(values: tuple) -> list:
+    # r^-3 by numpy's vectorized power, whose last bit can differ from
+    # Python's float power
+    return (np.array(values) ** -3).tolist()
+
+
 def _stationarity_system(r, masses: MassVector):
-    r_arr = np.array(_r6(r))
-    mm = masses.products()
-    rho = r_arr[list(OPPOSITE_SLOT)] / r_arr
-    A = np.column_stack([mm, np.asarray(PAIR_SIGN) * rho])
-    b = mm * r_arr ** -3
+    values = _r6(r)
+    mm, _ = _mass_cols(masses)
+    A = np.array([[x, sign * (values[opp] / v)]
+                  for x, sign, opp, v in zip(mm, PAIR_SIGN, OPPOSITE_SLOT, values)])
+    b = np.array([x * n for x, n in zip(mm, _inverse_cubes(values))])
     return A, b
 
 
+def _norm(x: np.ndarray):
+    # np.linalg.norm of a 1-D array, by the path it takes for one
+    return np.sqrt(x.dot(x))
+
+
 def _relative_residual(A: np.ndarray, b: np.ndarray, lam: float, sigma: float) -> float:
-    return float(np.linalg.norm(A @ np.array([lam, sigma]) - b) / np.linalg.norm(b))
+    return float(_norm(A @ np.array([lam, sigma]) - b) / _norm(b))
 
 
 def stationarity_residual(r, m, lam: float, sigma: float) -> float:
@@ -198,13 +209,14 @@ def hessian_L(r, m, mult: Multipliers) -> np.ndarray:
     """Second derivative of the Lagrangian in distance coordinates:
     diag(f_ij) + antidiag(sigma, -sigma, sigma, sigma, -sigma, sigma) with
     f_ij = m_i m_j (2 r_ij^-3 + lambda)."""
-    r_arr = np.array(_r6(r))
-    mm = _m(m).products()
-    H = np.diag(mm * (2.0 * r_arr ** -3 + mult.lam))
-    anti = mult.sigma * np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-    for k in range(6):
-        H[k, 5 - k] += anti[k]
-    return H
+    values = _r6(r)
+    mm, _ = _mass_cols(_m(m))
+    lam, sigma = mult.lam, mult.sigma
+    H = [[0.0] * 6 for _ in range(6)]
+    for k, (x, n) in enumerate(zip(mm, _inverse_cubes(values))):
+        H[k][k] = x * (2.0 * n + lam)
+        H[k][5 - k] += sigma * PAIR_SIGN[k]
+    return np.array(H)
 
 
 def principal_minors(H: np.ndarray):

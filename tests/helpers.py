@@ -14,6 +14,7 @@ from ccc4.geometry import (PAIR_SIGN, K_term, MassVector, Q_term, cayley_menger_
                            moment_I, potential_U, ptolemy_P, triangle_margins)
 from ccc4.inverse import shape_to_distances
 from ccc4.oracle import IdentityRow, circumradius, fd_gradient, sample_cyclic_shapes
+from ccc4.serialize import format_float
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -408,3 +409,51 @@ def recover_masses_numpy(r):
     spread = float((s2.max() - s2.min()) / max(np.abs(s2).max(), 1e-300))
     return (mv.astuple(), mult.lam, mult.sigma, float(compat),
             mult.stationarity_residual, spread, rounds)
+
+
+def cyclic_draws_dirichlet(n, seed, min_gap, radius_range):
+    """Reference route of oracle._cyclic_draws: one rng.dirichlet(ones(4))
+    and one rng.uniform per shape, in numpy.  Yields (angles, radius)."""
+    rng = np.random.default_rng(seed)
+    alpha = np.ones(4)
+    for _ in range(n):
+        g1, g2, g3, _ = (min_gap + rng.dirichlet(alpha)
+                         * (2.0 * math.pi - 4.0 * min_gap)).tolist()
+        yield (0.0, g1, g1 + g2, g1 + g2 + g3), float(rng.uniform(*radius_range))
+
+
+def dumps_reference(obj):
+    """Reference route of serialize.dumps: each container joins the texts
+    of its items, which are built recursively."""
+    return _emit_reference(obj, 0) + "\n"
+
+
+def _emit_reference(obj, level):
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{out}"'
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f'{inner}"{k}": {_emit_reference(v, level + 1)}' for k, v in obj.items())
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = (f"{inner}{_emit_reference(v, level + 1)}" for v in obj)
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -365,3 +365,19 @@ def test_scan_leaves_its_starts_unchanged(capsys, monkeypatch):
     fresh = _draw_starts(SolverOptions())
     assert [(s.v.tobytes(), s.w.tobytes()) for s in drawn[0]] == \
         [(s.v.tobytes(), s.w.tobytes()) for s in fresh]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["--help"], ["solve"], ["solve", "--help"],
+    ["solve", "--masses", "1,2,3"], ["scan", "--grid", "two"], ["scan", "--grid", "1"],
+    ["identities", "--samples", "0"], ["certify"],
+])
+def test_the_process_parser_prints_what_a_fresh_parser_prints(argv, capsys, monkeypatch):
+    # main builds its parser once per process; after other parses it must
+    # print the bytes of a newly built one
+    assert cli._parser() is cli._parser()
+    run_cli(["inverse", "--angles", "0,90,180,270", "--degrees"], capsys)
+    run_cli(["solve", "--masses", "x"], capsys)
+    got = run_cli(argv, capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert got == run_cli(argv, capsys)

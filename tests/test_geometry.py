@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,3 +306,16 @@ def test_one_vector_invariants_have_the_bits_of_the_numpy_expressions():
 def test_is_geometric_beyond_the_range_of_the_eighth_power():
     # max(1, max r)^8 overflows for r above 1e38; the bound is then inf
     assert is_geometric(SQUARE.scaled(1e40))
+
+
+def test_is_geometric_rejects_a_nonrealizable_vector_at_every_scale():
+    # every triangle of (1, 1, 1, 1, 1, 1.9) is valid, but H = -4.4: no four
+    # points realize it.  H has degree 6, so its bound must too; against
+    # max(1, max r)^8 the vector passed from 1e4 on, and below 1e-3
+    base = DistanceVector(1.0, 1.0, 1.0, 1.0, 1.0, 1.9)
+    assert cayley_menger_H(base) < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # H must not overflow at 1e60
+        for e in range(-20, 61):
+            assert not is_geometric(base.scaled(10.0 ** e)), e
+            assert is_geometric(SQUARE.scaled(10.0 ** e)), e

@@ -14,7 +14,8 @@ from ccc4.oracle import (PlanarConfig, cartesian_cc_residual, circumradius,
                          sample_cyclic_shapes)
 from ccc4.solver import minimize_U
 
-from helpers import identity_battery_one_sample_at_a_time, random_planar_distance_vectors
+from helpers import (cyclic_draws_dirichlet, identity_battery_one_sample_at_a_time,
+                     random_planar_distance_vectors)
 
 SQRT2 = math.sqrt(2.0)
 SQUARE = DistanceVector(1.0, SQRT2, 1.0, 1.0, SQRT2, 1.0)
@@ -293,3 +294,13 @@ def test_nan_residual_fails_its_row(monkeypatch):
     rows = {row.name: row for row in run_identity_battery(100, seed=1)}
     assert not rows.pop("pech_identity").passed
     assert all(row.passed for row in rows.values())
+
+
+def test_cyclic_draws_equal_numpy_dirichlet_draws():
+    # four standard exponentials over their sum are numpy's Dirichlet(1, 1,
+    # 1, 1) bit for bit, and the stream after them is the same
+    for seed in range(100):
+        for gap, radii in ((oracle.SHAPE_MIN_GAP, oracle.SHAPE_RADIUS_RANGE),
+                           (0.02, (0.1, 30.0))):
+            got = list(oracle._cyclic_draws(30, seed, gap, radii))
+            assert got == list(cyclic_draws_dirichlet(30, seed, gap, radii)), seed

@@ -6,6 +6,8 @@ import pytest
 
 from ccc4.serialize import dumps, format_float
 
+from helpers import dumps_reference
+
 
 def test_floats_get_17_significant_digits():
     assert format_float(1.0 / 3.0) == "0.33333333333333331"
@@ -54,3 +56,36 @@ def test_dumps_rejects_unknown_types():
 def test_empty_containers():
     assert json.loads(dumps({})) == {}
     assert json.loads(dumps({"a": [], "b": {}})) == {"a": [], "b": {}}
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], {}]},
+    [{"x": [1, {"y": [2.5, {"z": []}]}]}, [[{"k": None}]], {"w": [{}]}],
+    {"f": np.float64(0.1), "i": np.int64(-7), "l": [np.float64(1e-5), np.int64(0)]},
+    [None, True, False, np.bool_(True), {"n": None, "t": True, "f": False}],
+    {'quote"d': 'a "b" \\c\\', "s": ["\\", '"', '\\"', ""]},
+    [-0.0, 0.0, 1e300, -1e300, 5e-324, 2.0, 1.0 / 3.0],
+    "plain",
+    3,
+    -0.0,
+])
+def test_dumps_equals_the_recursive_emitter(doc):
+    assert dumps(doc) == dumps_reference(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_dumps_rejects_non_finite_floats_at_any_depth(bad):
+    for doc in (bad, [bad], {"a": [1.0, {"b": bad}]}):
+        with pytest.raises(ValueError):
+            dumps(doc)
+
+
+def test_records_and_reports_equal_the_recursive_emitter():
+    from ccc4.solver import certify_minimum, minimize_U
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        rec = minimize_U((10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist())
+        for doc in (rec.to_json_dict(), certify_minimum(rec).to_json_dict()):
+            assert dumps(doc) == dumps_reference(doc)

@@ -464,3 +464,53 @@ def test_multistart_representatives_are_canonical_distance_tuples():
         endpoints, clusters = _multistart(m, _u_coefficients(m), starts, gtol)
         for rep, members in clusters:
             assert tuple(rep) == canonical_distance_tuple(endpoints[members[0]].r, m)
+
+
+def _fresh_starts(seed, starts=8):
+    # the starts of _draw_starts, each from a Generator built for the call
+    from ccc4.chart import sample_interior, square_chart_point
+    return [square_chart_point()] + [
+        sample_interior(np.random.default_rng(np.random.SeedSequence(entropy=(seed, i))))
+        for i in range(1, starts)]
+
+
+def test_drawn_starts_do_not_depend_on_earlier_draws(monkeypatch):
+    from ccc4 import chart
+    from ccc4.solver import _draw_starts
+    want = {seed: _start_bits(_fresh_starts(seed)) for seed in (0, 1, 7)}
+    for _ in range(3):
+        assert _start_bits(_draw_starts(SolverOptions())) == want[0]
+    for seed in (0, 1, 7, 7, 1, 0, 1, 7, 0):
+        assert _start_bits(_draw_starts(SolverOptions(seed=seed))) == want[seed], seed
+    # a full cache is emptied and refilled, never grown past its bound
+    monkeypatch.setattr(chart, "_GENERATORS", {})
+    monkeypatch.setattr(chart, "MAX_GENERATORS", 5)
+    for seed in (0, 1, 7, 0):
+        assert _start_bits(_draw_starts(SolverOptions(seed=seed))) == want[seed], seed
+        assert len(chart._GENERATORS) <= 5
+
+
+def test_threads_draw_the_same_starts_and_records():
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+    from ccc4 import chart
+    from ccc4.solver import _draw_starts
+    m = MassVector(1.0, 2.0, 3.0, 4.0)
+    want_starts = _start_bits(_fresh_starts(0))
+    want = minimize_U(m).to_json()
+    barrier = Barrier(4)
+
+    def work(_):
+        barrier.wait()
+        texts, starts = set(), set()
+        for _ in range(20):
+            texts.add(minimize_U(m).to_json())
+            starts.add(tuple(_start_bits(_draw_starts(SolverOptions()))))
+        return texts, starts
+
+    with ThreadPoolExecutor(4) as pool:
+        results = list(pool.map(work, range(4)))
+    for texts, starts in results:
+        assert texts == {want}
+        assert starts == {tuple(want_starts)}
+    assert len(chart._GENERATORS) <= chart.MAX_GENERATORS
