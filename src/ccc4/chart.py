@@ -243,6 +243,7 @@ def sample_interior(rng) -> VWPoint:
 
 # (thread, seed, index) -> (Generator, its state at the start of the stream)
 _GENERATORS = {}
+_GENERATORS_LOCK = threading.Lock()
 MAX_GENERATORS = 256     # cached streams, over all threads
 
 
@@ -251,16 +252,16 @@ def _stream(seed: int, index: int):
     Building one costs far more than rewinding it, so each thread keeps its
     own and no two threads share one."""
     key = (threading.get_ident(), seed, index)
-    entry = _GENERATORS.get(key)
-    if entry is None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
-        entry = (rng, rng.bit_generator.state)
-        if len(_GENERATORS) >= MAX_GENERATORS:
-            _GENERATORS.clear()
-        _GENERATORS[key] = entry
-    else:
-        entry[0].bit_generator.state = entry[1]
-    return entry[0]
+    with _GENERATORS_LOCK:
+        entry = _GENERATORS.get(key)
+        if entry is None:
+            if len(_GENERATORS) >= MAX_GENERATORS:
+                _GENERATORS.clear()
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
+            entry = _GENERATORS[key] = (rng, rng.bit_generator.state)
+    rng, start = entry
+    rng.bit_generator.state = start
+    return rng
 
 
 def seeded_start(seed: int, index: int) -> VWPoint:

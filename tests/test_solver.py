@@ -490,27 +490,36 @@ def test_drawn_starts_do_not_depend_on_earlier_draws(monkeypatch):
         assert len(chart._GENERATORS) <= 5
 
 
-def test_threads_draw_the_same_starts_and_records():
+def test_threads_draw_the_same_starts_and_records(monkeypatch):
+    import sys
     from concurrent.futures import ThreadPoolExecutor
     from threading import Barrier
     from ccc4 import chart
     from ccc4.solver import _draw_starts
     m = MassVector(1.0, 2.0, 3.0, 4.0)
-    want_starts = _start_bits(_fresh_starts(0))
+    want_starts = tuple(_start_bits(_fresh_starts(0)))
     want = minimize_U(m).to_json()
+    # a cache smaller than 4 threads x 7 streams is emptied while the
+    # threads draw, and each switch interval interleaves them finely
+    monkeypatch.setattr(chart, "_GENERATORS", {})
+    monkeypatch.setattr(chart, "MAX_GENERATORS", 10)
     barrier = Barrier(4)
 
-    def work(_):
-        barrier.wait()
+    def work():
+        barrier.wait(timeout=60)
         texts, starts = set(), set()
         for _ in range(20):
             texts.add(minimize_U(m).to_json())
             starts.add(tuple(_start_bits(_draw_starts(SolverOptions()))))
+            assert len(chart._GENERATORS) <= 10
         return texts, starts
 
-    with ThreadPoolExecutor(4) as pool:
-        results = list(pool.map(work, range(4)))
-    for texts, starts in results:
-        assert texts == {want}
-        assert starts == {tuple(want_starts)}
-    assert len(chart._GENERATORS) <= chart.MAX_GENERATORS
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(work) for _ in range(4)]
+            results = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [({want}, {want_starts})] * 4
