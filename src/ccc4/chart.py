@@ -204,7 +204,7 @@ def square_chart_point() -> VWPoint:
     """Image of the equal-mass square, an interior point of E usable as a
     universal start (independent of the masses)."""
     s = 1.0 / math.sqrt(2.0)
-    return VWPoint(v=np.array([s, 0.0, s]), w=np.array([0.0, 1.0, 0.0]))
+    return VWPoint(v=(s, 0.0, s), w=(0.0, 1.0, 0.0))
 
 
 def sample_interior(rng) -> VWPoint:
@@ -237,7 +237,7 @@ def sample_interior(rng) -> VWPoint:
                 log.debug("interior sample accepted after %d draws", draw)
             # the scalar normalization above only decides acceptance; the
             # point is normalized once, by VWPoint
-            return VWPoint(v=np.array([a1, a2, a3]), w=np.array([b1, b2, b3]))
+            return VWPoint(v=(a1, a2, a3), w=(b1, b2, b3))
     raise RuntimeError(f"no interior point found in {MAX_DRAWS} draws")
 
 

@@ -364,8 +364,10 @@ def relabel_distances(r, body_perm) -> np.ndarray:
     return np.array([values[k] for k in distance_index_permutation(body_perm)])
 
 
-# (body permutation, slot permutation) of each sequential relabeling.
-_RELABEL_TABLE = tuple((perm, distance_index_permutation(perm))
+# (body permutation, slot permutation, moved bodies) of each sequential
+# relabeling; a moved body is a pair (i, pi(i)) of 0-based indices, i != pi(i).
+_RELABEL_TABLE = tuple((perm, distance_index_permutation(perm),
+                        tuple((i, j - 1) for i, j in enumerate(perm) if j - 1 != i))
                        for perm in SEQUENTIAL_RELABELINGS.values())
 
 RELABEL_RTOL = 1e-12     # relative tolerance of "equal masses"
@@ -373,11 +375,17 @@ RELABEL_RTOL = 1e-12     # relative tolerance of "equal masses"
 
 def _admissible_entries(m):
     # np.allclose(masses[perm], masses, rtol=RELABEL_RTOL, atol=0) per
-    # entry, in plain floats: |m_pi(i) - m_i| <= rtol |m_i|.
+    # entry, in plain floats: |m_pi(i) - m_i| <= rtol |m_i|, which a body
+    # the relabeling fixes always meets.
     masses = [float(x) for x in _m(m).astuple()]
-    return [(perm, slots) for perm, slots in _RELABEL_TABLE
-            if all(abs(masses[j - 1] - mi) <= RELABEL_RTOL * abs(mi)
-                   for j, mi in zip(perm, masses))]
+    entries = []
+    for perm, slots, moved in _RELABEL_TABLE:
+        for i, j in moved:
+            if not abs(masses[j] - masses[i]) <= RELABEL_RTOL * abs(masses[i]):
+                break
+        else:
+            entries.append((perm, slots))
+    return entries
 
 
 def admissible_relabelings(m):

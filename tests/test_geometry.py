@@ -304,7 +304,8 @@ def test_one_vector_invariants_have_the_bits_of_the_numpy_expressions():
 
 
 def test_is_geometric_beyond_the_range_of_the_eighth_power():
-    # max(1, max r)^8 overflows for r above 1e38; the bound is then inf
+    # the squared distances of r near 1e40 overflow the 5x5 determinant
+    # unless H is evaluated on r rescaled by a power of two
     assert is_geometric(SQUARE.scaled(1e40))
 
 
