@@ -112,8 +112,8 @@ def build_parser() -> _Parser:
                         help="hold one mass fixed, e.g. m4=1 (default)")
     p_scan.add_argument("--out", default=None, help="write CSV here")
     p_scan.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility (N >= 1); rows are solved "
-                             "serially, so it changes neither the work nor the "
+                        help="accepted for compatibility (N >= 1); scan runs in "
+                             "one thread, so it changes neither the work nor the "
                              "output bytes")
 
     p_inv = sub.add_parser("inverse", help="recover masses from a cyclic shape")
@@ -169,9 +169,7 @@ def _scan_grid_values(n: int) -> list:
     return [float(x) for x in np.linspace(SCAN_GRID_LO, SCAN_GRID_HI, n)]
 
 
-def _scan_row(raw_masses, opts, starts) -> str:
-    masses = MassVector.from_iterable(raw_masses).normalized(4.0)
-    row = _scan_values(masses, opts, starts)
+def _scan_row(masses, row) -> str:
     cells = [format_float(masses.m1), format_float(masses.m2),
              format_float(masses.m3), format_float(masses.m4)]
     if row.converged:
@@ -211,8 +209,9 @@ def cmd_scan(args, parser) -> int:
     # the starts depend on the options only, so one draw serves every row
     opts = SolverOptions()
     starts = _draw_starts(opts)
+    masses = [MassVector.from_iterable(p).normalized(4.0) for p in points]
     try:
-        rows = [_scan_row(p, opts, starts) for p in points]
+        rows = [_scan_row(m, row) for m, row in zip(masses, _scan_values(masses, opts, starts))]
     except UniquenessAlarmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_ALARM

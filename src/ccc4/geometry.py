@@ -313,7 +313,7 @@ def in_D(r, m) -> bool:
 
     K = 0 stands in for the coplanarity condition H = 0; the two are
     equivalent on realizable vectors with P = 0 and K is far better
-    conditioned (degree 3 versus degree 8).
+    conditioned (degree 3 versus degree 6).
     """
     values = _r6(r)
     if abs(moment_I(values, m) - 1.0) > IN_D_TOL:

@@ -49,6 +49,12 @@ MAX_ITER = 500               # descent iterations per start
 MAX_NEWTON = 40              # Newton steps per start after the descent
 CLUSTER_TOL = 1e-6           # endpoint agreement radius, relative to max r
 
+# Descents that a scan runs together, so that its memory does not grow
+# with the grid: a block and its results take about 1.5 kB a lane.  On the
+# 13824 starts of scan --grid 12, blocks of 2048 descended at 8.1 us a
+# lane, 1024 and 4096 at 8.5 us, 512 at 12.0 us and 16384 at 9.6 us.
+SCAN_BLOCK_LANES = 2048
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -365,18 +371,26 @@ class _Endpoint(NamedTuple):
 
 def _multistart(masses: MassVector, u: tuple, starts, gtol: float):
     """Solve from every start, by descent and then Newton, with u =
-    _u_coefficients(masses); accept an endpoint when both converged and
-    |sum p^2 - 1|, |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart
-    units, free of the mass scale); cluster accepted endpoints, up to
-    admissible relabelings, within CLUSTER_TOL times the largest distance
-    of each cluster's representative.  Returns one _Endpoint per start and
+    _u_coefficients(masses): the descents of kernels.descend_lanes, then
+    _endpoints.  The starts are only read."""
+    pairs = [(s.v.tolist(), s.w.tolist()) for s in starts]
+    return _endpoints(masses, u, kernels.descend_lanes(
+        pairs, [u] * len(pairs), NEWTON_SWITCH, MAX_ITER), gtol)
+
+
+def _endpoints(masses: MassVector, u: tuple, descents, gtol: float):
+    """Newton from each descent endpoint, a 6-tuple of kernels.descend;
+    accept an endpoint when both converged and |sum p^2 - 1|,
+    |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart units, free of
+    the mass scale); cluster accepted endpoints, up to admissible
+    relabelings, within CLUSTER_TOL times the largest distance of each
+    cluster's representative.  Returns one _Endpoint per descent and
     (canonical representative, member indices) per cluster, the
-    representative as a tuple of floats.  The starts are only read; the
-    bookkeeping is done in Python floats."""
+    representative as a tuple of floats.  The bookkeeping is done in
+    Python floats."""
     relabelings = _admissible_slots(masses)
     endpoints, clusters = [], []
-    for index, (v, w) in enumerate([(s.v.tolist(), s.w.tolist()) for s in starts]):
-        v, w, U, _, iters, _ = kernels.descend(v, w, u, NEWTON_SWITCH, MAX_ITER)
+    for index, (v, w, U, _, iters, _) in enumerate(descents):
         ok = math.isfinite(U)
         if ok:
             v, w, U, _, nit, ok = _newton_polish(v, w, u, gtol)
@@ -454,22 +468,21 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """
     masses = _m(m)
     opts = opts or SolverOptions()
-    v, w, iterations, converged = _polished_endpoint(masses, opts, _draw_starts(opts))
+    u = _u_coefficients(masses)
+    v, w, iterations, converged = _polished_endpoint(
+        masses, u, *_multistart(masses, u, _draw_starts(opts), opts.gtol))
     meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
             "seed": opts.seed, "starts": opts.starts}
     return _record_from_point(v, w, masses, iterations, converged, meta)
 
 
-def _polished_endpoint(masses: MassVector, opts: SolverOptions, starts):
-    """The point a record of minimize_U is built from: (v, w, iterations,
-    converged), v and w triples of floats.  Raises UniquenessAlarmError
-    when the accepted endpoints form more than one cluster; polishes the
-    accepted endpoint of lowest U by _polish_record, or returns the best
-    iterate with converged False if no endpoint is accepted.  The starts
-    are only read."""
-    u = _u_coefficients(masses)
-    endpoints, clusters = _multistart(masses, u, starts, opts.gtol)
-
+def _polished_endpoint(masses: MassVector, u: tuple, endpoints, clusters):
+    """The point a record of minimize_U is built from, given the endpoints
+    and clusters of its multistart: (v, w, iterations, converged), v and w
+    triples of floats.  Raises UniquenessAlarmError when the accepted
+    endpoints form more than one cluster; polishes the accepted endpoint of
+    lowest U by _polish_record, or returns the best iterate with converged
+    False if no endpoint is accepted."""
     if len(clusters) > 1:
         gap = float(np.linalg.norm(np.subtract(clusters[1][0], clusters[0][0])))
         raise UniquenessAlarmError(
@@ -498,12 +511,30 @@ class _RowValues(NamedTuple):
     converged: bool
 
 
-def _scan_values(masses: MassVector, opts: SolverOptions, starts) -> _RowValues:
-    """The row fields of the record minimize_U(masses, opts) builds, from
-    starts drawn once by _draw_starts(opts) and only read, computed from
-    the same polished endpoint by the functions the record uses, without
-    the rest of the record."""
-    v, w, iterations, converged = _polished_endpoint(masses, opts, starts)
+def _scan_values(masses_list, opts: SolverOptions, starts):
+    """For each mass vector, the row fields of the record minimize_U(masses,
+    opts) builds, in order, from starts drawn once by _draw_starts(opts)
+    and only read.  The starts of SCAN_BLOCK_LANES // len(starts) rows at a
+    time are descended together by kernels.descend_lanes; each row then
+    runs the rest of minimize_U's solve on its own descents and computes
+    its fields from the same polished endpoint by the functions the record
+    uses, without the rest of the record."""
+    pairs = [(s.v.tolist(), s.w.tolist()) for s in starts]
+    rows = max(1, SCAN_BLOCK_LANES // len(pairs))
+    for first in range(0, len(masses_list), rows):
+        block = masses_list[first:first + rows]
+        us = [_u_coefficients(masses) for masses in block]
+        descents = kernels.descend_lanes(pairs * len(block),
+                                         [u for u in us for _ in pairs],
+                                         NEWTON_SWITCH, MAX_ITER)
+        for k, (masses, u) in enumerate(zip(block, us)):
+            own = descents[k * len(pairs):(k + 1) * len(pairs)]
+            yield _row_values(masses, _polished_endpoint(
+                masses, u, *_endpoints(masses, u, own, opts.gtol)))
+
+
+def _row_values(masses: MassVector, polished) -> _RowValues:
+    v, w, iterations, converged = polished
     if not converged:
         return _RowValues(None, None, None, False, iterations, False)
     r = p_to_r(vw_to_p_floats(v, w), masses)

@@ -156,3 +156,63 @@ def test_descend_matches_reference_bit_for_bit():
             cases += 1
     assert cases >= 3000
     assert statuses == {kernels.CONVERGED, kernels.MAXITER, kernels.STALLED}
+
+
+def test_descend_lanes_match_descend_bit_for_bit(monkeypatch):
+    # the lane loop against descend, lane by lane, in batches below, at and
+    # above LANES_MIN: the default starts, seeded starts and a start outside
+    # E; log10 m_i uniform on [-3, 3], and mass products that overflow, so
+    # that u holds inf or NaN; iteration caps 500 and 3
+    rng = np.random.default_rng(22)
+    starts = [(s.v, s.w) for s in _draw_starts(SolverOptions())]
+    starts += [(s.v, s.w) for s in (seeded_start(3, i) for i in range(8))]
+    starts.append((np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])))
+    us = [tuple(u_coeffs(10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist()) for _ in range(180)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        us += [tuple(u_coeffs(m).tolist())
+               for m in ((1e200, 1e200, 1.0, 1.0), (1.5e308, 1.5e308, 1.0, 1.0))]
+    assert any(math.isinf(x) for x in us[-2]) and any(math.isnan(x) for x in us[-1])
+    lanes = [(start, u) for u in us for start in starts]
+    lanes = [lanes[i] for i in rng.permutation(len(lanes))]
+    low = kernels.LANES_MIN
+    sizes = [low - 1, low, low + 1, 300, len(lanes)]
+
+    descend, calls = kernels.descend, []
+
+    def counted(*args):
+        calls.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(kernels, "descend", counted)
+    cases = 0
+    statuses = set()
+    for max_iter in (500, 3):
+        first = 0
+        for size in sizes:
+            batch = lanes[first:first + size]
+            first += len(batch)
+            calls.clear()
+            got = kernels.descend_lanes([s for s, _ in batch], [u for _, u in batch],
+                                        NEWTON_SWITCH, max_iter)
+            # one descend per lane below LANES_MIN, on stragglers only above
+            assert len(calls) == len(batch) if len(batch) < low else len(calls) < len(batch)
+            assert len(got) == len(batch)
+            for ((v, w), u), lane in zip(batch, got):
+                want = descend(v, w, u, NEWTON_SWITCH, max_iter)
+                assert [repr(x) for x in lane] == [repr(x) for x in want]
+                statuses.add(lane[5])
+                cases += 1
+    assert cases >= 3000
+    assert statuses == {kernels.CONVERGED, kernels.MAXITER, kernels.STALLED}
+
+
+def test_descend_lanes_raise_where_descend_divides_by_zero():
+    # p12 and p34 of this start are positive, but their squares underflow,
+    # so descend's gradient divides by zero; the lanes raise as it does
+    v, w = [2e-170, 0.6, 0.8], [-1e-170, 0.8, 0.6]
+    u = tuple(u_coeffs((1.0, 1.0, 1.0, 1.0)).tolist())
+    with pytest.raises(ZeroDivisionError):
+        kernels.descend(v, w, u, NEWTON_SWITCH, 500)
+    with pytest.raises(ZeroDivisionError):
+        kernels.descend_lanes([(v, w)] * kernels.LANES_MIN, [u] * kernels.LANES_MIN,
+                              NEWTON_SWITCH, 500)

@@ -433,7 +433,7 @@ def test_minimize_from_drawn_starts_leaves_them_unchanged():
     opts = SolverOptions()
     starts = _draw_starts(opts)
     m = MassVector(1.7, 0.4, 2.2, 0.9)
-    row = _scan_values(m, opts, starts)
+    row, = _scan_values([m], opts, starts)
     assert _start_bits(starts) == _start_bits(_draw_starts(opts))
     rec = minimize_U(m, opts)
     assert row == (rec.k_value, rec.scalars.U, rec.multipliers.lam,
