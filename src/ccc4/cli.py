@@ -198,18 +198,17 @@ def cmd_scan(args, parser) -> int:
 
     values = _scan_grid_values(args.grid)
     free_slots = [k for k in range(4) if k != fixed_slot]
-    points = []
+    masses = []
     for combo in itertools.product(values, repeat=3):
         raw = [0.0] * 4
         raw[fixed_slot] = fixed_value
         for slot, val in zip(free_slots, combo):
             raw[slot] = val
-        points.append(raw)
+        masses.append(MassVector.from_iterable(raw).normalized(4.0))
 
     # the starts depend on the options only, so one draw serves every row
     opts = SolverOptions()
     starts = _draw_starts(opts)
-    masses = [MassVector.from_iterable(p).normalized(4.0) for p in points]
     try:
         rows = [_scan_row(m, row) for m, row in zip(masses, _scan_values(masses, opts, starts))]
     except UniquenessAlarmError as exc:

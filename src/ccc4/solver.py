@@ -527,20 +527,17 @@ def _scan_values(masses_list, opts: SolverOptions, starts):
         descents = kernels.descend_lanes(pairs * len(block),
                                          [u for u in us for _ in pairs],
                                          NEWTON_SWITCH, MAX_ITER)
-        for k, (masses, u) in enumerate(zip(block, us)):
-            own = descents[k * len(pairs):(k + 1) * len(pairs)]
-            yield _row_values(masses, _polished_endpoint(
-                masses, u, *_endpoints(masses, u, own, opts.gtol)))
-
-
-def _row_values(masses: MassVector, polished) -> _RowValues:
-    v, w, iterations, converged = polished
-    if not converged:
-        return _RowValues(None, None, None, False, iterations, False)
-    r = p_to_r(vw_to_p_floats(v, w), masses)
-    k = K_term(r)
-    return _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
-                      _cocircular(k, r.astuple()), iterations, True)
+        for i, (masses, u) in enumerate(zip(block, us)):
+            own = descents[i * len(pairs):(i + 1) * len(pairs)]
+            v, w, iterations, converged = _polished_endpoint(
+                masses, u, *_endpoints(masses, u, own, opts.gtol))
+            if not converged:
+                yield _RowValues(None, None, None, False, iterations, False)
+                continue
+            r = p_to_r(vw_to_p_floats(v, w), masses)
+            k = K_term(r)
+            yield _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
+                             _cocircular(k, r.astuple()), iterations, True)
 
 
 # --- certification ---------------------------------------------------------
