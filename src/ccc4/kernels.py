@@ -341,10 +341,7 @@ def _halved(x, index, sign):
 
 
 def _sum6(x):
-    # the six rows of x (the second axis of a stack of them) added left to
-    # right, as descend adds its six terms
-    if x.ndim == 3:
-        x = x.swapaxes(0, 1)
+    # the six rows of x added left to right, as descend adds its six terms
     out = x[0] + x[1]
     out += x[2]
     out += x[3]
@@ -462,7 +459,7 @@ def _lockstep(starts, us, gtol, max_iter):
         else:
             # the steps s of z and y of d since the previous point
             sy = zd - zd_prev
-            ss, sy = _sum6(sy[:6] * sy.reshape(2, 6, -1))
+            ss, sy = _sum6((sy[:6] * sy.reshape(2, 6, -1)).swapaxes(0, 1))
             alpha = np.where(sy > 0.0, np.minimum(np.maximum(ss / sy, 1e-14), 1e4), 1e-2)
         zd_prev = zd
 
