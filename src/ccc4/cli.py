@@ -52,9 +52,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse with the conventional usage-error exit code."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EX_USAGE)
+        raise SystemExit(_usage_error(self, message))
 
 
 def _usage_error(parser, message):

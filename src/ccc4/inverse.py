@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import IndeterminateShapeError, InfeasibleShapeError
 from .geometry import DistanceVector, MassVector, OPPOSITE_SLOT, PAIR_SIGN, _r6, moment_I
-from .solver import recover_multipliers, sigma_sq_spread
+from .solver import _inverse_cubes, recover_multipliers, sigma_sq_spread
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,14 +88,6 @@ def dziobek_lambda(r) -> DziobekLambda:
     candidates coincide and are positive.
     """
     return _dziobek(_inverse_cubes(_r6(r)))
-
-
-def _inverse_cubes(r) -> list:
-    # numpy's vectorized power on purpose: a float x ** -3 (the C library's
-    # pow) differs from it in the last bit on some inputs, and the recovered
-    # masses keep the bits of the vectorized form; it also gives inf where
-    # the power overflows, where a float power raises
-    return (np.array(r) ** -3).tolist()
 
 
 def _dziobek(n: list) -> DziobekLambda:

@@ -21,7 +21,8 @@ and U, so it computes the gradient only at accepted points.
 `descend_lanes` runs many descents at once.  From LANES_MIN lanes up it
 steps them together on numpy rows, each expression in descend's order and
 built only from + - * / sqrt and comparisons, which numpy rounds as Python
-floats do; so every lane ends with descend's bits.
+floats do; so every lane ends with descend's bits, and the loop raises
+where descend divides by zero.
 """
 
 import math
@@ -352,15 +353,15 @@ def _sum6(x):
 
 def _unit_pairs(x):
     """Each triple of the (6, n) rows x divided by its norm, the norm taken
-    as _normalize3 takes it; None where a norm is zero, where a Python
-    float division raises."""
+    as _normalize3 takes it; raises where a norm is zero, as a Python float
+    division does."""
     x = x.reshape(2, 3, -1)
     xx = x * x
     n = xx[:, 0] + xx[:, 1]
     n += xx[:, 2]
     n = np.sqrt(n)
     if not n.all():
-        return None
+        raise ZeroDivisionError("float division by zero")
     return (x / n[:, None]).reshape(6, -1)
 
 
@@ -374,28 +375,22 @@ def descend_lanes(starts, us, gtol, max_iter):
     LANES_MIN lanes remain, descend runs those again from their starts.
     descend is looked up at each call, so a wrapper set on the module sees
     every call."""
-    if len(starts) >= LANES_MIN:
-        # Python floats raise on nothing but a division by zero, which the
-        # lane loop checks for; it ignores numpy's floating-point flags as
-        # descend's arithmetic sets none.  Where descend would raise, every
-        # lane goes through descend.
-        with np.errstate(all="ignore"):
-            out = _lockstep(starts, us, gtol, max_iter)
-        if out is not None:
-            return out
-    return [descend(v, w, u, gtol, max_iter) for (v, w), u in zip(starts, us)]
+    if len(starts) < LANES_MIN:
+        return [descend(v, w, u, gtol, max_iter) for (v, w), u in zip(starts, us)]
+    # Python floats raise on nothing but a division by zero, which the lane
+    # loop checks for and raises as descend does; it ignores numpy's
+    # floating-point flags as descend's arithmetic sets none
+    with np.errstate(all="ignore"):
+        return _lockstep(starts, us, gtol, max_iter)
 
 
 def _lockstep(starts, us, gtol, max_iter):
-    """The lane loop of descend_lanes; None where descend would divide by
-    zero.  The state of the running lanes, which have all made the same
-    number of iterations, is kept in (6, n) and (n,) arrays; zd stacks the
-    point z = (v, w) on its projected gradient d, as the BB step needs
-    both at the previous point."""
+    """The lane loop of descend_lanes.  The state of the running lanes,
+    which have all made the same number of iterations, is kept in (6, n)
+    and (n,) arrays; zd stacks the point z = (v, w) on its projected
+    gradient d, as the BB step needs both at the previous point."""
     count = len(starts)
     z = _unit_pairs(np.array([(*v, *w) for v, w in starts], dtype=float).T)
-    if z is None:
-        return None
     u = np.array(us, dtype=float).T
     p = _halved(z, _P_INDEX, _P_SIGN)
 
@@ -437,7 +432,7 @@ def _lockstep(starts, us, gtol, max_iter):
         # the gradient at the current points, projected onto the spheres
         pp = p * p
         if not pp.all():
-            return None
+            raise ZeroDivisionError("float division by zero")
         g = _halved(-u / pp, _G_INDEX, _G_SIGN).reshape(2, 3, -1)
         z3 = z.reshape(2, 3, -1)
         gz = g * z3
@@ -466,8 +461,6 @@ def _lockstep(starts, us, gtol, max_iter):
         # Armijo backtracking, per lane: lanes whose trial fails try again
         # at half the step
         t = _unit_pairs(z - alpha * d)
-        if t is None:
-            return None
         pt = _halved(t, _P_INDEX, _P_SIGN)
         Ut = _sum6(u / pt)
         ok = (pt > 0.0).all(axis=0) & (Ut <= U - _ARMIJO * alpha * g2)
@@ -478,8 +471,6 @@ def _lockstep(starts, us, gtol, max_iter):
                 break
             a = a * 0.5
             tt = _unit_pairs(z[:, trying] - a * d[:, trying])
-            if tt is None:
-                return None
             ptt = _halved(tt, _P_INDEX, _P_SIGN)
             Utt = _sum6(u[:, trying] / ptt)
             ok = (ptt > 0.0).all(axis=0) & (Utt <= U[trying] - _ARMIJO * a * g2[trying])

@@ -20,7 +20,7 @@ from .geometry import (OPPOSITE_SLOT, PAIR_SIGN, MassVector, K_term, Q_term, _co
                        _fpow, _m, _r6, cayley_menger_H, is_geometric, moment_I,
                        potential_U, ptolemy_P)
 from .inverse import CyclicShape, _chords
-from .solver import SolverOptions, _multistart, _u_coefficients
+from .solver import SolverOptions, _multistarts
 
 _PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -301,9 +301,8 @@ def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0) -> UniquenessRep
     if n_starts < 1:
         raise ValueError("need at least one start")
     masses = _m(m)
-    endpoints, clusters = _multistart(
-        masses, _u_coefficients(masses), [seeded_start(seed, i) for i in range(n_starts)],
-        SolverOptions().gtol)
+    (_, endpoints, clusters), = _multistarts(
+        [masses], [seeded_start(seed, i) for i in range(n_starts)], SolverOptions().gtol)
     return UniquenessReport(
         n_starts=n_starts, seed=seed, cluster_count=len(clusters),
         clusters=tuple((rep, len(members),

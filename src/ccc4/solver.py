@@ -49,8 +49,8 @@ MAX_ITER = 500               # descent iterations per start
 MAX_NEWTON = 40              # Newton steps per start after the descent
 CLUSTER_TOL = 1e-6           # endpoint agreement radius, relative to max r
 
-# Descents that a scan runs together, so that its memory does not grow
-# with the grid: a block and its results take about 1.5 kB a lane.  On the
+# Descents run together, so that a scan's memory does not grow with the
+# grid: a block and its results take about 1.5 kB a lane.  On the
 # 13824 starts of scan --grid 12, blocks of 2048 descended at 8.1 us a
 # lane, 1024 and 4096 at 8.5 us, 512 at 12.0 us and 16384 at 9.6 us.
 SCAN_BLOCK_LANES = 2048
@@ -168,9 +168,11 @@ def lagrangian_L(r, m, lam: float, sigma: float) -> float:
             + sigma * ptolemy_P(r))
 
 
-def _inverse_cubes(values: tuple) -> list:
-    # r^-3 by numpy's vectorized power, whose last bit can differ from
-    # Python's float power
+def _inverse_cubes(values) -> list:
+    # numpy's vectorized power on purpose: a float x ** -3 (the C library's
+    # pow) differs from it in the last bit on some inputs, and the recovered
+    # masses keep the bits of the vectorized form; it also gives inf where
+    # the power overflows, where a float power raises
     return (np.array(values) ** -3).tolist()
 
 
@@ -369,13 +371,24 @@ class _Endpoint(NamedTuple):
     r: DistanceVector | None     # None unless the endpoint was accepted
 
 
-def _multistart(masses: MassVector, u: tuple, starts, gtol: float):
-    """Solve from every start, by descent and then Newton, with u =
-    _u_coefficients(masses): the descents of kernels.descend_lanes, then
-    _endpoints.  The starts are only read."""
+def _multistarts(masses_list, starts, gtol: float):
+    """For each mass vector, in order, the solve from every start, by
+    descent and then Newton: (u, endpoints, clusters) with u =
+    _u_coefficients(masses) and the endpoints and clusters of _endpoints.
+    The starts of SCAN_BLOCK_LANES // len(starts) mass vectors at a time
+    (at least one) are descended together by kernels.descend_lanes.  The
+    starts are only read."""
     pairs = [(s.v.tolist(), s.w.tolist()) for s in starts]
-    return _endpoints(masses, u, kernels.descend_lanes(
-        pairs, [u] * len(pairs), NEWTON_SWITCH, MAX_ITER), gtol)
+    rows = max(1, SCAN_BLOCK_LANES // len(pairs))
+    for first in range(0, len(masses_list), rows):
+        block = masses_list[first:first + rows]
+        us = [_u_coefficients(masses) for masses in block]
+        descents = kernels.descend_lanes(pairs * len(block),
+                                         [u for u in us for _ in pairs],
+                                         NEWTON_SWITCH, MAX_ITER)
+        for i, (masses, u) in enumerate(zip(block, us)):
+            own = descents[i * len(pairs):(i + 1) * len(pairs)]
+            yield (u, *_endpoints(masses, u, own, gtol))
 
 
 def _endpoints(masses: MassVector, u: tuple, descents, gtol: float):
@@ -460,7 +473,7 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
 
     Starts from the equal-mass square image plus opts.starts - 1 seeded
     interior points.  The accepted endpoints must form one cluster (see
-    _multistart; there is exactly one minimizer), otherwise
+    _multistarts; there is exactly one minimizer), otherwise
     UniquenessAlarmError is raised.  The record is built from the accepted
     endpoint of lowest U, polished to full precision by _polish_record; if
     no endpoint is accepted, the best iterate is returned with
@@ -468,9 +481,8 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """
     masses = _m(m)
     opts = opts or SolverOptions()
-    u = _u_coefficients(masses)
-    v, w, iterations, converged = _polished_endpoint(
-        masses, u, *_multistart(masses, u, _draw_starts(opts), opts.gtol))
+    row, = _multistarts([masses], _draw_starts(opts), opts.gtol)
+    v, w, iterations, converged = _polished_endpoint(masses, *row)
     meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
             "seed": opts.seed, "starts": opts.starts}
     return _record_from_point(v, w, masses, iterations, converged, meta)
@@ -514,30 +526,19 @@ class _RowValues(NamedTuple):
 def _scan_values(masses_list, opts: SolverOptions, starts):
     """For each mass vector, the row fields of the record minimize_U(masses,
     opts) builds, in order, from starts drawn once by _draw_starts(opts)
-    and only read.  The starts of SCAN_BLOCK_LANES // len(starts) rows at a
-    time are descended together by kernels.descend_lanes; each row then
-    runs the rest of minimize_U's solve on its own descents and computes
-    its fields from the same polished endpoint by the functions the record
-    uses, without the rest of the record."""
-    pairs = [(s.v.tolist(), s.w.tolist()) for s in starts]
-    rows = max(1, SCAN_BLOCK_LANES // len(pairs))
-    for first in range(0, len(masses_list), rows):
-        block = masses_list[first:first + rows]
-        us = [_u_coefficients(masses) for masses in block]
-        descents = kernels.descend_lanes(pairs * len(block),
-                                         [u for u in us for _ in pairs],
-                                         NEWTON_SWITCH, MAX_ITER)
-        for i, (masses, u) in enumerate(zip(block, us)):
-            own = descents[i * len(pairs):(i + 1) * len(pairs)]
-            v, w, iterations, converged = _polished_endpoint(
-                masses, u, *_endpoints(masses, u, own, opts.gtol))
-            if not converged:
-                yield _RowValues(None, None, None, False, iterations, False)
-                continue
-            r = p_to_r(vw_to_p_floats(v, w), masses)
-            k = K_term(r)
-            yield _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
-                             _cocircular(k, r.astuple()), iterations, True)
+    and only read.  The rows share one _multistarts, which descends the
+    starts of many rows together; each row's fields come from the same
+    polished endpoint by the functions the record uses, without the rest
+    of the record."""
+    for masses, row in zip(masses_list, _multistarts(masses_list, starts, opts.gtol)):
+        v, w, iterations, converged = _polished_endpoint(masses, *row)
+        if not converged:
+            yield _RowValues(None, None, None, False, iterations, False)
+            continue
+        r = p_to_r(vw_to_p_floats(v, w), masses)
+        k = K_term(r)
+        yield _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
+                         _cocircular(k, r.astuple()), iterations, True)
 
 
 # --- certification ---------------------------------------------------------
@@ -592,41 +593,44 @@ def certify_minimum(rec: SolveRecord) -> CertReport:
     of each factor is amplified by cond = S / min |n - lambda|, so it is
     bounded by SIGMA_SQ_RTOL cond.  Each check reports the threshold used.
     """
-    r = rec.r_star.astuple()
-    masses = rec.masses
-    mult = rec.multipliers
-    checks = {}
+    # an overflowing record gives inf and NaN, on which its checks fail;
+    # numpy's floating-point warnings about them add nothing
+    with np.errstate(all="ignore"):
+        r = rec.r_star.astuple()
+        masses = rec.masses
+        mult = rec.multipliers
+        checks = {}
 
-    checks["lambda_positive"] = CheckResult(mult.lam > 0.0, mult.lam, 0.0)
+        checks["lambda_positive"] = CheckResult(mult.lam > 0.0, mult.lam, 0.0)
 
-    stat = stationarity_residual(r, masses, mult.lam, mult.sigma)
-    checks["stationarity"] = CheckResult(stat <= STATIONARITY_TOL, stat, STATIONARITY_TOL)
+        stat = stationarity_residual(r, masses, mult.lam, mult.sigma)
+        checks["stationarity"] = CheckResult(stat <= STATIONARITY_TOL, stat, STATIONARITY_TOL)
 
-    cons = max(abs(moment_I(r, masses) - 1.0), abs(ptolemy_P(r)))
-    checks["constraints"] = CheckResult(cons <= CERT_CONSTRAINT_TOL, cons, CERT_CONSTRAINT_TOL)
+        cons = max(abs(moment_I(r, masses) - 1.0), abs(ptolemy_P(r)))
+        checks["constraints"] = CheckResult(cons <= CERT_CONSTRAINT_TOL, cons, CERT_CONSTRAINT_TOL)
 
-    H = hessian_L(r, masses, mult)
-    minors = principal_minors(H)
-    minors_ok = min(minors) > 0.0
-    try:
-        np.linalg.cholesky(H)
-        chol_ok = True
-    except np.linalg.LinAlgError:
-        chol_ok = False
-    checks["minors_positive"] = CheckResult(minors_ok, min(minors), 0.0)
-    checks["posdef_agreement"] = CheckResult(chol_ok == minors_ok,
-                                             float(chol_ok == minors_ok), 1.0)
+        H = hessian_L(r, masses, mult)
+        minors = principal_minors(H)
+        minors_ok = min(minors) > 0.0
+        try:
+            np.linalg.cholesky(H)
+            chol_ok = True
+        except np.linalg.LinAlgError:
+            chol_ok = False
+        checks["minors_positive"] = CheckResult(minors_ok, min(minors), 0.0)
+        checks["posdef_agreement"] = CheckResult(chol_ok == minors_ok,
+                                                 float(chol_ok == minors_ok), 1.0)
 
-    n = [_fpow(x, -3) for x in r]
-    scale = max(max(n), mult.lam)
-    gap = min(abs(x - mult.lam) for x in n)
-    cond = scale / gap if gap > 0.0 else math.inf
-    checks["dziobek"] = _scaled_check(dziobek_residual(r, mult.lam),
-                                      DZIOBEK_RTOL * _fpow(scale, 2))
-    checks["sigma_sq_consistent"] = _scaled_check(
-        sigma_sq_spread(r, masses, mult.lam), SIGMA_SQ_RTOL * cond)
+        n = [_fpow(x, -3) for x in r]
+        scale = max(max(n), mult.lam)
+        gap = min(abs(x - mult.lam) for x in n)
+        cond = scale / gap if gap > 0.0 else math.inf
+        checks["dziobek"] = _scaled_check(dziobek_residual(r, mult.lam),
+                                          DZIOBEK_RTOL * _fpow(scale, 2))
+        checks["sigma_sq_consistent"] = _scaled_check(
+            sigma_sq_spread(r, masses, mult.lam), SIGMA_SQ_RTOL * cond)
 
-    k_ok = classify_cocircular(rec) == rec.is_cocircular
-    checks["cocircular_consistent"] = CheckResult(
-        k_ok, abs(rec.k_value), COCIRCULAR_TOL * _fpow(max(r), 3))
+        k_ok = classify_cocircular(rec) == rec.is_cocircular
+        checks["cocircular_consistent"] = CheckResult(
+            k_ok, abs(rec.k_value), COCIRCULAR_TOL * _fpow(max(r), 3))
     return CertReport(checks=checks)

@@ -188,13 +188,15 @@ def test_certify_tampered_record(tmp_path, capsys):
     assert "stationarity: FAIL" in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("field, key, value", [("multipliers", "lambda", 1e308),
                                                 ("r_star", "r12", 1e-200),
                                                 ("r_star", "r12", 1e200)])
 def test_certify_prints_a_failing_certificate_where_a_power_overflows(
         field, key, value, tmp_path, capsys):
     # lambda^2, r^-3 and (max r)^3 overflow the float range: the checks
-    # that read them fail instead of raising OverflowError
+    # that read them fail instead of raising OverflowError, and numpy's
+    # floating-point warnings, here errors, stay silent
     rec_path = tmp_path / "rec.json"
     assert run_cli(["solve", "--masses", "1,1,1,1", "--out", str(rec_path)],
                    capsys)[0] == 0
@@ -333,14 +335,22 @@ def test_scan_rows_that_did_not_converge_print_sentinels(capsys, monkeypatch):
             assert cells[9] == "false" and int(cells[8]) <= 2
 
 
-@pytest.mark.parametrize("fix", ["m4=1", "m2=1.7", "m4=1e-3"])
-def test_scan_rows_equal_standalone_solves(fix, capsys, monkeypatch):
-    # scan draws its starts once per grid, descends all rows' starts
-    # together and computes only the printed fields; each row must still
-    # print the fields of the record of a standalone minimize_U of that
-    # row's normalized masses.  At m4=1e-3 a few of the 512 descents run
-    # past 100 iterations and end in kernels.descend.
+@pytest.mark.parametrize(
+    "fix, block_lanes",
+    [("m4=1", solver.SCAN_BLOCK_LANES), ("m2=1.7", solver.SCAN_BLOCK_LANES),
+     ("m4=1e-3", solver.SCAN_BLOCK_LANES), ("m4=1e-3", 8), ("m4=1e-3", 24)],
+    ids=["m4=1", "m2=1.7", "m4=1e-3", "m4=1e-3-block8", "m4=1e-3-block24"])
+def test_scan_rows_equal_standalone_solves(fix, block_lanes, capsys, monkeypatch):
+    # scan draws its starts once per grid, descends the starts of
+    # block_lanes // 8 rows together and computes only the printed fields;
+    # each row must still print the fields of the record of a standalone
+    # minimize_U of that row's normalized masses.  At m4=1e-3 a few of the
+    # 512 descents run past 100 iterations and end in kernels.descend.
+    # Blocks of 8 lanes descend one row each, lane by lane (below
+    # LANES_MIN); blocks of 24 descend three rows in lockstep; the default
+    # descends all 64 rows in one block.
     from ccc4.solver import minimize_U
+    monkeypatch.setattr(solver, "SCAN_BLOCK_LANES", block_lanes)
 
     def standalone_values(masses_list, opts, starts):
         recs = [minimize_U(masses, opts) for masses in masses_list]

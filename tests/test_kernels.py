@@ -207,12 +207,19 @@ def test_descend_lanes_match_descend_bit_for_bit(monkeypatch):
 
 
 def test_descend_lanes_raise_where_descend_divides_by_zero():
-    # p12 and p34 of this start are positive, but their squares underflow,
-    # so descend's gradient divides by zero; the lanes raise as it does
-    v, w = [2e-170, 0.6, 0.8], [-1e-170, 0.8, 0.6]
+    # p12 and p34 of the first start are positive, but their squares
+    # underflow, so descend's gradient divides by zero; the second start has
+    # v = 0, which descend cannot normalize.  The lanes raise as it does,
+    # with every lane on the first start, and with one lane of the batch on
+    # the second
     u = tuple(u_coeffs((1.0, 1.0, 1.0, 1.0)).tolist())
-    with pytest.raises(ZeroDivisionError):
-        kernels.descend(v, w, u, NEWTON_SWITCH, 500)
-    with pytest.raises(ZeroDivisionError):
-        kernels.descend_lanes([(v, w)] * kernels.LANES_MIN, [u] * kernels.LANES_MIN,
-                              NEWTON_SWITCH, 500)
+    square = square_chart_point()
+    good = (square.v.tolist(), square.w.tolist())
+    underflow = ([2e-170, 0.6, 0.8], [-1e-170, 0.8, 0.6])
+    zero = ([0.0, 0.0, 0.0], good[1])
+    low = kernels.LANES_MIN
+    for bad, batch in ((underflow, [underflow] * low), (zero, [good] * (low - 1) + [zero])):
+        with pytest.raises(ZeroDivisionError):
+            kernels.descend(*bad, u, NEWTON_SWITCH, 500)
+        with pytest.raises(ZeroDivisionError):
+            kernels.descend_lanes(batch, [u] * low, NEWTON_SWITCH, 500)

@@ -442,10 +442,9 @@ def test_minimize_from_drawn_starts_leaves_them_unchanged():
 
 def test_multistart_start_outside_E_is_an_unaccepted_endpoint():
     from ccc4.chart import VWPoint
-    from ccc4.solver import _multistart, _u_coefficients
+    from ccc4.solver import _multistarts
     outside = VWPoint(v=np.array([0.0, 1.0, 0.0]), w=np.array([1.0, 0.0, 0.0]))
-    endpoints, clusters = _multistart(UNIT, _u_coefficients(UNIT), [outside],
-                                      SolverOptions().gtol)
+    (_, endpoints, clusters), = _multistarts([UNIT], [outside], SolverOptions().gtol)
     assert len(endpoints) == 1
     assert endpoints[0].U == math.inf and endpoints[0].r is None
     assert clusters == []
@@ -455,13 +454,13 @@ def test_multistart_representatives_are_canonical_distance_tuples():
     # the per-solve relabeling set must canonicalize as the per-vector rule
     from ccc4.chart import seeded_start
     from ccc4.geometry import canonical_distance_tuple
-    from ccc4.solver import _multistart, _u_coefficients
+    from ccc4.solver import _multistarts
     gtol = SolverOptions().gtol
     starts = [seeded_start(5, i) for i in range(6)]
     for masses in ((1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 1.0, 1.0), (1.0, 3.0, 3.0, 1.0),
                    (1.0, 2.0, 1.0, 2.0), (0.5, 1.5, 0.5, 2.5)):
         m = MassVector(*masses)
-        endpoints, clusters = _multistart(m, _u_coefficients(m), starts, gtol)
+        (_, endpoints, clusters), = _multistarts([m], starts, gtol)
         for rep, members in clusters:
             assert tuple(rep) == canonical_distance_tuple(endpoints[members[0]].r, m)
 
