@@ -23,6 +23,16 @@ steps them together on numpy rows, each expression in descend's order and
 built only from + - * / sqrt and comparisons, which numpy rounds as Python
 floats do; so every lane ends with descend's bits, and the loop raises
 where descend divides by zero.
+
+The Newton steps that polish the descents' endpoints run on lanes by the
+same rule.  potential_lanes, tangent_gradient_lanes, newton_step_lanes and
+retract_lanes are potential, tangent_gradient, newton_step and retract on
+(6, n) rows, in the scalar order; where the scalar code returns None or
+branches, a lane form returns a mask or takes the branch per lane, and its
+callers, solver._newton_polish_lanes and solver._polish_record_lanes, keep
+a lane only as long as the scalar loop goes on.  Every lane ends with the
+scalar bits, and the lane forms raise where the scalar code divides by
+zero.
 """
 
 import math
@@ -351,18 +361,34 @@ def _sum6(x):
     return out
 
 
-def _unit_pairs(x):
-    """Each triple of the (6, n) rows x divided by its norm, the norm taken
+def _sum3(x):
+    # x[:, 0] + x[:, 1] + x[:, 2], added left to right, as the scalar code
+    # adds the three terms of a dot product
+    out = x[:, 0] + x[:, 1]
+    out += x[:, 2]
+    return out
+
+
+def _unit_triples(x):
+    """Each triple of the (3k, n) rows x divided by its norm, the norm taken
     as _normalize3 takes it; raises where a norm is zero, as a Python float
     division does."""
-    x = x.reshape(2, 3, -1)
-    xx = x * x
-    n = xx[:, 0] + xx[:, 1]
-    n += xx[:, 2]
-    n = np.sqrt(n)
+    t = x.reshape(len(x) // 3, 3, x.shape[1])
+    n = np.sqrt(_sum3(t * t))
     if not n.all():
         raise ZeroDivisionError("float division by zero")
-    return (x / n[:, None]).reshape(6, -1)
+    return (t / n[:, None]).reshape(x.shape)
+
+
+def _projected(z, g):
+    """The radial components c = (cv, cw) of the (6, n) gradients g at the
+    points z and their projections d onto the tangent spaces, (2, n) and
+    (6, n), as tangent_gradient computes them."""
+    n = z.shape[1]
+    z3 = z.reshape(2, 3, n)
+    g3 = g.reshape(2, 3, n)
+    c = _sum3(g3 * z3)
+    return c, (g3 - c[:, None] * z3).reshape(6, n)
 
 
 def descend_lanes(starts, us, gtol, max_iter):
@@ -390,7 +416,7 @@ def _lockstep(starts, us, gtol, max_iter):
     and (n,) arrays; zd stacks the point z = (v, w) on its projected
     gradient d, as the BB step needs both at the previous point."""
     count = len(starts)
-    z = _unit_pairs(np.array([(*v, *w) for v, w in starts], dtype=float).T)
+    z = _unit_triples(np.array([(*v, *w) for v, w in starts], dtype=float).T)
     u = np.array(us, dtype=float).T
     p = _halved(z, _P_INDEX, _P_SIGN)
 
@@ -433,12 +459,7 @@ def _lockstep(starts, us, gtol, max_iter):
         pp = p * p
         if not pp.all():
             raise ZeroDivisionError("float division by zero")
-        g = _halved(-u / pp, _G_INDEX, _G_SIGN).reshape(2, 3, -1)
-        z3 = z.reshape(2, 3, -1)
-        gz = g * z3
-        c = gz[:, 0] + gz[:, 1]
-        c += gz[:, 2]
-        zd = np.concatenate((z, (g - c[:, None] * z3).reshape(6, -1)))
+        zd = np.concatenate((z, _projected(z, _halved(-u / pp, _G_INDEX, _G_SIGN))[1]))
         g2 = _sum6(zd[6:] * zd[6:])
         rg = np.sqrt(g2)
         # fmax, as max(1.0, x), gives 1.0 for x = NaN
@@ -460,7 +481,7 @@ def _lockstep(starts, us, gtol, max_iter):
 
         # Armijo backtracking, per lane: lanes whose trial fails try again
         # at half the step
-        t = _unit_pairs(z - alpha * d)
+        t = _unit_triples(z - alpha * d)
         pt = _halved(t, _P_INDEX, _P_SIGN)
         Ut = _sum6(u / pt)
         ok = (pt > 0.0).all(axis=0) & (Ut <= U - _ARMIJO * alpha * g2)
@@ -470,7 +491,7 @@ def _lockstep(starts, us, gtol, max_iter):
             if not trying.size:
                 break
             a = a * 0.5
-            tt = _unit_pairs(z[:, trying] - a * d[:, trying])
+            tt = _unit_triples(z[:, trying] - a * d[:, trying])
             ptt = _halved(tt, _P_INDEX, _P_SIGN)
             Utt = _sum6(u[:, trying] / ptt)
             ok = (ptt > 0.0).all(axis=0) & (Utt <= U[trying] - _ARMIJO * a * g2[trying])
@@ -493,3 +514,112 @@ def _lockstep(starts, us, gtol, max_iter):
         v, w = starts[i]
         results[i] = descend(v, w, us[i], gtol, max_iter)
     return results
+
+
+# Lane forms of potential, tangent_gradient, newton_step and retract, for the
+# (6, n) rows of n points: the scalar expressions on (n,) rows, so that each
+# lane has the bits of the scalar call.  Where the scalar code branches, a
+# lane form returns a mask, and its caller keeps a lane only as long as the
+# scalar call would go on.
+
+def potential_lanes(z, u):
+    """potential at every lane of the (6, n) rows z and u: (inside, U, g,
+    h), inside the mask of the lanes where every p_k > 0, at which
+    potential returns (p, U, g, h); the values of the other lanes mean
+    nothing.  Raises where potential divides by zero at an inside lane."""
+    p = _halved(z, _P_INDEX, _P_SIGN)
+    inside = (p > 0.0).all(axis=0)
+    pp = p * p
+    if (inside & ~pp.all(axis=0)).any():
+        raise ZeroDivisionError("float division by zero")
+    q = -u / pp
+    return inside, _sum6(u / p), _halved(q, _G_INDEX, _G_SIGN), -2.0 * q / p
+
+
+def tangent_gradient_lanes(z, g):
+    """tangent_gradient at every lane of the (6, n) rows z and g: (cv, cw,
+    rg) as (n,) rows."""
+    c, d = _projected(z, g)
+    return c[0], c[1], np.sqrt(_sum6(d * d))
+
+
+# b = x cross a: b_i = x_{i+1} a_{i+2} - x_{i+2} a_{i+1}, indices mod 3
+_NEXT = np.array([1, 2, 0])
+_LAST = np.array([2, 0, 1])
+
+
+def _tangent_pairs(z):
+    """_tangent_pair of v and of w at every lane of the (6, n) rows z, as
+    (2, 3, n) arrays a and b, v first; each lane takes the branch
+    _tangent_pair takes, from the axis k least aligned with x."""
+    n = z.shape[1]
+    x = z.reshape(2, 3, n)
+    ax = np.abs(x)
+    first = (ax[:, 0] <= ax[:, 1]) & (ax[:, 0] <= ax[:, 2])
+    second = ~first & (ax[:, 1] <= ax[:, 2])
+    k = np.stack((first, second, ~(first | second)), axis=1)
+    xk = np.where(first, x[:, 0], np.where(second, x[:, 1], x[:, 2]))[:, None]
+    a = _unit_triples(np.where(k, 1.0 - xk * xk, -xk * x).reshape(6, n)).reshape(2, 3, n)
+    return a, x[:, _NEXT] * a[:, _LAST] - x[:, _LAST] * a[:, _NEXT]
+
+
+# The ten entries H11, H21, H22, H31, H32, H33, H41, H42, H43, H44 of
+# newton_step's reduced Hessian are sums over i of (coef_i X_i) Y_i, with
+# coef X taken from (s a, s b, s c, s d, t c, t d) and Y from (a, b, c, d)
+_H_LEFT = np.array([0, 1, 1, 4, 4, 2, 5, 5, 3, 3])
+_H_RIGHT = np.array([0, 0, 1, 0, 1, 2, 0, 1, 2, 3])
+# the sphere of each of a, b, c, d
+_SPHERE = np.array([0, 0, 1, 1])
+
+
+def newton_step_lanes(z, g, h, cv, cw):
+    """newton_step at every lane of the (6, n) rows z, g and h and the (n,)
+    rows cv and cw: (step, ok), step the (6, n) steps and ok the mask of
+    the lanes where every pivot is > 0, at which newton_step returns its
+    step; the steps of the other lanes mean nothing."""
+    n = z.shape[1]
+    # s_i = 0.25 (h_i + h_{7-i}) and t_i = 0.25 (h_i - h_{7-i})
+    s = 0.25 * (h[:3] + h[:2:-1])
+    t = 0.25 * (h[:3] - h[:2:-1])
+    a, b = _tangent_pairs(z)
+    basis = np.stack((a[0], b[0], a[1], b[1]))
+    left = np.concatenate((s * basis, t * basis[2:]))
+    H = left[_H_LEFT] * basis[_H_RIGHT]
+    H11, H21, H22, H31, H32, H33, H41, H42, H43, H44 = _sum3(H)
+    H11 -= cv
+    H22 -= cv
+    H33 -= cw
+    H44 -= cw
+    f1, f2, f3, f4 = _sum3(basis * g.reshape(2, 3, n)[_SPHERE])
+    ok = H11 > 0.0
+    L11 = np.sqrt(H11)
+    L21 = H21 / L11
+    L31 = H31 / L11
+    L41 = H41 / L11
+    x = H22 - L21 * L21
+    ok &= x > 0.0
+    L22 = np.sqrt(x)
+    L32 = (H32 - L31 * L21) / L22
+    L42 = (H42 - L41 * L21) / L22
+    x = H33 - L31 * L31 - L32 * L32
+    ok &= x > 0.0
+    L33 = np.sqrt(x)
+    L43 = (H43 - L41 * L31 - L42 * L32) / L33
+    x = H44 - L41 * L41 - L42 * L42 - L43 * L43
+    ok &= x > 0.0
+    L44 = np.sqrt(x)
+    y1 = -f1 / L11
+    y2 = (-f2 - L21 * y1) / L22
+    y3 = (-f3 - L31 * y1 - L32 * y2) / L33
+    y4 = (-f4 - L41 * y1 - L42 * y2 - L43 * y3) / L44
+    x4 = y4 / L44
+    x3 = (y3 - L43 * x4) / L33
+    x2 = (y2 - L32 * x3 - L42 * x4) / L22
+    x1 = (y1 - L21 * x2 - L31 * x3 - L41 * x4) / L11
+    return np.concatenate((x1 * a[0] + x2 * b[0], x3 * a[1] + x4 * b[1])), ok
+
+
+def retract_lanes(z, step, t):
+    """retract at every lane of the (6, n) rows z and step, with t a float
+    or an (n,) row."""
+    return _unit_triples(z + t * step)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels, serialize
 from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_floats
-from .errors import IndeterminateShapeError, UniquenessAlarmError
+from .errors import DegeneratePointError, IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DistanceVector, K_term, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
                        ScalarReport, _admissible_slots, _canonical, _fpow, _m,
                        _mass_cols, _r6, moment_I, potential_U, ptolemy_P)
@@ -363,65 +363,215 @@ def _polish_record(v, w, u):
     return z[:3], z[3:], steps
 
 
+def _newton_polish_lanes(points, us, gtol):
+    """_newton_polish(v, w, u, gtol) for each (v, w) of points and u of us,
+    as the list of its 6-tuples.  Below kernels.LANES_MIN lanes this calls
+    _newton_polish, looked up at each call, once per lane.  From LANES_MIN
+    on it runs _newton_polish's loop on all lanes together, in the lane
+    forms of the kernels, and each lane leaves where _newton_polish
+    returns: converged, at MAX_NEWTON, at a pivot that is not positive or
+    where the line search fails."""
+    if len(points) < kernels.LANES_MIN:
+        return [_newton_polish(v, w, u, gtol) for (v, w), u in zip(points, us)]
+    # as in kernels.descend_lanes, the lanes raise where the scalar code
+    # divides by zero and ignore numpy's floating-point flags
+    with np.errstate(all="ignore"):
+        z = np.array([(*v, *w) for v, w in points], dtype=float).T
+        u = np.array(us, dtype=float).T
+        count = z.shape[1]
+        out_z, out_U, out_rg = z.copy(), np.full(count, math.inf), np.full(count, math.inf)
+        out_nit, out_ok = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
+        # a point outside E leaves at once, with U = rg = inf
+        inside, U, g, h = kernels.potential_lanes(z, u)
+        lane = np.flatnonzero(inside)
+        z, u, U, g, h = z[:, lane], u[:, lane], U[lane], g[:, lane], h[:, lane]
+        for nit in range(MAX_NEWTON + 1):
+            cv, cw, rg = kernels.tangent_gradient_lanes(z, g)
+            converged = rg <= gtol * np.fmax(np.abs(U), 1.0)
+            going = np.flatnonzero(~converged) if nit < MAX_NEWTON else lane[:0]
+            step, ok = kernels.newton_step_lanes(z[:, going], g[:, going], h[:, going],
+                                                 cv[going], cw[going])
+            going, step = going[ok], step[:, ok]
+            # backtracking from t = 1, per lane; zn, Un, gn and hn take each
+            # lane's first accepted trial
+            zn, Un, gn, hn = z[:, going], U[going], g[:, going], h[:, going]
+            t = np.ones(going.size)
+            trying = np.arange(going.size)
+            for _ in range(30):
+                if not trying.size:
+                    break
+                rows = going[trying]
+                zt = kernels.retract_lanes(z[:, rows], step[:, trying], t)
+                inside, Ut, gt, ht = kernels.potential_lanes(zt, u[:, rows])
+                hit = inside & (Ut <= U[rows] + 1e-12 * np.abs(U[rows]))
+                k = trying[hit]
+                zn[:, k], Un[k], gn[:, k], hn[:, k] = zt[:, hit], Ut[hit], gt[:, hit], ht[:, hit]
+                trying, t = trying[~hit], t[~hit] * 0.5
+            moved = np.ones(going.size, dtype=bool)
+            moved[trying] = False
+            # every other lane leaves with its current point
+            stay = np.ones(lane.size, dtype=bool)
+            stay[going[moved]] = False
+            done = lane[stay]
+            out_z[:, done], out_U[done], out_rg[done] = z[:, stay], U[stay], rg[stay]
+            out_nit[done], out_ok[done] = nit, converged[stay]
+            lane, u = lane[~stay], u[:, ~stay]
+            z, U, g, h = zn[:, moved], Un[moved], gn[:, moved], hn[:, moved]
+            if not lane.size:
+                break
+    return [(tuple(zi[:3]), tuple(zi[3:]), Ui, rgi, nit, ok)
+            for zi, Ui, rgi, nit, ok in zip(out_z.T.tolist(), out_U.tolist(), out_rg.tolist(),
+                                             out_nit.tolist(), out_ok.tolist())]
+
+
+def _polish_record_lanes(points, us):
+    """_polish_record(v, w, u) for each (v, w) of points and u of us, as the
+    list of its 3-tuples.  Below kernels.LANES_MIN lanes this calls
+    _polish_record, looked up at each call, once per lane; from LANES_MIN
+    on it runs _polish_record's loop on all lanes together, and each lane
+    leaves where _polish_record returns."""
+    if len(points) < kernels.LANES_MIN:
+        return [_polish_record(v, w, u) for (v, w), u in zip(points, us)]
+    with np.errstate(all="ignore"):
+        z = np.array([(*v, *w) for v, w in points], dtype=float).T
+        u = np.array(us, dtype=float).T
+        out_z, out_steps = z.copy(), np.zeros(z.shape[1], dtype=int)
+        lane = np.arange(z.shape[1])
+        _, _, g, h = kernels.potential_lanes(z, u)
+        cv, cw, rg = kernels.tangent_gradient_lanes(z, g)
+        for steps in range(RECORD_NEWTON_STEPS):
+            step, ok = kernels.newton_step_lanes(z, g, h, cv, cw)
+            going = np.flatnonzero(ok)
+            zn = kernels.retract_lanes(z[:, going], step[:, going], 1.0)
+            inside, _, gn, hn = kernels.potential_lanes(zn, u[:, going])
+            cvn, cwn, rgn = kernels.tangent_gradient_lanes(zn, gn)
+            better = inside & (rgn < rg[going])
+            stay = np.ones(lane.size, dtype=bool)
+            stay[going[better]] = False
+            out_z[:, lane[stay]], out_steps[lane[stay]] = z[:, stay], steps
+            lane, u = lane[~stay], u[:, ~stay]
+            z, g, h = zn[:, better], gn[:, better], hn[:, better]
+            cv, cw, rg = cvn[better], cwn[better], rgn[better]
+            if not lane.size:
+                break
+        out_z[:, lane], out_steps[lane] = z, RECORD_NEWTON_STEPS
+    return [(tuple(zi[:3]), tuple(zi[3:]), steps)
+            for zi, steps in zip(out_z.T.tolist(), out_steps.tolist())]
+
+
 class _Endpoint(NamedTuple):
     v: tuple
     w: tuple
     U: float
     iterations: int
-    r: DistanceVector | None     # None unless the endpoint was accepted
+    r: tuple | None      # six distances, None unless the endpoint was accepted
+
+
+def _constraints_hold(p):
+    """|sum p^2 - 1| and |p12 p34 + p14 p23 - p13 p24| at most
+    CONSTRAINT_TOL, for p six floats or six (n,) rows."""
+    p12, p13, p14, p23, p24, p34 = p
+    return ((abs(p12 * p12 + p13 * p13 + p14 * p14 + p23 * p23 + p24 * p24
+                 + p34 * p34 - 1.0) <= CONSTRAINT_TOL)
+            & (abs(p12 * p34 + p14 * p23 - p13 * p24) <= CONSTRAINT_TOL))
+
+
+def _multistart_blocks(masses_list, starts, gtol: float):
+    """The solves of _multistarts, SCAN_BLOCK_LANES // len(starts) mass
+    vectors (at least one) at a time: for each block, (masses, rows), rows
+    an iterator over the (u, endpoints, clusters) of the block's mass
+    vectors in order.  A block's starts are descended together by
+    kernels.descend_lanes, and the descents that end inside E are polished
+    together by _newton_polish_lanes and tested together by _accepted; a
+    row's clusters are formed as the row is drawn.  The starts are only
+    read."""
+    pairs = [(s.v.tolist(), s.w.tolist()) for s in starts]
+    size = max(1, SCAN_BLOCK_LANES // len(pairs))
+    for first in range(0, len(masses_list), size):
+        block = masses_list[first:first + size]
+        us = [_u_coefficients(masses) for masses in block]
+        lane_us = [u for u in us for _ in pairs]
+        descents = kernels.descend_lanes(pairs * len(block), lane_us, NEWTON_SWITCH, MAX_ITER)
+        # a start outside E ends where it began, with U = inf
+        ends = [(v, w, math.inf, iters, False) for v, w, _, _, iters, _ in descents]
+        inside = [i for i, d in enumerate(descents) if math.isfinite(d[2])]
+        polished = _newton_polish_lanes([descents[i][:2] for i in inside],
+                                        [lane_us[i] for i in inside], gtol)
+        for i, (v, w, U, _, nit, ok) in zip(inside, polished):
+            ends[i] = (v, w, U, descents[i][4] + nit, ok)
+        yield block, _rows(block, us, ends, _accepted(ends, block, len(pairs)), len(pairs))
 
 
 def _multistarts(masses_list, starts, gtol: float):
     """For each mass vector, in order, the solve from every start, by
     descent and then Newton: (u, endpoints, clusters) with u =
-    _u_coefficients(masses) and the endpoints and clusters of _endpoints.
-    The starts of SCAN_BLOCK_LANES // len(starts) mass vectors at a time
-    (at least one) are descended together by kernels.descend_lanes.  The
-    starts are only read."""
-    pairs = [(s.v.tolist(), s.w.tolist()) for s in starts]
-    rows = max(1, SCAN_BLOCK_LANES // len(pairs))
-    for first in range(0, len(masses_list), rows):
-        block = masses_list[first:first + rows]
-        us = [_u_coefficients(masses) for masses in block]
-        descents = kernels.descend_lanes(pairs * len(block),
-                                         [u for u in us for _ in pairs],
-                                         NEWTON_SWITCH, MAX_ITER)
-        for i, (masses, u) in enumerate(zip(block, us)):
-            own = descents[i * len(pairs):(i + 1) * len(pairs)]
-            yield (u, *_endpoints(masses, u, own, gtol))
+    _u_coefficients(masses) and the endpoints and clusters of _endpoints."""
+    for _, rows in _multistart_blocks(masses_list, starts, gtol):
+        yield from rows
 
 
-def _endpoints(masses: MassVector, u: tuple, descents, gtol: float):
-    """Newton from each descent endpoint, a 6-tuple of kernels.descend;
-    accept an endpoint when both converged and |sum p^2 - 1|,
-    |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart units, free of
-    the mass scale); cluster accepted endpoints, up to admissible
-    relabelings, within CLUSTER_TOL times the largest distance of each
-    cluster's representative.  Returns one _Endpoint per descent and
-    (canonical representative, member indices) per cluster, the
-    representative as a tuple of floats.  The bookkeeping is done in
-    Python floats."""
+def _accepted(ends, block, per_row):
+    """The chart test and the distances of each end (v, w, U, iterations,
+    converged) of a block's starts, per_row of them per mass vector of
+    block, in order.  An end that did not converge, or whose p fails
+    |sum p^2 - 1|, |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart
+    units, free of the mass scale), gets (None, None).  An accepted end
+    gets (None, r), r the six floats of p_to_r(p, masses), or (p, None), p
+    the six floats of vw_to_p_floats, where p_to_r is left to compute r.
+    Below kernels.LANES_MIN converged ends the test runs on floats and every
+    accepted end gets (p, None).  From LANES_MIN on, the test and r = p
+    sqrt(2M / m_i m_j), one factor per mass vector, run on all lanes
+    together, and an end whose distances are not all positive and finite
+    gets (p, None), so that p_to_r raises its DegeneratePointError."""
+    out = [(None, None)] * len(ends)
+    done = [i for i, e in enumerate(ends) if e[4]]
+    if len(done) < kernels.LANES_MIN:
+        for i in done:
+            p = vw_to_p_floats(ends[i][0], ends[i][1])
+            if _constraints_hold(p):
+                out[i] = (p, None)
+        return out
+    with np.errstate(all="ignore"):
+        z = np.array([(*ends[i][0], *ends[i][1]) for i in done]).T
+        p = np.array(vw_to_p_floats(z[:3], z[3:]))
+        m1, m2, m3, m4 = np.array([masses.astuple() for masses in block]).T
+        factors = np.sqrt(2.0 * (m1 + m2 + m3 + m4)
+                          / np.array((m1 * m2, m1 * m3, m1 * m4, m2 * m3, m2 * m4, m3 * m4)))
+        done = np.array(done)
+        r = p * factors[:, done // per_row]
+        ok = _constraints_hold(p)
+        finite = ok & np.isfinite(r).all(axis=0) & (r > 0.0).all(axis=0)
+    for i, ri in zip(done[finite].tolist(), r[:, finite].T.tolist()):
+        out[i] = (None, tuple(ri))
+    for i, pi in zip(done[ok & ~finite].tolist(), p[:, ok & ~finite].T.tolist()):
+        out[i] = (tuple(pi), None)
+    return out
+
+
+def _rows(block, us, ends, distances, per_row):
+    for i, (masses, u) in enumerate(zip(block, us)):
+        own = slice(i * per_row, (i + 1) * per_row)
+        yield (u, *_endpoints(masses, ends[own], distances[own]))
+
+
+def _endpoints(masses: MassVector, ends, distances):
+    """The endpoints of one mass vector's starts and their clusters, from
+    the ends of its starts and their (p, r) from _accepted: an end is
+    accepted where either is given, and r is p_to_r(p, masses) where only
+    p is.  Accepted endpoints are clustered, up to admissible relabelings,
+    within CLUSTER_TOL times the largest distance of each cluster's
+    representative.  Returns one _Endpoint per end and (canonical
+    representative, member indices) per cluster, the representative as a
+    tuple of floats.  The bookkeeping is done in Python floats."""
     relabelings = _admissible_slots(masses)
     endpoints, clusters = [], []
-    for index, (v, w, U, _, iters, _) in enumerate(descents):
-        ok = math.isfinite(U)
-        if ok:
-            v, w, U, _, nit, ok = _newton_polish(v, w, u, gtol)
-            iters += nit
-        else:
-            U = math.inf            # a start outside E
-        r = None
-        if ok:
-            p = vw_to_p_floats(v, w)
-            p12, p13, p14, p23, p24, p34 = p
-            if (abs(p12 * p12 + p13 * p13 + p14 * p14 + p23 * p23 + p24 * p24
-                    + p34 * p34 - 1.0) <= CONSTRAINT_TOL
-                    and abs(p12 * p34 + p14 * p23 - p13 * p24) <= CONSTRAINT_TOL):
-                r = p_to_r(p, masses)
+    for index, ((v, w, U, iters, _), (p, r)) in enumerate(zip(ends, distances)):
+        if r is None and p is not None:
+            r = p_to_r(p, masses).astuple()
         endpoints.append(_Endpoint(v, w, U, iters, r))
         if r is None:
             continue
-        canon = _canonical(r.astuple(), relabelings)
+        canon = _canonical(r, relabelings)
         for rep, members in clusters:
             if math.dist(canon, rep) <= CLUSTER_TOL * max(rep):
                 members.append(index)
@@ -481,34 +631,31 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """
     masses = _m(m)
     opts = opts or SolverOptions()
-    row, = _multistarts([masses], _draw_starts(opts), opts.gtol)
-    v, w, iterations, converged = _polished_endpoint(masses, *row)
+    (u, endpoints, clusters), = _multistarts([masses], _draw_starts(opts), opts.gtol)
+    best, converged = _best_endpoint(endpoints, clusters)
+    v, w, iterations = best.v, best.w, best.iterations
+    if converged:
+        v, w, steps = _polish_record(v, w, u)
+        iterations += steps
     meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
             "seed": opts.seed, "starts": opts.starts}
     return _record_from_point(v, w, masses, iterations, converged, meta)
 
 
-def _polished_endpoint(masses: MassVector, u: tuple, endpoints, clusters):
-    """The point a record of minimize_U is built from, given the endpoints
-    and clusters of its multistart: (v, w, iterations, converged), v and w
-    triples of floats.  Raises UniquenessAlarmError when the accepted
-    endpoints form more than one cluster; polishes the accepted endpoint of
-    lowest U by _polish_record, or returns the best iterate with converged
-    False if no endpoint is accepted."""
+def _best_endpoint(endpoints, clusters):
+    """The endpoint a record of minimize_U is built from, before its
+    polish, given the endpoints and clusters of its multistart, and
+    whether any endpoint was accepted: the accepted endpoint of lowest U,
+    else the endpoint of lowest U.  Raises UniquenessAlarmError when the
+    accepted endpoints form more than one cluster."""
     if len(clusters) > 1:
         gap = float(np.linalg.norm(np.subtract(clusters[1][0], clusters[0][0])))
         raise UniquenessAlarmError(
             f"multistart endpoints form {len(clusters)} clusters, the first two "
             f"{gap:.3e} apart in r-space (> {CLUSTER_TOL:g} x max r); this "
             "contradicts uniqueness of the minimizer and indicates a solver bug")
-
     accepted = [e for e in endpoints if e.r is not None]
-    best = min(accepted or endpoints, key=lambda e: e.U)
-    v, w, iterations = best.v, best.w, best.iterations
-    if accepted:
-        v, w, steps = _polish_record(v, w, u)
-        iterations += steps
-    return v, w, iterations, bool(accepted)
+    return min(accepted or endpoints, key=lambda e: e.U), bool(accepted)
 
 
 class _RowValues(NamedTuple):
@@ -526,19 +673,34 @@ class _RowValues(NamedTuple):
 def _scan_values(masses_list, opts: SolverOptions, starts):
     """For each mass vector, the row fields of the record minimize_U(masses,
     opts) builds, in order, from starts drawn once by _draw_starts(opts)
-    and only read.  The rows share one _multistarts, which descends the
-    starts of many rows together; each row's fields come from the same
-    polished endpoint by the functions the record uses, without the rest
-    of the record."""
-    for masses, row in zip(masses_list, _multistarts(masses_list, starts, opts.gtol)):
-        v, w, iterations, converged = _polished_endpoint(masses, *row)
-        if not converged:
-            yield _RowValues(None, None, None, False, iterations, False)
-            continue
-        r = p_to_r(vw_to_p_floats(v, w), masses)
-        k = K_term(r)
-        yield _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
-                         _cocircular(k, r.astuple()), iterations, True)
+    and only read.  The rows share _multistart_blocks, which descends,
+    Newton-polishes and tests the starts of a block of rows together; the
+    accepted endpoints the block's records would be built from are then
+    polished together by _polish_record_lanes, and each row's fields come
+    from its polished endpoint by the functions the record uses, without
+    the rest of the record.  A row's UniquenessAlarmError, or the
+    DegeneratePointError of its distances, is raised once the rows before
+    it are yielded, as a solve of one row at a time raises it."""
+    for block, rows in _multistart_blocks(masses_list, starts, opts.gtol):
+        chosen, error = [], None
+        try:
+            for masses, (u, endpoints, clusters) in zip(block, rows):
+                chosen.append((masses, u, *_best_endpoint(endpoints, clusters)))
+        except (DegeneratePointError, UniquenessAlarmError) as exc:
+            error = exc
+        polished = iter(_polish_record_lanes([(best.v, best.w) for *_, best, ok in chosen if ok],
+                                             [u for _, u, _, ok in chosen if ok]))
+        for masses, _, best, ok in chosen:
+            if not ok:
+                yield _RowValues(None, None, None, False, best.iterations, False)
+                continue
+            v, w, steps = next(polished)
+            r = p_to_r(vw_to_p_floats(v, w), masses)
+            k = K_term(r)
+            yield _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
+                             _cocircular(k, r.astuple()), best.iterations + steps, True)
+        if error is not None:
+            raise error
 
 
 # --- certification ---------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ccc4 import kernels
+from ccc4 import kernels, solver
 from ccc4.chart import (P_FROM_VW, sample_interior, seeded_start, square_chart_point,
                         vw_to_p_array)
 from ccc4.geometry import MassVector
@@ -223,3 +223,104 @@ def test_descend_lanes_raise_where_descend_divides_by_zero():
             kernels.descend(*bad, u, NEWTON_SWITCH, 500)
         with pytest.raises(ZeroDivisionError):
             kernels.descend_lanes(batch, [u] * low, NEWTON_SWITCH, 500)
+
+
+def _newton_lanes(seed):
+    """(point, u) lanes for the lane Newton: the descent endpoints of the
+    default and seeded starts for log10 m_i uniform on [-6, 6], the seeded
+    starts themselves, which take more steps and meet pivots that are not
+    positive, and, first, three lanes that leave at once: a start outside
+    E, the negated u of test_newton_polish_fails_on_a_nonpositive_pivot and
+    a start scaled off its spheres, where every trial of the line search
+    raises U."""
+    rng = np.random.default_rng(seed)
+    starts = [(s.v.tolist(), s.w.tolist()) for s in _draw_starts(SolverOptions())]
+    starts += [(s.v.tolist(), s.w.tolist()) for s in (seeded_start(4, i) for i in range(8))]
+    us = [tuple(u_coeffs(10.0 ** rng.uniform(-6.0, 6.0, 4)).tolist()) for _ in range(140)]
+    lane_us = [u for u in us for _ in starts]
+    descents = kernels.descend_lanes(starts * len(us), lane_us, NEWTON_SWITCH, 500)
+    lanes = [((v, w), u) for (v, w, U, *_), u in zip(descents, lane_us) if math.isfinite(U)]
+    lanes += [(starts[i % len(starts)], u) for i, u in enumerate(us)]
+    lanes = [lanes[i] for i in rng.permutation(len(lanes))]
+    u = tuple(u_coeffs((1.0, 2.0, 0.5, 1.5)).tolist())
+    pivot = sample_interior(np.random.default_rng(14))
+    scaled = seeded_start(4, 3)
+    return [(([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]), u),
+            ((pivot.v.tolist(), pivot.w.tolist()), tuple(-x for x in u)),
+            (([2.0 * x for x in scaled.v.tolist()], [2.0 * x for x in scaled.w.tolist()]), u)] + lanes
+
+
+def _counted(monkeypatch, name):
+    # the solver function name, wrapped to record its calls
+    original, calls = getattr(solver, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, name, counted)
+    return original, calls
+
+
+@pytest.mark.parametrize("max_newton", [solver.MAX_NEWTON, 1, 0])
+def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeypatch):
+    # batches below, at and above LANES_MIN and of 2048 lanes, each led by
+    # the three lanes that leave at once
+    monkeypatch.setattr(solver, "MAX_NEWTON", max_newton)
+    lanes = _newton_lanes(31)
+    special, rest = lanes[:3], lanes[3:]
+    newton_polish, calls = _counted(monkeypatch, "_newton_polish")
+    scalar = newton_polish(*special[0][0], special[0][1], 1e-11)
+    assert scalar[2:] == (math.inf, math.inf, 0, False)
+    for (v, w), u in special[1:]:
+        z = (*v, *w)
+        _, _, g, h = kernels.potential(z, u)
+        cv, cw, _ = kernels.tangent_gradient(z, g)
+        # the pivot lane stops in newton_step, the scaled one after it
+        assert (kernels.newton_step(z, g, h, cv, cw) is None) == (u[0] < 0.0)
+        assert newton_polish(v, w, u, 1e-11)[4:] == (0, False)
+    low = kernels.LANES_MIN
+    first, outcomes = 0, set()
+    for size in (low - 1, low, low + 1, 2048):
+        batch = special + rest[first:first + size - len(special)]
+        first += size - len(special)
+        calls.clear()
+        got = solver._newton_polish_lanes([p for p, _ in batch], [u for _, u in batch], 1e-11)
+        assert len(calls) == (len(batch) if len(batch) < low else 0)
+        assert len(got) == len(batch)
+        for ((v, w), u), lane in zip(batch, got):
+            want = newton_polish(v, w, u, 1e-11)
+            assert [repr(x) for x in lane] == [repr(x) for x in want]
+            outcomes.add((lane[4] == max_newton, lane[5]))
+    assert first > 2000
+    # lanes stop unconverged at the cap, and converge below a cap of 0
+    assert (True, False) in outcomes
+    assert any(ok for _, ok in outcomes) == (max_newton > 0)
+
+
+def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
+    # from the converged Newton endpoints, which record polishes start
+    # from, and from seeded starts inside E, in batches below, at and
+    # above LANES_MIN and of 2048 lanes
+    lanes = _newton_lanes(32)[3:]
+    polished = solver._newton_polish_lanes([p for p, _ in lanes], [u for _, u in lanes], 1e-11)
+    points = [((v, w), u) for (v, w, *_, ok), (_, u) in zip(polished, lanes) if ok]
+    starts = [seeded_start(5, i) for i in range(300)]
+    points += [((s.v.tolist(), s.w.tolist()), u) for s, (_, u) in zip(starts, lanes)]
+    points = [points[i] for i in np.random.default_rng(33).permutation(len(points))]
+    polish_record, calls = _counted(monkeypatch, "_polish_record")
+    low = kernels.LANES_MIN
+    first, steps = 0, set()
+    for size in (low - 1, low, low + 1, 2048):
+        batch = points[first:first + size]
+        first += size
+        calls.clear()
+        got = solver._polish_record_lanes([p for p, _ in batch], [u for _, u in batch])
+        assert len(calls) == (len(batch) if len(batch) < low else 0)
+        assert len(got) == len(batch)
+        for ((v, w), u), lane in zip(batch, got):
+            want = polish_record(v, w, u)
+            assert [repr(x) for x in lane] == [repr(x) for x in want]
+            steps.add(lane[2])
+    assert first == low * 3 + 2048
+    assert {0, 1} <= steps

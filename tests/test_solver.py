@@ -440,6 +440,40 @@ def test_minimize_from_drawn_starts_leaves_them_unchanged():
                    rec.is_cocircular, rec.iterations, rec.converged)
 
 
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(st.integers(3, 40).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4), min_size=n, max_size=n)),
+       st.integers(1, 40))
+def test_scan_values_equal_standalone_records(log_masses, block_rows):
+    # scan solves block_rows mass vectors at a time: below 3 rows (24
+    # lanes) a block's descents, Newton steps and acceptance tests run on
+    # floats, from 3 rows on as lanes, and from 24 accepted rows on the
+    # record polish too.  Each row must hold the fields of its standalone
+    # record; over six decades of mass a few solves raise a false
+    # uniqueness alarm, which must come at that row
+    from ccc4.solver import _RowValues, _draw_starts, _scan_values
+    opts = SolverOptions()
+    starts = _draw_starts(opts)
+    masses = [MassVector.from_iterable(10.0 ** np.array(x)) for x in log_masses]
+    want = []
+    for m in masses:
+        try:
+            rec = minimize_U(m, opts)
+        except UniquenessAlarmError as exc:
+            want.append(str(exc))
+            break
+        want.append(_RowValues(rec.k_value, rec.scalars.U, rec.multipliers.lam,
+                               rec.is_cocircular, rec.iterations, rec.converged))
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "SCAN_BLOCK_LANES", block_rows * len(starts))
+        try:
+            got.extend(_scan_values(masses, opts, starts))
+        except UniquenessAlarmError as exc:
+            got.append(str(exc))
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
 def test_multistart_start_outside_E_is_an_unaccepted_endpoint():
     from ccc4.chart import VWPoint
     from ccc4.solver import _multistarts
