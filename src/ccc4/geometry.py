@@ -284,7 +284,7 @@ def triangle_margins(r) -> np.ndarray:
 # Fixed tolerances of is_geometric and in_D.
 GEOMETRIC_H_COEFF = 1e-9   # H >= -GEOMETRIC_H_COEFF (max r)^6
 TRIANGLE_MARGIN = 1e-12    # every triangle margin must exceed this times max r
-IN_D_TOL = 1e-8            # |I - 1|, |P| and |K| in in_D
+IN_D_TOL = 1e-8            # |I - 1|; |P| and |K| relative to (max r)^2, (max r)^3
 
 
 def is_geometric(r) -> bool:
@@ -308,21 +308,22 @@ def is_geometric(r) -> bool:
 
 
 def in_D(r, m) -> bool:
-    """True iff r is a normalized realizable cyclic vector: |I - 1|, |P|
-    and |K| at most IN_D_TOL, and geometric realizability.
+    """True iff r is a normalized realizable cyclic vector: |I - 1| at most
+    IN_D_TOL, |P| and |K| at most IN_D_TOL (max r)^2 and IN_D_TOL
+    (max r)^3, and geometric realizability.  I is free of the scale, and P
+    and K are bounded by the power of max r of their degree, so the answer
+    does not depend on the scale of r and m; a NaN fails every bound.
 
     K = 0 stands in for the coplanarity condition H = 0; the two are
     equivalent on realizable vectors with P = 0 and K is far better
     conditioned (degree 3 versus degree 6).
     """
     values = _r6(r)
-    if abs(moment_I(values, m) - 1.0) > IN_D_TOL:
-        return False
-    if abs(ptolemy_P(values)) > IN_D_TOL:
-        return False
-    if abs(K_term(values)) > IN_D_TOL:
-        return False
-    return is_geometric(values)
+    top = max(values)
+    return (abs(moment_I(values, m) - 1.0) <= IN_D_TOL
+            and abs(ptolemy_P(values)) <= IN_D_TOL * _fpow(top, 2)
+            and abs(K_term(values)) <= IN_D_TOL * _fpow(top, 3)
+            and is_geometric(values))
 
 
 # --- relabelings preserving the sequential convention ---------------------

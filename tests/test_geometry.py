@@ -151,6 +151,16 @@ def test_in_D():
     assert not in_D(collinear, UNIT)
 
 
+def test_in_D_is_free_of_the_scale():
+    # masses 4^k m with distances r / 2^k keep I = 1 and scale P and K by
+    # 4^-k and 8^-k exactly; absolute bounds on |P| and |K| rejected the
+    # equal-mass square for k from -40 to -13
+    for k in range(-40, 41):
+        assert in_D(SQUARE.scaled(2.0 ** -k), [4.0 ** k] * 4), k
+        assert not in_D(ONES.scaled(2.0 ** -k / math.sqrt(moment_I(ONES, UNIT))),
+                        [4.0 ** k] * 4), k
+
+
 def test_relabelings_preserve_P_and_sign_K():
     rng = np.random.default_rng(23)
     for _ in range(50):
