@@ -331,7 +331,8 @@ def descend(v, w, u, gtol, max_iter):
 # 50 seeded starts 2.04 vs 2.03 ms, the 64 starts of scan --grid 2 2.42 vs
 # 2.33 ms, the 512 of --grid 4 19.8 vs 4.6 ms.  At 32 the 50 starts took
 # 2.34 ms, at 48 2.9 ms: once fewer than LANES_MIN lanes run, descend runs
-# them again from their starts.
+# them again from their starts.  The solver's lane Newton steps, acceptance
+# test and record polish run from the same count of lanes.
 LANES_MIN = 24
 
 # p_k = 0.5 * (z[i] + s * z[j]) with i = _P_INDEX[k], j = _P_INDEX[6 + k] and

@@ -388,7 +388,7 @@ def _newton_polish_lanes(points, us, gtol):
         for nit in range(MAX_NEWTON + 1):
             cv, cw, rg = kernels.tangent_gradient_lanes(z, g)
             converged = rg <= gtol * np.fmax(np.abs(U), 1.0)
-            going = np.flatnonzero(~converged) if nit < MAX_NEWTON else lane[:0]
+            going = np.flatnonzero(~converged & (nit < MAX_NEWTON))
             step, ok = kernels.newton_step_lanes(z[:, going], g[:, going], h[:, going],
                                                  cv[going], cw[going])
             going, step = going[ok], step[:, ok]
