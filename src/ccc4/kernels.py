@@ -16,13 +16,19 @@ problem needs: the potential blows up there.
 `potential` returns U with its gradient and Hessian diagonal, which the
 Newton steps use.  `descend` writes the same expressions out in one flat
 loop instead: most of its work is line-search trials, which need only p
-and U, so it computes the gradient only at accepted points.
+and U, so it computes the gradient only at accepted points.  The loop is
+`descend_from`, which starts from a given state: the point, the previous
+point and projected gradient (none before the first step) and the
+iteration count; `descend` normalizes its start and calls it.
 
-`descend_lanes` runs many descents at once.  From LANES_MIN lanes up it
-steps them together on numpy rows, each expression in descend's order and
-built only from + - * / sqrt and comparisons, which numpy rounds as Python
-floats do; so every lane ends with descend's bits, and the loop raises
-where descend divides by zero.
+`descend_lanes` runs many descents at once, on (6, n) rows of starts and
+coefficients.  From LANES_MIN lanes up it steps them together on numpy
+rows, each expression in descend's order and built only from + - * / sqrt
+and comparisons, which numpy rounds as Python floats do; so every lane
+ends with descend's bits, and the loop raises where descend divides by
+zero.  Once fewer than LANES_MIN lanes are still running, descend_from
+goes on with each of them from its state in the lanes, so no iteration is
+made twice.
 
 The Newton steps that polish the descents' endpoints run on lanes by the
 same rule.  potential_lanes, tangent_gradient_lanes, newton_step_lanes and
@@ -203,19 +209,27 @@ def descend(v, w, u, gtol, max_iter):
     projected-gradient norm is <= gtol * max(1, |U|), MAXITER at the
     iteration cap, STALLED if the line search cannot make progress.
 
-    One flat loop: the renormalization and the potential are written out in
-    the order of _normalize3 and potential, so every iterate has their
-    bits, but a trial step computes only p and U, and the gradient is
-    computed once a trial passes the Armijo test.
+    One flat loop, descend_from's: the renormalization and the potential
+    are written out in the order of _normalize3 and potential, so every
+    iterate has their bits, but a trial step computes only p and U, and the
+    gradient is computed once a trial passes the Armijo test.
     """
-    u1, u2, u3, u4, u5, u6 = (float(x) for x in u)
-
     x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
     n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
     v1, v2, v3 = x1 / n, x2 / n, x3 / n
     x1, x2, x3 = float(w[0]), float(w[1]), float(w[2])
     n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    w1, w2, w3 = x1 / n, x2 / n, x3 / n
+    return descend_from((v1, v2, v3, x1 / n, x2 / n, x3 / n), u, gtol, max_iter)
+
+
+def descend_from(z, u, gtol, max_iter, prev=None, iters=0):
+    """descend's loop from the point z = (v1, v2, v3, w1, w2, w3) of S^2 x
+    S^2, taken as it is, after iters iterations: prev holds the previous
+    point and its projected gradient (d, e) as 12 floats, or is None before
+    the first step, where the BB step is not yet defined.  Returns what
+    descend returns; a point outside E stops at once with U = inf."""
+    u1, u2, u3, u4, u5, u6 = (float(x) for x in u)
+    v1, v2, v3, w1, w2, w3 = z
 
     p1 = 0.5 * (v1 + w1)
     p2 = 0.5 * (v2 + w2)
@@ -224,16 +238,15 @@ def descend(v, w, u, gtol, max_iter):
     p5 = 0.5 * (w2 - v2)
     p6 = 0.5 * (v1 - w1)
     if not (p1 > 0.0 and p2 > 0.0 and p3 > 0.0 and p4 > 0.0 and p5 > 0.0 and p6 > 0.0):
-        return ([v1, v2, v3], [w1, w2, w3], math.inf, math.inf, 0, STALLED)
+        return ([v1, v2, v3], [w1, w2, w3], math.inf, math.inf, iters, STALLED)
     U = u1 / p1 + u2 / p2 + u3 / p3 + u4 / p4 + u5 / p5 + u6 / p6
 
     # previous point and projected gradient, for the BB step
-    pv1 = pv2 = pv3 = pw1 = pw2 = pw3 = 0.0
-    pd1 = pd2 = pd3 = pe1 = pe2 = pe3 = 0.0
-    have_prev = False
+    have_prev = prev is not None
+    if have_prev:
+        pv1, pv2, pv3, pw1, pw2, pw3, pd1, pd2, pd3, pe1, pe2, pe3 = prev
 
     status = MAXITER
-    iters = 0
     rgnorm = math.inf
     while iters < max_iter:
         # the gradient at the current point, as potential computes it
@@ -325,14 +338,17 @@ def descend(v, w, u, gtol, max_iter):
 
 
 # Lanes from which descend_lanes steps them together, and below which the
-# lanes still running go back to descend.  A lockstep iteration costs about
-# 85 us plus 0.25 us a lane against 3-5 us for one of descend.  Least of 20
-# interleaved runs on a 2-vCPU host, descend per lane against LANES_MIN 24:
-# 50 seeded starts 2.04 vs 2.03 ms, the 64 starts of scan --grid 2 2.42 vs
-# 2.33 ms, the 512 of --grid 4 19.8 vs 4.6 ms.  At 32 the 50 starts took
-# 2.34 ms, at 48 2.9 ms: once fewer than LANES_MIN lanes run, descend runs
-# them again from their starts.  The solver's lane Newton steps, acceptance
-# test and record polish run from the same count of lanes.
+# lanes still running go on one at a time in descend_from.  A lockstep
+# iteration costs about 85 us plus 0.25 us a lane against 3-5 us for one of
+# descend_from, so the two break even near 20-30 running lanes.  Least of
+# 20 interleaved runs on a 2-vCPU host, descend per lane against LANES_MIN
+# 24, when the lanes left below LANES_MIN still restarted from their
+# starts: 50 seeded starts 2.04 vs 2.03 ms, the 64 starts of scan --grid 2
+# 2.42 vs 2.33 ms, the 512 of --grid 4 19.8 vs 4.6 ms; at 32 the 50 starts
+# took 2.34 ms, at 48 2.9 ms.  Now that they go on from where they are,
+# the hand-over costs only the iterations left, and 24 is kept unmeasured.
+# The solver's lane Newton steps, acceptance test and record polish run
+# from the same count of lanes.
 LANES_MIN = 24
 
 # p_k = 0.5 * (z[i] + s * z[j]) with i = _P_INDEX[k], j = _P_INDEX[6 + k] and
@@ -392,33 +408,50 @@ def _projected(z, g):
     return c, (g3 - c[:, None] * z3).reshape(6, n)
 
 
-def descend_lanes(starts, us, gtol, max_iter):
-    """descend(v, w, u, gtol, max_iter) for every lane, with starts[i] =
-    (v, w) and us[i] = u; returns the list of their 6-tuples.
+def lane_arrays(ends, kinds):
+    """The (v, w, x, ...) results of a scalar function, one per lane, as
+    arrays: the points (v, w) as (6, n) rows and each further field as an
+    (n,) row of its kind in kinds.  The fields go into one flat list of
+    floats, which numpy converts faster than a list of tuples."""
+    flat = []
+    for v, w, *fields in ends:
+        flat += v
+        flat += w
+        flat += fields
+    rows = np.array(flat, dtype=float).reshape(-1, 6 + len(kinds)).T
+    return (rows[:6], *(row.astype(kind, copy=False) for row, kind in zip(rows[6:], kinds)))
 
-    Below LANES_MIN lanes this calls descend once per lane.  From LANES_MIN
-    on it runs descend's loop on all lanes together, retiring each lane
-    once it converges, stalls or reaches max_iter; once fewer than
-    LANES_MIN lanes remain, descend runs those again from their starts.
+
+def descend_lanes(z, u, gtol, max_iter):
+    """descend at every lane of the (6, n) rows z of starts (v, w) and u of
+    coefficients: (z, U, rgnorm, iters, status), the endpoints as (6, n)
+    rows and the rest as (n,) rows, each lane with the bits of
+    descend(v, w, u, gtol, max_iter).
+
+    Below LANES_MIN lanes this calls descend once per lane, on floats;
     descend is looked up at each call, so a wrapper set on the module sees
-    every call."""
-    if len(starts) < LANES_MIN:
-        return [descend(v, w, u, gtol, max_iter) for (v, w), u in zip(starts, us)]
+    every call.  From LANES_MIN on it runs descend's loop on all lanes
+    together, retiring each lane once it converges, stalls or reaches
+    max_iter; once fewer than LANES_MIN lanes remain, descend_from goes on
+    with each of them from where it is."""
+    if z.shape[1] < LANES_MIN:
+        return lane_arrays([descend(zi[:3], zi[3:], ui, gtol, max_iter)
+                            for zi, ui in zip(z.T.tolist(), u.T.tolist())],
+                           (float, float, int, int))
     # Python floats raise on nothing but a division by zero, which the lane
     # loop checks for and raises as descend does; it ignores numpy's
     # floating-point flags as descend's arithmetic sets none
     with np.errstate(all="ignore"):
-        return _lockstep(starts, us, gtol, max_iter)
+        return _lockstep(z, u, gtol, max_iter)
 
 
-def _lockstep(starts, us, gtol, max_iter):
+def _lockstep(z, u, gtol, max_iter):
     """The lane loop of descend_lanes.  The state of the running lanes,
     which have all made the same number of iterations, is kept in (6, n)
     and (n,) arrays; zd stacks the point z = (v, w) on its projected
     gradient d, as the BB step needs both at the previous point."""
-    count = len(starts)
-    z = _unit_triples(np.array([(*v, *w) for v, w in starts], dtype=float).T)
-    u = np.array(us, dtype=float).T
+    count = z.shape[1]
+    z = _unit_triples(z)
     p = _halved(z, _P_INDEX, _P_SIGN)
 
     out_z = z.copy()
@@ -452,10 +485,7 @@ def _lockstep(starts, us, gtol, max_iter):
         return [x.take(keep, axis=-1) for x in more]
 
     iters = 0
-    while lane.size >= LANES_MIN:
-        if iters >= max_iter:
-            retire(np.ones(lane.size, dtype=bool), MAXITER, iters)
-            break
+    while iters < max_iter and lane.size >= LANES_MIN:
         # the gradient at the current points, projected onto the spheres
         pp = p * p
         if not pp.all():
@@ -505,16 +535,17 @@ def _lockstep(starts, us, gtol, max_iter):
             t, pt, Ut = retire(stalled, STALLED, iters, t, pt, Ut)
         z, p, U = t, pt, Ut
         iters += 1
+    if iters >= max_iter:
+        retire(np.ones(lane.size, dtype=bool), MAXITER, iters)
 
-    results = [(zi[:3], zi[3:], Ui, rgi, it, st)
-               for zi, Ui, rgi, it, st in zip(out_z.T.tolist(), out_U.tolist(),
-                                              out_rg.tolist(), out_iters.tolist(),
-                                              out_status.tolist())]
-    # the lanes still running when fewer than LANES_MIN were left
-    for i in lane.tolist():
-        v, w = starts[i]
-        results[i] = descend(v, w, us[i], gtol, max_iter)
-    return results
+    # the lanes still running once fewer than LANES_MIN were left go on in
+    # descend's loop, from their point, previous step and iteration count
+    prev = [None] * lane.size if zd_prev is None else zd_prev.T.tolist()
+    for i, zi, ui, prev_i in zip(lane.tolist(), z.T.tolist(), u.T.tolist(), prev):
+        v, w, out_U[i], out_rg[i], out_iters[i], out_status[i] = descend_from(
+            zi, ui, gtol, max_iter, prev_i, iters)
+        out_z[:, i] = v + w
+    return out_z, out_U, out_rg, out_iters, out_status
 
 
 # Lane forms of potential, tangent_gradient, newton_step and retract, for the

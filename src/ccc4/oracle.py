@@ -301,7 +301,7 @@ def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0) -> UniquenessRep
     if n_starts < 1:
         raise ValueError("need at least one start")
     masses = _m(m)
-    (_, endpoints, clusters), = _multistarts(
+    (endpoints, clusters), = _multistarts(
         [masses], [seeded_start(seed, i) for i in range(n_starts)], SolverOptions().gtol)
     return UniquenessReport(
         n_starts=n_starts, seed=seed, cluster_count=len(clusters),

@@ -27,8 +27,8 @@ import numpy as np
 from . import kernels, serialize
 from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_floats
 from .errors import DegeneratePointError, IndeterminateShapeError, UniquenessAlarmError
-from .geometry import (DistanceVector, K_term, MassVector, OPPOSITE_SLOT, PAIR_SIGN,
-                       ScalarReport, _admissible_slots, _canonical, _fpow, _m,
+from .geometry import (DISTANCE_PAIRS, DistanceVector, K_term, MassVector, OPPOSITE_SLOT,
+                       PAIR_SIGN, ScalarReport, _admissible_slots, _canonical, _fpow, _m,
                        _mass_cols, _r6, moment_I, potential_U, ptolemy_P)
 
 RNG_NAME = "numpy-pcg64"
@@ -49,10 +49,11 @@ MAX_ITER = 500               # descent iterations per start
 MAX_NEWTON = 40              # Newton steps per start after the descent
 CLUSTER_TOL = 1e-6           # endpoint agreement radius, relative to max r
 
-# Descents run together, so that a scan's memory does not grow with the
-# grid: a block and its results take about 1.5 kB a lane.  On the
-# 13824 starts of scan --grid 12, blocks of 2048 descended at 8.1 us a
-# lane, 1024 and 4096 at 8.5 us, 512 at 12.0 us and 16384 at 9.6 us.
+# Lanes per block of descents run together.  A block takes about 1.6 kB a
+# lane at its peak (tracemalloc, 256 rows of 8 starts), so its lane memory
+# is bounded whatever the grid; cmd_scan still holds every row it prints.
+# On the 13824 starts of scan --grid 12, blocks of 2048 descended at 8.1
+# us a lane, 1024 and 4096 at 8.5 us, 512 at 12.0 us and 16384 at 9.6 us.
 SCAN_BLOCK_LANES = 2048
 
 
@@ -200,15 +201,20 @@ def stationarity_residual(r, m, lam: float, sigma: float) -> float:
     return _relative_residual(A, b, lam, sigma)
 
 
-def recover_multipliers(r, m) -> Multipliers:
-    """Best (lambda, sigma) for the stationarity equations, by 6x2 least
-    squares, together with the relative residual norm."""
-    A, b = _stationarity_system(r, _m(m))
+def _least_squares(A: np.ndarray, b: np.ndarray) -> tuple:
+    # (lambda, sigma) of one 6x2 stationarity system
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < 2:
         raise IndeterminateShapeError(
             "stationarity system is rank-deficient at this distance vector")
-    lam, sigma = float(sol[0]), float(sol[1])
+    return float(sol[0]), float(sol[1])
+
+
+def recover_multipliers(r, m) -> Multipliers:
+    """Best (lambda, sigma) for the stationarity equations, by 6x2 least
+    squares, together with the relative residual norm."""
+    A, b = _stationarity_system(r, _m(m))
+    lam, sigma = _least_squares(A, b)
     return Multipliers(lam=lam, sigma=sigma,
                        stationarity_residual=_relative_residual(A, b, lam, sigma))
 
@@ -301,20 +307,44 @@ def classify_cocircular(rec: SolveRecord, tol: float = COCIRCULAR_TOL) -> bool:
 
 # --- optimization ----------------------------------------------------------
 
-def _u_coefficients(masses: MassVector) -> tuple:
-    # U(p) = sum u_k / p_k with r = sqrt(2M / m_i m_j) p
-    return tuple((masses.products() ** 1.5 / math.sqrt(2.0 * masses.M)).tolist())
+# the bodies i and j, numbered from 0, of each distance slot
+_PAIR_I, _PAIR_J = (np.array(DISTANCE_PAIRS) - 1).T
+
+
+def _pair_products(m: np.ndarray) -> tuple:
+    """The pair products m_i m_j in slot order, (n, 6), and the total masses
+    M, (n,), of the (n, 4) masses m: MassVector's products() and M of each
+    row, with their bits, and as silent as those float products where
+    they overflow."""
+    with np.errstate(over="ignore"):
+        return m[:, _PAIR_I] * m[:, _PAIR_J], m[:, 0] + m[:, 1] + m[:, 2] + m[:, 3]
+
+
+def _u_coefficients(m: np.ndarray) -> np.ndarray:
+    """The coefficients u_k of U(p) = sum u_k / p_k, with r = sqrt(2M /
+    m_i m_j) p, for each row of the (n, 4) masses m, as an (n, 6) stack:
+    (m_i m_j)^{3/2} / sqrt(2M)."""
+    products, total = _pair_products(m)
+    return products ** 1.5 / np.sqrt(2.0 * total)[:, None]
+
+
+def _distance_factors(m: np.ndarray) -> np.ndarray:
+    """The factors sqrt(2M / m_i m_j) of r = p * factor, p_to_r's
+    expression, for each row of the (n, 4) masses m, as an (n, 6) stack."""
+    products, total = _pair_products(m)
+    return np.sqrt(2.0 * total[:, None] / products)
 
 
 def _newton_polish(v, w, u, gtol):
     """Projected Newton on S^2 x S^2, at most MAX_NEWTON steps; quadratic
     near the nondegenerate minimum.  u is a tuple of floats.  Returns (v,
-    w, U, rgnorm, iters, converged)."""
+    w, U, rgnorm, iters, converged); a point outside E, or where U is not
+    finite, is returned as it is, with U = rgnorm = inf."""
     z = (*v, *w)
     res = kernels.potential(z, u)
+    if res is None or not math.isfinite(res[1]):
+        return z[:3], z[3:], math.inf, math.inf, 0, False
     for nit in range(MAX_NEWTON + 1):
-        if res is None:
-            return z[:3], z[3:], math.inf, math.inf, nit, False
         _, U, g, h = res
         cv, cw, rg = kernels.tangent_gradient(z, g)
         if rg <= gtol * max(1.0, abs(U)):
@@ -363,27 +393,29 @@ def _polish_record(v, w, u):
     return z[:3], z[3:], steps
 
 
-def _newton_polish_lanes(points, us, gtol):
-    """_newton_polish(v, w, u, gtol) for each (v, w) of points and u of us,
-    as the list of its 6-tuples.  Below kernels.LANES_MIN lanes this calls
-    _newton_polish, looked up at each call, once per lane.  From LANES_MIN
-    on it runs _newton_polish's loop on all lanes together, in the lane
-    forms of the kernels, and each lane leaves where _newton_polish
-    returns: converged, at MAX_NEWTON, at a pivot that is not positive or
-    where the line search fails."""
-    if len(points) < kernels.LANES_MIN:
-        return [_newton_polish(v, w, u, gtol) for (v, w), u in zip(points, us)]
+def _newton_polish_lanes(z, u, gtol):
+    """_newton_polish at every lane of the (6, n) rows z of points (v, w)
+    and u of coefficients: (z, U, rgnorm, iters, converged), the points as
+    (6, n) rows and the rest as (n,) rows.  Below kernels.LANES_MIN lanes
+    this calls _newton_polish, looked up at each call, once per lane, on
+    floats.  From LANES_MIN on it runs _newton_polish's loop on all lanes
+    together, in the lane forms of the kernels, and each lane leaves where
+    _newton_polish returns: converged, at MAX_NEWTON, at a pivot that is
+    not positive or where the line search fails."""
+    if z.shape[1] < kernels.LANES_MIN:
+        return kernels.lane_arrays([_newton_polish(zi[:3], zi[3:], ui, gtol)
+                                    for zi, ui in zip(z.T.tolist(), u.T.tolist())],
+                                   (float, float, int, bool))
     # as in kernels.descend_lanes, the lanes raise where the scalar code
     # divides by zero and ignore numpy's floating-point flags
     with np.errstate(all="ignore"):
-        z = np.array([(*v, *w) for v, w in points], dtype=float).T
-        u = np.array(us, dtype=float).T
         count = z.shape[1]
         out_z, out_U, out_rg = z.copy(), np.full(count, math.inf), np.full(count, math.inf)
         out_nit, out_ok = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
-        # a point outside E leaves at once, with U = rg = inf
+        # a point outside E, or where U is not finite, leaves at once, with
+        # U = rg = inf
         inside, U, g, h = kernels.potential_lanes(z, u)
-        lane = np.flatnonzero(inside)
+        lane = np.flatnonzero(inside & np.isfinite(U))
         z, u, U, g, h = z[:, lane], u[:, lane], U[lane], g[:, lane], h[:, lane]
         for nit in range(MAX_NEWTON + 1):
             cv, cw, rg = kernels.tangent_gradient_lanes(z, g)
@@ -419,22 +451,20 @@ def _newton_polish_lanes(points, us, gtol):
             z, U, g, h = zn[:, moved], Un[moved], gn[:, moved], hn[:, moved]
             if not lane.size:
                 break
-    return [(tuple(zi[:3]), tuple(zi[3:]), Ui, rgi, nit, ok)
-            for zi, Ui, rgi, nit, ok in zip(out_z.T.tolist(), out_U.tolist(), out_rg.tolist(),
-                                             out_nit.tolist(), out_ok.tolist())]
+    return out_z, out_U, out_rg, out_nit, out_ok
 
 
-def _polish_record_lanes(points, us):
-    """_polish_record(v, w, u) for each (v, w) of points and u of us, as the
-    list of its 3-tuples.  Below kernels.LANES_MIN lanes this calls
-    _polish_record, looked up at each call, once per lane; from LANES_MIN
-    on it runs _polish_record's loop on all lanes together, and each lane
-    leaves where _polish_record returns."""
-    if len(points) < kernels.LANES_MIN:
-        return [_polish_record(v, w, u) for (v, w), u in zip(points, us)]
+def _polish_record_lanes(z, u):
+    """_polish_record at every lane of the (6, n) rows z of points (v, w)
+    and u of coefficients: (z, steps), (6, n) and (n,) rows.  Below
+    kernels.LANES_MIN lanes this calls _polish_record, looked up at each
+    call, once per lane, on floats; from LANES_MIN on it runs
+    _polish_record's loop on all lanes together, and each lane leaves where
+    _polish_record returns."""
+    if z.shape[1] < kernels.LANES_MIN:
+        return kernels.lane_arrays([_polish_record(zi[:3], zi[3:], ui)
+                                    for zi, ui in zip(z.T.tolist(), u.T.tolist())], (int,))
     with np.errstate(all="ignore"):
-        z = np.array([(*v, *w) for v, w in points], dtype=float).T
-        u = np.array(us, dtype=float).T
         out_z, out_steps = z.copy(), np.zeros(z.shape[1], dtype=int)
         lane = np.arange(z.shape[1])
         _, _, g, h = kernels.potential_lanes(z, u)
@@ -455,13 +485,10 @@ def _polish_record_lanes(points, us):
             if not lane.size:
                 break
         out_z[:, lane], out_steps[lane] = z, RECORD_NEWTON_STEPS
-    return [(tuple(zi[:3]), tuple(zi[3:]), steps)
-            for zi, steps in zip(out_z.T.tolist(), out_steps.tolist())]
+    return out_z, out_steps
 
 
 class _Endpoint(NamedTuple):
-    v: tuple
-    w: tuple
     U: float
     iterations: int
     r: tuple | None      # six distances, None unless the endpoint was accepted
@@ -478,67 +505,65 @@ def _constraints_hold(p):
 
 def _multistart_blocks(masses_list, starts, gtol: float):
     """The solves of _multistarts, SCAN_BLOCK_LANES // len(starts) mass
-    vectors (at least one) at a time: for each block, (masses, rows), rows
-    an iterator over the (u, endpoints, clusters) of the block's mass
-    vectors in order.  A block's starts are descended together by
-    kernels.descend_lanes, and the descents that end inside E are polished
-    together by _newton_polish_lanes and tested together by _accepted; a
-    row's clusters are formed as the row is drawn.  The starts are only
-    read."""
-    pairs = [(s.v.tolist(), s.w.tolist()) for s in starts]
-    size = max(1, SCAN_BLOCK_LANES // len(pairs))
+    vectors (at least one) at a time.  For each block, (masses, m, z, u,
+    rows): m the (k, 4) stack of its k mass vectors; z and u the (6, n)
+    endpoints and coefficients of its n = k len(starts) lanes, lane i
+    len(starts) + j from start j of mass vector i; and rows an iterator
+    over the (endpoints, clusters) of its mass vectors in order, endpoint j
+    of a row from lane j of its own.  A block's starts are descended
+    together by kernels.descend_lanes, then polished together by
+    _newton_polish_lanes and tested together by _accepted; a row's
+    clusters are formed as the row is drawn.  The starts are only read."""
+    per_row = len(starts)
+    start_z = np.array([(s.v, s.w) for s in starts]).reshape(per_row, 6).T
+    size = max(1, SCAN_BLOCK_LANES // per_row)
     for first in range(0, len(masses_list), size):
         block = masses_list[first:first + size]
-        us = [_u_coefficients(masses) for masses in block]
-        lane_us = [u for u in us for _ in pairs]
-        descents = kernels.descend_lanes(pairs * len(block), lane_us, NEWTON_SWITCH, MAX_ITER)
-        # a start outside E ends where it began, with U = inf
-        ends = [(v, w, math.inf, iters, False) for v, w, _, _, iters, _ in descents]
-        inside = [i for i, d in enumerate(descents) if math.isfinite(d[2])]
-        polished = _newton_polish_lanes([descents[i][:2] for i in inside],
-                                        [lane_us[i] for i in inside], gtol)
-        for i, (v, w, U, _, nit, ok) in zip(inside, polished):
-            ends[i] = (v, w, U, descents[i][4] + nit, ok)
-        yield block, _rows(block, us, ends, _accepted(ends, block, len(pairs)), len(pairs))
+        m = np.array([masses.astuple() for masses in block])
+        u = np.repeat(_u_coefficients(m).T, per_row, axis=1)
+        z, _, _, iters, _ = kernels.descend_lanes(np.tile(start_z, len(block)), u,
+                                                  NEWTON_SWITCH, MAX_ITER)
+        # a start outside E ends where it began, with U = inf: the Newton
+        # polish leaves it as it is
+        z, U, _, nit, converged = _newton_polish_lanes(z, u, gtol)
+        yield block, m, z, u, _rows(block, U.tolist(), (iters + nit).tolist(),
+                                    _accepted(z, converged, m, per_row), per_row)
 
 
 def _multistarts(masses_list, starts, gtol: float):
     """For each mass vector, in order, the solve from every start, by
-    descent and then Newton: (u, endpoints, clusters) with u =
-    _u_coefficients(masses) and the endpoints and clusters of _endpoints."""
-    for _, rows in _multistart_blocks(masses_list, starts, gtol):
+    descent and then Newton: the endpoints and clusters of _endpoints."""
+    for *_, rows in _multistart_blocks(masses_list, starts, gtol):
         yield from rows
 
 
-def _accepted(ends, block, per_row):
-    """The chart test and the distances of each end (v, w, U, iterations,
-    converged) of a block's starts, per_row of them per mass vector of
-    block, in order.  An end that did not converge, or whose p fails
-    |sum p^2 - 1|, |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart
-    units, free of the mass scale), gets (None, None).  An accepted end
-    gets (None, r), r the six floats of p_to_r(p, masses), or (p, None), p
-    the six floats of vw_to_p_floats, where p_to_r is left to compute r.
-    Below kernels.LANES_MIN converged ends the test runs on floats and every
-    accepted end gets (p, None).  From LANES_MIN on, the test and r = p
-    sqrt(2M / m_i m_j), one factor per mass vector, run on all lanes
-    together, and an end whose distances are not all positive and finite
-    gets (p, None), so that p_to_r raises its DegeneratePointError."""
-    out = [(None, None)] * len(ends)
-    done = [i for i, e in enumerate(ends) if e[4]]
-    if len(done) < kernels.LANES_MIN:
-        for i in done:
-            p = vw_to_p_floats(ends[i][0], ends[i][1])
-            if _constraints_hold(p):
-                out[i] = (p, None)
+def _accepted(z, converged, m, per_row):
+    """The chart test and the distances of each endpoint of a block's
+    lanes: z the (6, n) endpoints and converged the (n,) mask of those that
+    converged, per_row lanes per row of the (k, 4) masses m, in order.  An
+    endpoint that did not converge, or whose p fails |sum p^2 - 1|,
+    |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart units, free of
+    the mass scale), gets (None, None).  An accepted endpoint gets (None,
+    r), r the six floats of p_to_r(p, masses), or (p, None), p the six
+    floats of vw_to_p_floats, where p_to_r is left to compute r.  Below
+    kernels.LANES_MIN converged endpoints the test runs on floats, one lane
+    at a time, and every accepted endpoint gets (p, None).  From LANES_MIN
+    on, the test and r = p sqrt(2M / m_i m_j), one factor per mass vector,
+    run on all lanes together, and an endpoint whose distances are not all
+    positive and finite gets (p, None), so that p_to_r raises its
+    DegeneratePointError."""
+    out = [(None, None)] * z.shape[1]
+    if np.count_nonzero(converged) < kernels.LANES_MIN:
+        for i, (zi, ok) in enumerate(zip(z.T.tolist(), converged.tolist())):
+            if ok:
+                p = vw_to_p_floats(zi[:3], zi[3:])
+                if _constraints_hold(p):
+                    out[i] = (p, None)
         return out
+    done = np.flatnonzero(converged)
     with np.errstate(all="ignore"):
-        z = np.array([(*ends[i][0], *ends[i][1]) for i in done]).T
-        p = np.array(vw_to_p_floats(z[:3], z[3:]))
-        m1, m2, m3, m4 = np.array([masses.astuple() for masses in block]).T
-        factors = np.sqrt(2.0 * (m1 + m2 + m3 + m4)
-                          / np.array((m1 * m2, m1 * m3, m1 * m4, m2 * m3, m2 * m4, m3 * m4)))
-        done = np.array(done)
-        r = p * factors[:, done // per_row]
+        p = np.array(vw_to_p_floats(z[:3, done], z[3:, done]))
+        r = p * _distance_factors(m).T[:, done // per_row]
         ok = _constraints_hold(p)
         finite = ok & np.isfinite(r).all(axis=0) & (r > 0.0).all(axis=0)
     for i, ri in zip(done[finite].tolist(), r[:, finite].T.tolist()):
@@ -548,27 +573,28 @@ def _accepted(ends, block, per_row):
     return out
 
 
-def _rows(block, us, ends, distances, per_row):
-    for i, (masses, u) in enumerate(zip(block, us)):
+def _rows(block, U, iters, distances, per_row):
+    for i, masses in enumerate(block):
         own = slice(i * per_row, (i + 1) * per_row)
-        yield (u, *_endpoints(masses, ends[own], distances[own]))
+        yield _endpoints(masses, U[own], iters[own], distances[own])
 
 
-def _endpoints(masses: MassVector, ends, distances):
+def _endpoints(masses: MassVector, U, iters, distances):
     """The endpoints of one mass vector's starts and their clusters, from
-    the ends of its starts and their (p, r) from _accepted: an end is
-    accepted where either is given, and r is p_to_r(p, masses) where only
-    p is.  Accepted endpoints are clustered, up to admissible relabelings,
-    within CLUSTER_TOL times the largest distance of each cluster's
-    representative.  Returns one _Endpoint per end and (canonical
-    representative, member indices) per cluster, the representative as a
-    tuple of floats.  The bookkeeping is done in Python floats."""
+    the U and iteration counts of its starts' endpoints and their (p, r)
+    from _accepted: an endpoint is accepted where either is given, and r is
+    p_to_r(p, masses) where only p is.  Accepted endpoints are clustered,
+    up to admissible relabelings, within CLUSTER_TOL times the largest
+    distance of each cluster's representative.  Returns one _Endpoint per
+    start and (canonical representative, member indices) per cluster, the
+    representative as a tuple of floats.  The bookkeeping is done in Python
+    floats."""
     relabelings = _admissible_slots(masses)
     endpoints, clusters = [], []
-    for index, ((v, w, U, iters, _), (p, r)) in enumerate(zip(ends, distances)):
+    for index, (Ui, it, (p, r)) in enumerate(zip(U, iters, distances)):
         if r is None and p is not None:
             r = p_to_r(p, masses).astuple()
-        endpoints.append(_Endpoint(v, w, U, iters, r))
+        endpoints.append(_Endpoint(Ui, it, r))
         if r is None:
             continue
         canon = _canonical(r, relabelings)
@@ -631,11 +657,13 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """
     masses = _m(m)
     opts = opts or SolverOptions()
-    (u, endpoints, clusters), = _multistarts([masses], _draw_starts(opts), opts.gtol)
+    (_, _, z, u, rows), = _multistart_blocks([masses], _draw_starts(opts), opts.gtol)
+    (endpoints, clusters), = rows
     best, converged = _best_endpoint(endpoints, clusters)
-    v, w, iterations = best.v, best.w, best.iterations
+    zb, iterations = z[:, best].tolist(), endpoints[best].iterations
+    v, w = zb[:3], zb[3:]
     if converged:
-        v, w, steps = _polish_record(v, w, u)
+        v, w, steps = _polish_record(v, w, u[:, best].tolist())
         iterations += steps
     meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
             "seed": opts.seed, "starts": opts.starts}
@@ -643,10 +671,10 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
 
 
 def _best_endpoint(endpoints, clusters):
-    """The endpoint a record of minimize_U is built from, before its
-    polish, given the endpoints and clusters of its multistart, and
-    whether any endpoint was accepted: the accepted endpoint of lowest U,
-    else the endpoint of lowest U.  Raises UniquenessAlarmError when the
+    """The index of the endpoint a record of minimize_U is built from,
+    before its polish, given the endpoints and clusters of its multistart,
+    and whether any endpoint was accepted: the accepted endpoint of lowest
+    U, else the endpoint of lowest U.  Raises UniquenessAlarmError when the
     accepted endpoints form more than one cluster."""
     if len(clusters) > 1:
         gap = float(np.linalg.norm(np.subtract(clusters[1][0], clusters[0][0])))
@@ -654,8 +682,9 @@ def _best_endpoint(endpoints, clusters):
             f"multistart endpoints form {len(clusters)} clusters, the first two "
             f"{gap:.3e} apart in r-space (> {CLUSTER_TOL:g} x max r); this "
             "contradicts uniqueness of the minimizer and indicates a solver bug")
-    accepted = [e for e in endpoints if e.r is not None]
-    return min(accepted or endpoints, key=lambda e: e.U), bool(accepted)
+    accepted = [i for i, e in enumerate(endpoints) if e.r is not None]
+    return (min(accepted or range(len(endpoints)), key=lambda i: endpoints[i].U),
+            bool(accepted))
 
 
 class _RowValues(NamedTuple):
@@ -677,30 +706,58 @@ def _scan_values(masses_list, opts: SolverOptions, starts):
     Newton-polishes and tests the starts of a block of rows together; the
     accepted endpoints the block's records would be built from are then
     polished together by _polish_record_lanes, and each row's fields come
-    from its polished endpoint by the functions the record uses, without
-    the rest of the record.  A row's UniquenessAlarmError, or the
-    DegeneratePointError of its distances, is raised once the rows before
-    it are yielded, as a solve of one row at a time raises it."""
-    for block, rows in _multistart_blocks(masses_list, starts, opts.gtol):
+    from its polished endpoint by the expressions the record uses, on
+    stacks of the block's rows, without the rest of the record.  A row's
+    UniquenessAlarmError, or the DegeneratePointError of its distances, is
+    raised once the rows before it are yielded, as a solve of one row at a
+    time raises it; so is the IndeterminateShapeError of its multipliers."""
+    per_row = len(starts)
+    for block, m, z, u, rows in _multistart_blocks(masses_list, starts, opts.gtol):
+        # (lane of the chosen endpoint, its iterations, whether accepted) per
+        # row; the row of lane l is l // per_row
         chosen, error = [], None
         try:
-            for masses, (u, endpoints, clusters) in zip(block, rows):
-                chosen.append((masses, u, *_best_endpoint(endpoints, clusters)))
+            for i, (endpoints, clusters) in enumerate(rows):
+                best, ok = _best_endpoint(endpoints, clusters)
+                chosen.append((i * per_row + best, endpoints[best].iterations, ok))
         except (DegeneratePointError, UniquenessAlarmError) as exc:
             error = exc
-        polished = iter(_polish_record_lanes([(best.v, best.w) for *_, best, ok in chosen if ok],
-                                             [u for _, u, _, ok in chosen if ok]))
-        for masses, _, best, ok in chosen:
-            if not ok:
-                yield _RowValues(None, None, None, False, best.iterations, False)
-                continue
-            v, w, steps = next(polished)
-            r = p_to_r(vw_to_p_floats(v, w), masses)
-            k = K_term(r)
-            yield _RowValues(k, potential_U(r, masses), recover_multipliers(r, masses).lam,
-                             _cocircular(k, r.astuple()), best.iterations + steps, True)
+        accepted = [(lane, iterations) for lane, iterations, ok in chosen if ok]
+        lanes = [lane for lane, _ in accepted]
+        z, steps = _polish_record_lanes(z[:, lanes], u[:, lanes])
+        polished = _polished_rows(z, m[[lane // per_row for lane in lanes]],
+                                  [block[lane // per_row] for lane in lanes],
+                                  [its + s for (_, its), s in zip(accepted, steps.tolist())])
+        for _, iterations, ok in chosen:
+            yield next(polished) if ok else _RowValues(None, None, None, False, iterations, False)
         if error is not None:
             raise error
+
+
+def _polished_rows(z, m, masses_list, iterations):
+    """The _RowValues of rows with the (k, 4) masses m, one MassVector each
+    in masses_list, at their (6, k) polished points z, with their
+    iteration counts, in order.  r, K, U and the stationarity systems are
+    evaluated for all rows together, each by the expression that p_to_r,
+    K_term, potential_U or _stationarity_system evaluates for one row, so
+    every row keeps the bits of a one-row call; lambda is one lstsq per
+    row.  A row whose distances are not all positive and finite raises
+    p_to_r's DegeneratePointError at its turn, and a rank-deficient row
+    IndeterminateShapeError."""
+    # a degenerate row raises at its turn; its inf and NaN here mean nothing
+    with np.errstate(all="ignore"):
+        p = np.array(vw_to_p_floats(z[:3], z[3:]))
+        r = p.T * _distance_factors(m)
+        products = _pair_products(m)[0]
+        A = np.stack((products, PAIR_SIGN * (r[:, OPPOSITE_SLOT] / r)), axis=2)
+        b = products * r ** -3
+        finite = (np.isfinite(r) & (r > 0.0)).all(axis=1).tolist()
+        K, U = K_term(r).tolist(), potential_U(r, m).tolist()
+    for k, (masses, rk) in enumerate(zip(masses_list, r.tolist())):
+        if not finite[k]:
+            p_to_r(tuple(p[:, k].tolist()), masses)
+        lam, _ = _least_squares(A[k], b[k])
+        yield _RowValues(K[k], U[k], lam, _cocircular(K[k], rk), iterations[k], True)
 
 
 # --- certification ---------------------------------------------------------

@@ -124,6 +124,24 @@ def test_newton_polish_fails_on_a_nonpositive_pivot():
     assert iters == 0 and ok is False
 
 
+def test_newton_polish_leaves_a_point_where_U_is_not_finite():
+    # as it leaves a point outside E: a descent ends at such a point where
+    # the mass products overflow, and the multistart does not polish it
+    with np.errstate(over="ignore", invalid="ignore"):
+        us = [tuple(u_coeffs(m).tolist())
+              for m in ((1e200, 1e200, 1.0, 1.0), (1.5e308, 1.5e308, 1.0, 1.0))]
+    start = seeded_start(4, 1)
+    v, w = start.v.tolist(), start.w.tolist()
+    low = kernels.LANES_MIN
+    for u in us:
+        assert not math.isfinite(kernels.potential((*v, *w), u)[1])
+        want = (tuple(v), tuple(w), math.inf, math.inf, 0, False)
+        assert _newton_polish(v, w, u, 1e-11) == want
+        lanes = _per_lane(solver._newton_polish_lanes(*_as_lanes([(v, w)] * low, [u] * low),
+                                                      1e-11), tuple)
+        assert lanes == [want] * low
+
+
 def test_descend_rejects_infeasible_start():
     u = u_coeffs((1.0, 1.0, 1.0, 1.0))
     v = np.array([0.0, 1.0, 0.0])
@@ -156,6 +174,22 @@ def test_descend_matches_reference_bit_for_bit():
             cases += 1
     assert cases >= 3000
     assert statuses == {kernels.CONVERGED, kernels.MAXITER, kernels.STALLED}
+
+
+def _as_lanes(points, us):
+    # (v, w) points and coefficient 6-tuples as the (6, n) rows z and u that
+    # the lane functions take
+    return (np.array([(*v, *w) for v, w in points], dtype=float).reshape(-1, 6).T,
+            np.array(us, dtype=float).reshape(-1, 6).T)
+
+
+def _per_lane(out, triple):
+    # the arrays (z, *rows) a lane function returns, as one result per lane
+    # in the form of its scalar function: (v, w, *fields), v and w of type
+    # triple
+    z, *rows = out
+    return [(triple(zi[:3]), triple(zi[3:]), *fields)
+            for zi, *fields in zip(z.T.tolist(), *(row.tolist() for row in rows))]
 
 
 def test_descend_lanes_match_descend_bit_for_bit(monkeypatch):
@@ -192,9 +226,11 @@ def test_descend_lanes_match_descend_bit_for_bit(monkeypatch):
             batch = lanes[first:first + size]
             first += len(batch)
             calls.clear()
-            got = kernels.descend_lanes([s for s, _ in batch], [u for _, u in batch],
-                                        NEWTON_SWITCH, max_iter)
-            # one descend per lane below LANES_MIN, on stragglers only above
+            got = _per_lane(kernels.descend_lanes(*_as_lanes([s for s, _ in batch],
+                                                             [u for _, u in batch]),
+                                                  NEWTON_SWITCH, max_iter), list)
+            # one descend per lane below LANES_MIN, fewer above (none: the
+            # lanes left below LANES_MIN go on in descend_from)
             assert len(calls) == len(batch) if len(batch) < low else len(calls) < len(batch)
             assert len(got) == len(batch)
             for ((v, w), u), lane in zip(batch, got):
@@ -222,7 +258,103 @@ def test_descend_lanes_raise_where_descend_divides_by_zero():
         with pytest.raises(ZeroDivisionError):
             kernels.descend(*bad, u, NEWTON_SWITCH, 500)
         with pytest.raises(ZeroDivisionError):
-            kernels.descend_lanes(batch, [u] * low, NEWTON_SWITCH, 500)
+            kernels.descend_lanes(*_as_lanes(batch, [u] * low), NEWTON_SWITCH, 500)
+
+
+def _hand_over(lanes, max_iter):
+    """Where the lockstep loop of descend_lanes hands its running lanes to
+    descend_from, and how many, worked out from each lane's (outside,
+    descend outcome) in the order the loop retires lanes: "start" before
+    the first iteration, when the starts outside E leave fewer than
+    LANES_MIN lanes; "converged" after a mid-iteration retirement of
+    converged lanes; "stalled" after the end-of-iteration retirement of
+    stalled lanes; None where no lane is handed over."""
+    low = kernels.LANES_MIN
+    running = [want for outside, want in lanes if not outside]
+    if len(running) < low:
+        return ("start", len(running)) if running else (None, 0)
+    for i in range(max_iter):
+        running = [w for w in running if not (w[5] == kernels.CONVERGED and w[4] == i)]
+        if len(running) < low:
+            return ("converged", len(running)) if running else (None, 0)
+        running = [w for w in running if not (w[5] == kernels.STALLED and w[4] == i)]
+        if i + 1 < max_iter and len(running) < low:
+            return ("stalled", len(running)) if running else (None, 0)
+    return None, 0
+
+
+def test_descend_lanes_hand_over_keeps_descends_bits(monkeypatch):
+    # batches of LANES_MIN lanes and more, each of LANES_MIN - 1 varied
+    # lanes behind a lead of copies of one lane that sends the loop to
+    # descend_from in one of three ways: starts outside E, which leave
+    # before the first iteration; a start that converges at iteration 2,
+    # retired mid-iteration; and a NaN coefficient, whose lane stalls at
+    # the end of iteration 0.  The lanes handed over go on from where they
+    # are, with descend's bits, and descend itself is not called
+    rng = np.random.default_rng(23)
+    low = kernels.LANES_MIN
+    starts = [(s.v, s.w) for s in _draw_starts(SolverOptions())]
+    starts += [(s.v, s.w) for s in (seeded_start(6, i) for i in range(8))]
+    square = square_chart_point()
+    outside = (np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nan_u = tuple(u_coeffs((1.5e308, 1.5e308, 1.0, 1.0)).tolist())
+    leads = {"start": (outside, tuple(u_coeffs((1.0, 2.0, 3.0, 4.0)).tolist())),
+             "converged": ((square.v, square.w), tuple(u_coeffs((1.0, 1.01, 1.0, 1.01)).tolist())),
+             "stalled": ((square.v, square.w), nan_u)}
+    wants = {}
+
+    def want(lane, max_iter):
+        (v, w), u = lane
+        key = (tuple(v), tuple(w), u, max_iter)
+        if key not in wants:
+            wants[key] = kernels.descend(v, w, u, NEWTON_SWITCH, max_iter)
+        return wants[key]
+
+    batches = []
+    for max_iter in (500, 3):
+        for size in (low, low + 1, 300, 2048):
+            for route, lead in leads.items():
+                tail = [(starts[rng.integers(len(starts))],
+                         tuple(u_coeffs(10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist()))
+                        for _ in range(low - 1)]
+                if route == "start":
+                    # a lane handed over before its first iteration stalls there
+                    tail[0] = (tail[0][0], nan_u)
+                lanes = [(lead, route == "start")] * (size - len(tail))
+                lanes += [(lane, False) for lane in tail]
+                lanes = [lanes[i] for i in rng.permutation(len(lanes))]
+                outcomes = [(out, want(lane, max_iter)) for lane, out in lanes]
+                assert _hand_over(outcomes, max_iter) == (route, len(tail))
+                batches.append((max_iter, [lane for lane, _ in lanes],
+                                [w for _, w in outcomes]))
+
+    descend, descend_from = kernels.descend, kernels.descend_from
+    calls, handed = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return descend(*args)
+
+    def recorded(*args):
+        handed.append(descend_from(*args))
+        return handed[-1]
+
+    monkeypatch.setattr(kernels, "descend", counted)
+    monkeypatch.setattr(kernels, "descend_from", recorded)
+    statuses = set()
+    for max_iter, batch, wanted in batches:
+        handed.clear()
+        got = _per_lane(kernels.descend_lanes(*_as_lanes([s for s, _ in batch],
+                                                         [u for _, u in batch]),
+                                              NEWTON_SWITCH, max_iter), list)
+        assert len(handed) == low - 1
+        assert len(got) == len(batch)
+        for lane, want_lane in zip(got, wanted):
+            assert [repr(x) for x in lane] == [repr(x) for x in want_lane]
+        statuses.update(end[5] for end in handed)
+    assert calls == []
+    assert statuses == {kernels.CONVERGED, kernels.MAXITER, kernels.STALLED}
 
 
 def _newton_lanes(seed):
@@ -238,7 +370,8 @@ def _newton_lanes(seed):
     starts += [(s.v.tolist(), s.w.tolist()) for s in (seeded_start(4, i) for i in range(8))]
     us = [tuple(u_coeffs(10.0 ** rng.uniform(-6.0, 6.0, 4)).tolist()) for _ in range(140)]
     lane_us = [u for u in us for _ in starts]
-    descents = kernels.descend_lanes(starts * len(us), lane_us, NEWTON_SWITCH, 500)
+    descents = _per_lane(kernels.descend_lanes(*_as_lanes(starts * len(us), lane_us),
+                                               NEWTON_SWITCH, 500), list)
     lanes = [((v, w), u) for (v, w, U, *_), u in zip(descents, lane_us) if math.isfinite(U)]
     lanes += [(starts[i % len(starts)], u) for i, u in enumerate(us)]
     lanes = [lanes[i] for i in rng.permutation(len(lanes))]
@@ -285,7 +418,8 @@ def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeyp
         batch = special + rest[first:first + size - len(special)]
         first += size - len(special)
         calls.clear()
-        got = solver._newton_polish_lanes([p for p, _ in batch], [u for _, u in batch], 1e-11)
+        got = _per_lane(solver._newton_polish_lanes(
+            *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11), tuple)
         assert len(calls) == (len(batch) if len(batch) < low else 0)
         assert len(got) == len(batch)
         for ((v, w), u), lane in zip(batch, got):
@@ -303,7 +437,8 @@ def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
     # from, and from seeded starts inside E, in batches below, at and
     # above LANES_MIN and of 2048 lanes
     lanes = _newton_lanes(32)[3:]
-    polished = solver._newton_polish_lanes([p for p, _ in lanes], [u for _, u in lanes], 1e-11)
+    polished = _per_lane(solver._newton_polish_lanes(
+        *_as_lanes([p for p, _ in lanes], [u for _, u in lanes]), 1e-11), tuple)
     points = [((v, w), u) for (v, w, *_, ok), (_, u) in zip(polished, lanes) if ok]
     starts = [seeded_start(5, i) for i in range(300)]
     points += [((s.v.tolist(), s.w.tolist()), u) for s, (_, u) in zip(starts, lanes)]
@@ -315,7 +450,8 @@ def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
         batch = points[first:first + size]
         first += size
         calls.clear()
-        got = solver._polish_record_lanes([p for p, _ in batch], [u for _, u in batch])
+        got = _per_lane(solver._polish_record_lanes(
+            *_as_lanes([p for p, _ in batch], [u for _, u in batch])), tuple)
         assert len(calls) == (len(batch) if len(batch) < low else 0)
         assert len(got) == len(batch)
         for ((v, w), u), lane in zip(batch, got):

@@ -474,11 +474,65 @@ def test_scan_values_equal_standalone_records(log_masses, block_rows):
     assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
+def test_stacked_u_coefficients_have_the_per_vector_bits():
+    # one (n, 6) evaluation against (m_i m_j)^{3/2} / sqrt(2M) per mass
+    # vector, for log10 m_i uniform on [-6, 6] and mass products that
+    # overflow into inf and NaN
+    rng = np.random.default_rng(41)
+    masses = np.vstack((10.0 ** rng.uniform(-6.0, 6.0, (5000, 4)),
+                        [(1e200, 1e200, 1.0, 1.0), (1.5e308, 1.5e308, 1.0, 1.0)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = solver._u_coefficients(masses)
+        want = []
+        for m in map(MassVector.from_iterable, masses):
+            want.extend((m.products() ** 1.5 / math.sqrt(2.0 * m.M)).tolist())
+    assert math.isinf(want[-12]) and math.isnan(want[-6])
+    assert [repr(x) for x in got.ravel().tolist()] == [repr(x) for x in want]
+
+
+def test_row_tail_has_the_bits_of_the_record_functions():
+    # the stacked r, K, U and lambda of scan rows against p_to_r, K_term,
+    # potential_U and recover_multipliers row by row, at descent endpoints
+    # and sampled interior points for log10 m_i uniform on [-6, 6]; the last
+    # row's masses give no finite distances, and it raises as p_to_r does
+    from ccc4 import kernels
+    from ccc4.chart import p_to_r, sample_interior, square_chart_point, vw_to_p_floats
+    from ccc4.errors import DegeneratePointError
+    from ccc4.geometry import K_term, potential_U
+    rng = np.random.default_rng(42)
+    masses = [MassVector.from_iterable(10.0 ** rng.uniform(-6.0, 6.0, 4)) for _ in range(400)]
+    masses.append(MassVector(2e-300, 2e-300, 2e-300, 4.0))
+    square = square_chart_point()
+    points = []
+    for i, m in enumerate(masses):
+        if i % 2:
+            vw = sample_interior(rng)
+            points.append((vw.v.tolist(), vw.w.tolist()))
+        else:
+            u = solver._u_coefficients(np.array([m.astuple()]))[0]
+            points.append(kernels.descend(square.v, square.w, u, solver.NEWTON_SWITCH, 500)[:2])
+    z = np.array([v + w for v, w in points]).T
+    m = np.array([x.astuple() for x in masses])
+    r = np.array(vw_to_p_floats(z[:3, :-1], z[3:, :-1])).T * solver._distance_factors(m[:-1])
+    rows = solver._polished_rows(z, m, masses, list(range(len(masses))))
+    for k, ((v, w), masses_k) in enumerate(zip(points[:-1], masses)):
+        want = p_to_r(vw_to_p_floats(v, w), masses_k)
+        K = K_term(want)
+        assert repr(r[k].tolist()) == repr(list(want.astuple()))
+        assert repr(next(rows)) == repr(solver._RowValues(
+            K, potential_U(want, masses_k), recover_multipliers(want, masses_k).lam,
+            solver._cocircular(K, want.astuple()), k, True))
+    with pytest.raises(DegeneratePointError):
+        p_to_r(vw_to_p_floats(*points[-1]), masses[-1])
+    with pytest.raises(DegeneratePointError):
+        next(rows)
+
+
 def test_multistart_start_outside_E_is_an_unaccepted_endpoint():
     from ccc4.chart import VWPoint
     from ccc4.solver import _multistarts
     outside = VWPoint(v=np.array([0.0, 1.0, 0.0]), w=np.array([1.0, 0.0, 0.0]))
-    (_, endpoints, clusters), = _multistarts([UNIT], [outside], SolverOptions().gtol)
+    (endpoints, clusters), = _multistarts([UNIT], [outside], SolverOptions().gtol)
     assert len(endpoints) == 1
     assert endpoints[0].U == math.inf and endpoints[0].r is None
     assert clusters == []
@@ -494,7 +548,7 @@ def test_multistart_representatives_are_canonical_distance_tuples():
     for masses in ((1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 1.0, 1.0), (1.0, 3.0, 3.0, 1.0),
                    (1.0, 2.0, 1.0, 2.0), (0.5, 1.5, 0.5, 2.5)):
         m = MassVector(*masses)
-        (_, endpoints, clusters), = _multistarts([m], starts, gtol)
+        (endpoints, clusters), = _multistarts([m], starts, gtol)
         for rep, members in clusters:
             assert tuple(rep) == canonical_distance_tuple(endpoints[members[0]].r, m)
 
