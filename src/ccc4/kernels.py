@@ -22,16 +22,18 @@ point and projected gradient (none before the first step) and the
 iteration count; `descend` normalizes its start and calls it.
 
 `descend_lanes` runs many descents at once, on (6, n) rows of starts and
-coefficients.  From LANES_MIN lanes up it steps them together on numpy
-rows, each expression in descend's order and built only from + - * / sqrt
-and comparisons, which numpy rounds as Python floats do; so every lane
-ends with descend's bits, and the loop raises where descend divides by
-zero.  Once fewer than LANES_MIN lanes are still running, descend_from
-goes on with each of them from its state in the lanes, so no iteration is
-made twice.
+coefficients, for any n.  It steps them together on numpy rows, each
+expression in descend's order and built only from + - * / sqrt and
+comparisons, which numpy rounds as Python floats do; so every lane ends
+with descend's bits, and the loop raises where descend divides by zero.
+Once fewer than LANES_MIN lanes are still running, descend_from goes on
+with each of them from its state in the lanes, so no iteration is made
+twice.  Whether a block of solves runs on lanes at all is decided once,
+in solver._multistart_blocks: a block below LANES_MIN lanes runs descend
+and the scalar Newton steps one lane at a time instead.
 
-The Newton steps that polish the descents' endpoints run on lanes by the
-same rule.  potential_lanes, tangent_gradient_lanes, newton_step_lanes and
+The Newton steps that polish the descents' endpoints run on lanes too.
+potential_lanes, tangent_gradient_lanes, newton_step_lanes and
 retract_lanes are potential, tangent_gradient, newton_step and retract on
 (6, n) rows, in the scalar order; where the scalar code returns None or
 branches, a lane form returns a mask or takes the branch per lane, and its
@@ -346,9 +348,14 @@ def descend_from(z, u, gtol, max_iter, prev=None, iters=0):
 # starts: 50 seeded starts 2.04 vs 2.03 ms, the 64 starts of scan --grid 2
 # 2.42 vs 2.33 ms, the 512 of --grid 4 19.8 vs 4.6 ms; at 32 the 50 starts
 # took 2.34 ms, at 48 2.9 ms.  Now that they go on from where they are,
-# the hand-over costs only the iterations left, and 24 is kept unmeasured.
-# The solver's lane Newton steps, acceptance test and record polish run
-# from the same count of lanes.
+# the hand-over costs only the iterations left.  solver._multistart_blocks
+# runs a block of fewer lanes on floats and a larger one on lanes, which
+# breaks even nearer 100 lanes.  Its whole chain per row, floats against
+# lanes, least of 3 x 5-50 runs, log10 m_i uniform on [-3, 3]: rows of 8
+# starts, 8 lanes 1826 / 3263 us, 24 lanes 1367 / 2751, 64 lanes 1057 /
+# 1162, 96 lanes 1135 / 1003, 256 lanes 1096 / 616, 512 lanes 1226 / 630;
+# one row of n starts, n = 24 4637 / 9716 us, 64 10984 / 13927, 96 16770 /
+# 16127, 200 35566 / 23032.  One value serves both uses for now.
 LANES_MIN = 24
 
 # p_k = 0.5 * (z[i] + s * z[j]) with i = _P_INDEX[k], j = _P_INDEX[6 + k] and
@@ -408,144 +415,120 @@ def _projected(z, g):
     return c, (g3 - c[:, None] * z3).reshape(6, n)
 
 
-def lane_arrays(ends, kinds):
-    """The (v, w, x, ...) results of a scalar function, one per lane, as
-    arrays: the points (v, w) as (6, n) rows and each further field as an
-    (n,) row of its kind in kinds.  The fields go into one flat list of
-    floats, which numpy converts faster than a list of tuples."""
-    flat = []
-    for v, w, *fields in ends:
-        flat += v
-        flat += w
-        flat += fields
-    rows = np.array(flat, dtype=float).reshape(-1, 6 + len(kinds)).T
-    return (rows[:6], *(row.astype(kind, copy=False) for row, kind in zip(rows[6:], kinds)))
-
-
 def descend_lanes(z, u, gtol, max_iter):
     """descend at every lane of the (6, n) rows z of starts (v, w) and u of
-    coefficients: (z, U, rgnorm, iters, status), the endpoints as (6, n)
-    rows and the rest as (n,) rows, each lane with the bits of
+    coefficients, for any n: (z, U, rgnorm, iters, status), the endpoints
+    as (6, n) rows and the rest as (n,) rows, each lane with the bits of
     descend(v, w, u, gtol, max_iter).
 
-    Below LANES_MIN lanes this calls descend once per lane, on floats;
-    descend is looked up at each call, so a wrapper set on the module sees
-    every call.  From LANES_MIN on it runs descend's loop on all lanes
-    together, retiring each lane once it converges, stalls or reaches
-    max_iter; once fewer than LANES_MIN lanes remain, descend_from goes on
-    with each of them from where it is."""
-    if z.shape[1] < LANES_MIN:
-        return lane_arrays([descend(zi[:3], zi[3:], ui, gtol, max_iter)
-                            for zi, ui in zip(z.T.tolist(), u.T.tolist())],
-                           (float, float, int, int))
+    descend's loop runs on all lanes together, retiring each lane once it
+    converges, stalls or reaches max_iter.  The state of the running lanes,
+    which have all made the same number of iterations, is kept in (6, n)
+    and (n,) arrays; zd stacks the point z = (v, w) on its projected
+    gradient d, as the BB step needs both at the previous point.  Once
+    fewer than LANES_MIN lanes are running, descend_from goes on with each
+    of them from where it is, so a batch below LANES_MIN goes on in
+    descend_from from its normalized starts."""
     # Python floats raise on nothing but a division by zero, which the lane
     # loop checks for and raises as descend does; it ignores numpy's
     # floating-point flags as descend's arithmetic sets none
     with np.errstate(all="ignore"):
-        return _lockstep(z, u, gtol, max_iter)
+        count = z.shape[1]
+        z = _unit_triples(z)
+        p = _halved(z, _P_INDEX, _P_SIGN)
 
+        out_z = z.copy()
+        out_U = np.full(count, math.inf)
+        out_rg = np.full(count, math.inf)
+        out_iters = np.zeros(count, dtype=int)
+        out_status = np.full(count, STALLED)
 
-def _lockstep(z, u, gtol, max_iter):
-    """The lane loop of descend_lanes.  The state of the running lanes,
-    which have all made the same number of iterations, is kept in (6, n)
-    and (n,) arrays; zd stacks the point z = (v, w) on its projected
-    gradient d, as the BB step needs both at the previous point."""
-    count = z.shape[1]
-    z = _unit_triples(z)
-    p = _halved(z, _P_INDEX, _P_SIGN)
+        # a start outside E stops at once with U = inf
+        lane = np.flatnonzero((p > 0.0).all(axis=0))
+        z, p, u = z.take(lane, axis=1), p.take(lane, axis=1), u.take(lane, axis=1)
+        U = _sum6(u / p)
+        rg = np.full(lane.size, math.inf)
+        zd_prev = None
 
-    out_z = z.copy()
-    out_U = np.full(count, math.inf)
-    out_rg = np.full(count, math.inf)
-    out_iters = np.zeros(count, dtype=int)
-    out_status = np.full(count, STALLED)
+        def retire(mask, status, iters, *more):
+            # record the lanes of mask, drop them from the state and return the
+            # arrays of more without them
+            nonlocal z, p, U, u, rg, lane, zd_prev
+            done = lane[mask]
+            out_z[:, done] = z[:, mask]
+            out_U[done] = U[mask]
+            out_rg[done] = rg[mask]
+            out_iters[done] = iters
+            out_status[done] = status
+            keep = np.flatnonzero(~mask)
+            z, p, u = z.take(keep, axis=1), p.take(keep, axis=1), u.take(keep, axis=1)
+            U, rg, lane = U.take(keep), rg.take(keep), lane.take(keep)
+            if zd_prev is not None:
+                zd_prev = zd_prev.take(keep, axis=1)
+            return [x.take(keep, axis=-1) for x in more]
 
-    # a start outside E stops at once with U = inf
-    lane = np.flatnonzero((p > 0.0).all(axis=0))
-    z, p, u = z.take(lane, axis=1), p.take(lane, axis=1), u.take(lane, axis=1)
-    U = _sum6(u / p)
-    rg = np.full(lane.size, math.inf)
-    zd_prev = None
+        iters = 0
+        while iters < max_iter and lane.size >= LANES_MIN:
+            # the gradient at the current points, projected onto the spheres
+            pp = p * p
+            if not pp.all():
+                raise ZeroDivisionError("float division by zero")
+            zd = np.concatenate((z, _projected(z, _halved(-u / pp, _G_INDEX, _G_SIGN))[1]))
+            g2 = _sum6(zd[6:] * zd[6:])
+            rg = np.sqrt(g2)
+            # fmax, as max(1.0, x), gives 1.0 for x = NaN
+            converged = rg <= gtol * np.fmax(np.abs(U), 1.0)
+            if converged.any():
+                zd, g2 = retire(converged, CONVERGED, iters, zd, g2)
+                if lane.size < LANES_MIN:
+                    break
+            d = zd[6:]
 
-    def retire(mask, status, iters, *more):
-        # record the lanes of mask, drop them from the state and return the
-        # arrays of more without them
-        nonlocal z, p, U, u, rg, lane, zd_prev
-        done = lane[mask]
-        out_z[:, done] = z[:, mask]
-        out_U[done] = U[mask]
-        out_rg[done] = rg[mask]
-        out_iters[done] = iters
-        out_status[done] = status
-        keep = np.flatnonzero(~mask)
-        z, p, u = z.take(keep, axis=1), p.take(keep, axis=1), u.take(keep, axis=1)
-        U, rg, lane = U.take(keep), rg.take(keep), lane.take(keep)
-        if zd_prev is not None:
-            zd_prev = zd_prev.take(keep, axis=1)
-        return [x.take(keep, axis=-1) for x in more]
+            if zd_prev is None:
+                alpha = 0.1 / (1.0 + rg)
+            else:
+                # the steps s of z and y of d since the previous point
+                sy = zd - zd_prev
+                ss, sy = _sum6((sy[:6] * sy.reshape(2, 6, -1)).swapaxes(0, 1))
+                alpha = np.where(sy > 0.0, np.minimum(np.maximum(ss / sy, 1e-14), 1e4), 1e-2)
+            zd_prev = zd
 
-    iters = 0
-    while iters < max_iter and lane.size >= LANES_MIN:
-        # the gradient at the current points, projected onto the spheres
-        pp = p * p
-        if not pp.all():
-            raise ZeroDivisionError("float division by zero")
-        zd = np.concatenate((z, _projected(z, _halved(-u / pp, _G_INDEX, _G_SIGN))[1]))
-        g2 = _sum6(zd[6:] * zd[6:])
-        rg = np.sqrt(g2)
-        # fmax, as max(1.0, x), gives 1.0 for x = NaN
-        converged = rg <= gtol * np.fmax(np.abs(U), 1.0)
-        if converged.any():
-            zd, g2 = retire(converged, CONVERGED, iters, zd, g2)
-            if lane.size < LANES_MIN:
-                break
-        d = zd[6:]
+            # Armijo backtracking, per lane: lanes whose trial fails try again
+            # at half the step
+            t = _unit_triples(z - alpha * d)
+            pt = _halved(t, _P_INDEX, _P_SIGN)
+            Ut = _sum6(u / pt)
+            ok = (pt > 0.0).all(axis=0) & (Ut <= U - _ARMIJO * alpha * g2)
+            trying = np.flatnonzero(~ok)
+            a = alpha[trying]
+            for _ in range(_MAX_BACKTRACK - 1):
+                if not trying.size:
+                    break
+                a = a * 0.5
+                tt = _unit_triples(z[:, trying] - a * d[:, trying])
+                ptt = _halved(tt, _P_INDEX, _P_SIGN)
+                Utt = _sum6(u[:, trying] / ptt)
+                ok = (ptt > 0.0).all(axis=0) & (Utt <= U[trying] - _ARMIJO * a * g2[trying])
+                hit = trying[ok]
+                t[:, hit], pt[:, hit], Ut[hit] = tt[:, ok], ptt[:, ok], Utt[ok]
+                trying, a = trying[~ok], a[~ok]
+            if trying.size:
+                stalled = np.zeros(lane.size, dtype=bool)
+                stalled[trying] = True
+                t, pt, Ut = retire(stalled, STALLED, iters, t, pt, Ut)
+            z, p, U = t, pt, Ut
+            iters += 1
+        if iters >= max_iter:
+            retire(np.ones(lane.size, dtype=bool), MAXITER, iters)
 
-        if zd_prev is None:
-            alpha = 0.1 / (1.0 + rg)
-        else:
-            # the steps s of z and y of d since the previous point
-            sy = zd - zd_prev
-            ss, sy = _sum6((sy[:6] * sy.reshape(2, 6, -1)).swapaxes(0, 1))
-            alpha = np.where(sy > 0.0, np.minimum(np.maximum(ss / sy, 1e-14), 1e4), 1e-2)
-        zd_prev = zd
-
-        # Armijo backtracking, per lane: lanes whose trial fails try again
-        # at half the step
-        t = _unit_triples(z - alpha * d)
-        pt = _halved(t, _P_INDEX, _P_SIGN)
-        Ut = _sum6(u / pt)
-        ok = (pt > 0.0).all(axis=0) & (Ut <= U - _ARMIJO * alpha * g2)
-        trying = np.flatnonzero(~ok)
-        a = alpha[trying]
-        for _ in range(_MAX_BACKTRACK - 1):
-            if not trying.size:
-                break
-            a = a * 0.5
-            tt = _unit_triples(z[:, trying] - a * d[:, trying])
-            ptt = _halved(tt, _P_INDEX, _P_SIGN)
-            Utt = _sum6(u[:, trying] / ptt)
-            ok = (ptt > 0.0).all(axis=0) & (Utt <= U[trying] - _ARMIJO * a * g2[trying])
-            hit = trying[ok]
-            t[:, hit], pt[:, hit], Ut[hit] = tt[:, ok], ptt[:, ok], Utt[ok]
-            trying, a = trying[~ok], a[~ok]
-        if trying.size:
-            stalled = np.zeros(lane.size, dtype=bool)
-            stalled[trying] = True
-            t, pt, Ut = retire(stalled, STALLED, iters, t, pt, Ut)
-        z, p, U = t, pt, Ut
-        iters += 1
-    if iters >= max_iter:
-        retire(np.ones(lane.size, dtype=bool), MAXITER, iters)
-
-    # the lanes still running once fewer than LANES_MIN were left go on in
-    # descend's loop, from their point, previous step and iteration count
-    prev = [None] * lane.size if zd_prev is None else zd_prev.T.tolist()
-    for i, zi, ui, prev_i in zip(lane.tolist(), z.T.tolist(), u.T.tolist(), prev):
-        v, w, out_U[i], out_rg[i], out_iters[i], out_status[i] = descend_from(
-            zi, ui, gtol, max_iter, prev_i, iters)
-        out_z[:, i] = v + w
-    return out_z, out_U, out_rg, out_iters, out_status
+        # the lanes still running once fewer than LANES_MIN were left go on in
+        # descend's loop, from their point, previous step and iteration count
+        prev = [None] * lane.size if zd_prev is None else zd_prev.T.tolist()
+        for i, zi, ui, prev_i in zip(lane.tolist(), z.T.tolist(), u.T.tolist(), prev):
+            v, w, out_U[i], out_rg[i], out_iters[i], out_status[i] = descend_from(
+                zi, ui, gtol, max_iter, prev_i, iters)
+            out_z[:, i] = v + w
+        return out_z, out_U, out_rg, out_iters, out_status
 
 
 # Lane forms of potential, tangent_gradient, newton_step and retract, for the

@@ -38,7 +38,7 @@ class PlanarConfig:
         pos = np.array(self.positions, dtype=float).reshape(4, 2)
         object.__setattr__(self, "positions", pos)
         rows = pos.tolist()
-        scale = max(1.0, max(abs(c) for row in rows for c in row))
+        scale = max(abs(c) for row in rows for c in row)
         com = _center_of_mass(rows, self.masses)
         if math.hypot(*com) > 1e-12 * scale:
             raise ValueError(f"center of mass {com} is not at the origin")

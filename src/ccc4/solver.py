@@ -395,17 +395,12 @@ def _polish_record(v, w, u):
 
 def _newton_polish_lanes(z, u, gtol):
     """_newton_polish at every lane of the (6, n) rows z of points (v, w)
-    and u of coefficients: (z, U, rgnorm, iters, converged), the points as
-    (6, n) rows and the rest as (n,) rows.  Below kernels.LANES_MIN lanes
-    this calls _newton_polish, looked up at each call, once per lane, on
-    floats.  From LANES_MIN on it runs _newton_polish's loop on all lanes
-    together, in the lane forms of the kernels, and each lane leaves where
-    _newton_polish returns: converged, at MAX_NEWTON, at a pivot that is
-    not positive or where the line search fails."""
-    if z.shape[1] < kernels.LANES_MIN:
-        return kernels.lane_arrays([_newton_polish(zi[:3], zi[3:], ui, gtol)
-                                    for zi, ui in zip(z.T.tolist(), u.T.tolist())],
-                                   (float, float, int, bool))
+    and u of coefficients, for any n: (z, U, rgnorm, iters, converged), the
+    points as (6, n) rows and the rest as (n,) rows.  It runs
+    _newton_polish's loop on all lanes together, in the lane forms of the
+    kernels, and each lane leaves where _newton_polish returns: converged,
+    at MAX_NEWTON, at a pivot that is not positive or where the line search
+    fails."""
     # as in kernels.descend_lanes, the lanes raise where the scalar code
     # divides by zero and ignore numpy's floating-point flags
     with np.errstate(all="ignore"):
@@ -460,10 +455,12 @@ def _polish_record_lanes(z, u):
     kernels.LANES_MIN lanes this calls _polish_record, looked up at each
     call, once per lane, on floats; from LANES_MIN on it runs
     _polish_record's loop on all lanes together, and each lane leaves where
-    _polish_record returns."""
+    _polish_record returns.  Its lanes are a scan block's accepted rows,
+    one each, so this switch is its own and not the block's."""
     if z.shape[1] < kernels.LANES_MIN:
-        return kernels.lane_arrays([_polish_record(zi[:3], zi[3:], ui)
-                                    for zi, ui in zip(z.T.tolist(), u.T.tolist())], (int,))
+        ends = [_polish_record(zi[:3], zi[3:], ui) for zi, ui in zip(z.T.tolist(), u.T.tolist())]
+        return (np.array([v + w for v, w, _ in ends]).reshape(-1, 6).T,
+                np.array([steps for *_, steps in ends], dtype=int))
     with np.errstate(all="ignore"):
         out_z, out_steps = z.copy(), np.zeros(z.shape[1], dtype=int)
         lane = np.arange(z.shape[1])
@@ -510,10 +507,11 @@ def _multistart_blocks(masses_list, starts, gtol: float):
     endpoints and coefficients of its n = k len(starts) lanes, lane i
     len(starts) + j from start j of mass vector i; and rows an iterator
     over the (endpoints, clusters) of its mass vectors in order, endpoint j
-    of a row from lane j of its own.  A block's starts are descended
-    together by kernels.descend_lanes, then polished together by
-    _newton_polish_lanes and tested together by _accepted; a row's
-    clusters are formed as the row is drawn.  The starts are only read."""
+    of a row from lane j of its own.  A block below kernels.LANES_MIN lanes
+    runs on floats in _solve_floats; a larger one runs descend_lanes,
+    _newton_polish_lanes and _accepted on all its lanes, with the same
+    bits.  A row's clusters are formed as the row is drawn.  The starts are
+    only read."""
     per_row = len(starts)
     start_z = np.array([(s.v, s.w) for s in starts]).reshape(per_row, 6).T
     size = max(1, SCAN_BLOCK_LANES // per_row)
@@ -521,13 +519,36 @@ def _multistart_blocks(masses_list, starts, gtol: float):
         block = masses_list[first:first + size]
         m = np.array([masses.astuple() for masses in block])
         u = np.repeat(_u_coefficients(m).T, per_row, axis=1)
-        z, _, _, iters, _ = kernels.descend_lanes(np.tile(start_z, len(block)), u,
-                                                  NEWTON_SWITCH, MAX_ITER)
-        # a start outside E ends where it began, with U = inf: the Newton
-        # polish leaves it as it is
-        z, U, _, nit, converged = _newton_polish_lanes(z, u, gtol)
-        yield block, m, z, u, _rows(block, U.tolist(), (iters + nit).tolist(),
-                                    _accepted(z, converged, m, per_row), per_row)
+        if u.shape[1] < kernels.LANES_MIN:
+            z, U, iters, distances = _solve_floats(start_z.T.tolist() * len(block),
+                                                   u.T.tolist(), gtol)
+        else:
+            z, _, _, iters, _ = kernels.descend_lanes(np.tile(start_z, len(block)), u,
+                                                      NEWTON_SWITCH, MAX_ITER)
+            # a start outside E ends where it began, with U = inf: the Newton
+            # polish leaves it as it is
+            z, U, _, nit, converged = _newton_polish_lanes(z, u, gtol)
+            U, iters = U.tolist(), (iters + nit).tolist()
+            distances = _accepted(z, converged, m, per_row)
+        yield block, m, z, u, _rows(block, U, iters, distances, per_row)
+
+
+def _solve_floats(starts, us, gtol):
+    """_multistart_blocks' lanes one at a time on floats: kernels.descend
+    and _newton_polish, looked up at each call, from each start of starts
+    with its six coefficients in us, then _accepted's chart test.  Returns
+    the (6, n) endpoints and lists of their U, iterations and (p, r), an
+    accepted endpoint's r left to p_to_r."""
+    ends, U, iters, distances = [], [], [], []
+    for zi, ui in zip(starts, us):
+        v, w, _, _, it, _ = kernels.descend(zi[:3], zi[3:], ui, NEWTON_SWITCH, MAX_ITER)
+        v, w, Ui, _, nit, converged = _newton_polish(v, w, ui, gtol)
+        p = vw_to_p_floats(v, w)
+        ends += v + w
+        U.append(Ui)
+        iters.append(it + nit)
+        distances.append((p, None) if converged and _constraints_hold(p) else (None, None))
+    return np.array(ends).reshape(-1, 6).T, U, iters, distances
 
 
 def _multistarts(masses_list, starts, gtol: float):
@@ -545,21 +566,12 @@ def _accepted(z, converged, m, per_row):
     |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart units, free of
     the mass scale), gets (None, None).  An accepted endpoint gets (None,
     r), r the six floats of p_to_r(p, masses), or (p, None), p the six
-    floats of vw_to_p_floats, where p_to_r is left to compute r.  Below
-    kernels.LANES_MIN converged endpoints the test runs on floats, one lane
-    at a time, and every accepted endpoint gets (p, None).  From LANES_MIN
-    on, the test and r = p sqrt(2M / m_i m_j), one factor per mass vector,
-    run on all lanes together, and an endpoint whose distances are not all
-    positive and finite gets (p, None), so that p_to_r raises its
+    floats of vw_to_p_floats, where p_to_r is left to compute r.  The test
+    and r = p sqrt(2M / m_i m_j), one factor per mass vector, run on all
+    lanes together, and an endpoint whose distances are not all positive
+    and finite gets (p, None), so that p_to_r raises its
     DegeneratePointError."""
     out = [(None, None)] * z.shape[1]
-    if np.count_nonzero(converged) < kernels.LANES_MIN:
-        for i, (zi, ok) in enumerate(zip(z.T.tolist(), converged.tolist())):
-            if ok:
-                p = vw_to_p_floats(zi[:3], zi[3:])
-                if _constraints_hold(p):
-                    out[i] = (p, None)
-        return out
     done = np.flatnonzero(converged)
     with np.errstate(all="ignore"):
         p = np.array(vw_to_p_floats(z[:3, done], z[3:, done]))

@@ -193,8 +193,8 @@ def _per_lane(out, triple):
 
 
 def test_descend_lanes_match_descend_bit_for_bit(monkeypatch):
-    # the lane loop against descend, lane by lane, in batches below, at and
-    # above LANES_MIN: the default starts, seeded starts and a start outside
+    # the lane loop against descend, lane by lane, in batches of 0 and 1
+    # lanes and below, at and above LANES_MIN: the default starts, seeded starts and a start outside
     # E; log10 m_i uniform on [-3, 3], and mass products that overflow, so
     # that u holds inf or NaN; iteration caps 500 and 3
     rng = np.random.default_rng(22)
@@ -209,7 +209,7 @@ def test_descend_lanes_match_descend_bit_for_bit(monkeypatch):
     lanes = [(start, u) for u in us for start in starts]
     lanes = [lanes[i] for i in rng.permutation(len(lanes))]
     low = kernels.LANES_MIN
-    sizes = [low - 1, low, low + 1, 300, len(lanes)]
+    sizes = [0, 1, low - 1, low, low + 1, 300, len(lanes)]
 
     descend, calls = kernels.descend, []
 
@@ -229,9 +229,9 @@ def test_descend_lanes_match_descend_bit_for_bit(monkeypatch):
             got = _per_lane(kernels.descend_lanes(*_as_lanes([s for s, _ in batch],
                                                              [u for _, u in batch]),
                                                   NEWTON_SWITCH, max_iter), list)
-            # one descend per lane below LANES_MIN, fewer above (none: the
-            # lanes left below LANES_MIN go on in descend_from)
-            assert len(calls) == len(batch) if len(batch) < low else len(calls) < len(batch)
+            # no descend at any size: the lanes left below LANES_MIN, or
+            # all of a smaller batch, go on in descend_from
+            assert not calls
             assert len(got) == len(batch)
             for ((v, w), u), lane in zip(batch, got):
                 want = descend(v, w, u, NEWTON_SWITCH, max_iter)
@@ -397,8 +397,8 @@ def _counted(monkeypatch, name):
 
 @pytest.mark.parametrize("max_newton", [solver.MAX_NEWTON, 1, 0])
 def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeypatch):
-    # batches below, at and above LANES_MIN and of 2048 lanes, each led by
-    # the three lanes that leave at once
+    # batches of 0 and 1 lanes, and batches below, at and above LANES_MIN
+    # and of 2048 lanes, each led by the three lanes that leave at once
     monkeypatch.setattr(solver, "MAX_NEWTON", max_newton)
     lanes = _newton_lanes(31)
     special, rest = lanes[:3], lanes[3:]
@@ -414,13 +414,14 @@ def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeyp
         assert newton_polish(v, w, u, 1e-11)[4:] == (0, False)
     low = kernels.LANES_MIN
     first, outcomes = 0, set()
-    for size in (low - 1, low, low + 1, 2048):
-        batch = special + rest[first:first + size - len(special)]
-        first += size - len(special)
+    for size in (0, 1, low - 1, low, low + 1, 2048):
+        lead = special if size > len(special) else []
+        batch = lead + rest[first:first + size - len(lead)]
+        first += size - len(lead)
         calls.clear()
         got = _per_lane(solver._newton_polish_lanes(
             *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11), tuple)
-        assert len(calls) == (len(batch) if len(batch) < low else 0)
+        assert not calls
         assert len(got) == len(batch)
         for ((v, w), u), lane in zip(batch, got):
             want = newton_polish(v, w, u, 1e-11)

@@ -25,6 +25,16 @@ UNIT = MassVector(1.0, 1.0, 1.0, 1.0)
 def test_planar_config_requires_centered_mass():
     with pytest.raises(ValueError):
         PlanarConfig(positions=np.ones((4, 2)), masses=UNIT)
+    PlanarConfig(positions=np.zeros((4, 2)), masses=UNIT)
+    # the check is relative to the configuration's size: the square of
+    # circumradius k passes, and with body 1 moved out to 1.5 k, which puts
+    # the center of mass k / 8 off the origin, it fails at every scale
+    for e in range(-150, 151):
+        k = 10.0 ** e
+        square = [(k, 0.0), (0.0, k), (-k, 0.0), (0.0, -k)]
+        PlanarConfig(positions=square, masses=UNIT)
+        with pytest.raises(ValueError):
+            PlanarConfig(positions=[(1.5 * k, 0.0)] + square[1:], masses=UNIT)
 
 
 def test_embed_square():

@@ -553,6 +553,37 @@ def test_multistart_representatives_are_canonical_distance_tuples():
             assert tuple(rep) == canonical_distance_tuple(endpoints[members[0]].r, m)
 
 
+def test_a_block_runs_on_floats_below_lanes_min_and_on_lanes_from_it(monkeypatch):
+    # the one switch of a block: below LANES_MIN lanes each lane runs
+    # descend and _newton_polish and no lane function runs; from LANES_MIN
+    # on each lane function runs once and no scalar function runs.  The
+    # starts both blocks share end with the same bits
+    from collections import Counter
+    from ccc4 import kernels
+    from ccc4.chart import seeded_start
+    from ccc4.solver import _multistarts
+    calls = Counter()
+    for module, name in ((kernels, "descend"), (solver, "_newton_polish"),
+                         (kernels, "descend_lanes"), (solver, "_newton_polish_lanes"),
+                         (solver, "_accepted")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    low = kernels.LANES_MIN
+    runs = []
+    for count, scalar, lanes in ((low - 1, low - 1, 0), (low, 0, 1)):
+        calls.clear()
+        (endpoints, clusters), = _multistarts([MassVector(1.0, 2.0, 3.0, 4.0)],
+                                              [seeded_start(9, i) for i in range(count)],
+                                              SolverOptions().gtol)
+        assert calls == Counter(descend=scalar, _newton_polish=scalar, descend_lanes=lanes,
+                                _newton_polish_lanes=lanes, _accepted=lanes)
+        assert len(clusters) == 1
+        runs.append(endpoints)
+    assert runs[0] == runs[1][:low - 1]
+
+
 def _fresh_starts(seed, starts=8):
     # the starts of _draw_starts, each from a Generator built for the call
     from ccc4.chart import sample_interior, square_chart_point
