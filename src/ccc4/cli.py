@@ -26,8 +26,8 @@ from .geometry import MassVector
 from .inverse import CyclicShape, recover_masses, shape_to_distances
 from .oracle import cartesian_cc_residual, embed_cyclic, run_identity_battery
 from .serialize import dumps, format_float
-from .solver import (SolveRecord, SolverOptions, _draw_starts, _scaled_check,
-                     _scan_values, certify_minimum, minimize_U)
+from .solver import (SolveRecord, SolverOptions, _scaled_check, _scan_values,
+                     certify_minimum, minimize_U)
 
 EX_OK = 0
 EX_FAIL = 1
@@ -204,11 +204,8 @@ def cmd_scan(args, parser) -> int:
             raw[slot] = val
         masses.append(MassVector.from_iterable(raw).normalized(4.0))
 
-    # the starts depend on the options only, so one draw serves every row
-    opts = SolverOptions()
-    starts = _draw_starts(opts)
     try:
-        rows = [_scan_row(m, row) for m, row in zip(masses, _scan_values(masses, opts, starts))]
+        rows = [_scan_row(m, row) for m, row in zip(masses, _scan_values(masses))]
     except UniquenessAlarmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_ALARM
@@ -223,11 +220,11 @@ def cmd_inverse(args, parser) -> int:
     if args.radius <= 0:
         return _usage_error(parser, "radius must be positive")
     try:
-        shape = CyclicShape(theta=tuple(values), radius=args.radius)
+        r = shape_to_distances(CyclicShape(theta=tuple(values), radius=args.radius))
     except ValueError as exc:
         return _usage_error(parser, str(exc))
     try:
-        recovery = recover_masses(shape_to_distances(shape))
+        recovery = recover_masses(r)
     except (InfeasibleShapeError, IndeterminateShapeError) as exc:
         print(f"infeasible: {exc}")
         return EX_FAIL

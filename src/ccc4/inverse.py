@@ -179,10 +179,14 @@ def recover_masses(r) -> MassRecovery:
             # prefer reporting the root cause when the multipliers already
             # disagree (scale-free comparison; masses are not known yet)
             if dz.compat_residual > 1e-9 * max(n):
-                # lambda has degree -3: undo the shift of the first round
+                # lambda has degree -3: undo the shift of the first round,
+                # saturating to inf where that overflows
+                try:
+                    residual = math.ldexp(dz.compat_residual, -3 * shift)
+                except OverflowError:
+                    residual = math.inf
                 raise InfeasibleShapeError(
-                    "Dziobek multipliers of the two pairings disagree",
-                    math.ldexp(dz.compat_residual, -3 * shift))
+                    "Dziobek multipliers of the two pairings disagree", residual)
             raise
         k = 4.0 / (cand[0] + cand[1] + cand[2] + cand[3])
         cand = [x * k for x in cand]

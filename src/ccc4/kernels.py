@@ -339,23 +339,23 @@ def descend_from(z, u, gtol, max_iter, prev=None, iters=0):
     return ([v1, v2, v3], [w1, w2, w3], U, rgnorm, iters, status)
 
 
-# Lanes from which descend_lanes steps them together, and below which the
-# lanes still running go on one at a time in descend_from.  A lockstep
+# LANES_MIN has two uses.  descend_lanes steps its lanes together from it
+# on, and hands the lanes still running once fewer are left to
+# descend_from, which goes on from where each lane is.  A lockstep
 # iteration costs about 85 us plus 0.25 us a lane against 3-5 us for one of
 # descend_from, so the two break even near 20-30 running lanes.  Least of
-# 20 interleaved runs on a 2-vCPU host, descend per lane against LANES_MIN
-# 24, when the lanes left below LANES_MIN still restarted from their
-# starts: 50 seeded starts 2.04 vs 2.03 ms, the 64 starts of scan --grid 2
-# 2.42 vs 2.33 ms, the 512 of --grid 4 19.8 vs 4.6 ms; at 32 the 50 starts
-# took 2.34 ms, at 48 2.9 ms.  Now that they go on from where they are,
-# the hand-over costs only the iterations left.  solver._multistart_blocks
-# runs a block of fewer lanes on floats and a larger one on lanes, which
-# breaks even nearer 100 lanes.  Its whole chain per row, floats against
-# lanes, least of 3 x 5-50 runs, log10 m_i uniform on [-3, 3]: rows of 8
-# starts, 8 lanes 1826 / 3263 us, 24 lanes 1367 / 2751, 64 lanes 1057 /
-# 1162, 96 lanes 1135 / 1003, 256 lanes 1096 / 616, 512 lanes 1226 / 630;
-# one row of n starts, n = 24 4637 / 9716 us, 64 10984 / 13927, 96 16770 /
-# 16127, 200 35566 / 23032.  One value serves both uses for now.
+# 20 interleaved runs on a 2-vCPU host when the value was set, descend per
+# lane against LANES_MIN 24: 50 seeded starts 2.04 vs 2.03 ms, the 64
+# starts of scan --grid 2 2.42 vs 2.33 ms, the 512 of --grid 4 19.8 vs
+# 4.6 ms; at 32 the 50 starts took 2.34 ms, at 48 2.9 ms.  And
+# solver._multistart_blocks runs a block of fewer lanes on floats and a
+# larger one on lanes, which breaks even nearer 100 lanes.  Its whole
+# chain per row, floats against lanes, least of 3 x 5-50 runs, log10 m_i
+# uniform on [-3, 3]: rows of 8 starts, 8 lanes 1826 / 3263 us, 24 lanes
+# 1367 / 2751, 64 lanes 1057 / 1162, 96 lanes 1135 / 1003, 256 lanes
+# 1096 / 616, 512 lanes 1226 / 630; one row of n starts, n = 24 4637 /
+# 9716 us, 64 10984 / 13927, 96 16770 / 16127, 200 35566 / 23032.  One
+# value serves both uses for now.
 LANES_MIN = 24
 
 # p_k = 0.5 * (z[i] + s * z[j]) with i = _P_INDEX[k], j = _P_INDEX[6 + k] and

@@ -451,16 +451,9 @@ def _newton_polish_lanes(z, u, gtol):
 
 def _polish_record_lanes(z, u):
     """_polish_record at every lane of the (6, n) rows z of points (v, w)
-    and u of coefficients: (z, steps), (6, n) and (n,) rows.  Below
-    kernels.LANES_MIN lanes this calls _polish_record, looked up at each
-    call, once per lane, on floats; from LANES_MIN on it runs
-    _polish_record's loop on all lanes together, and each lane leaves where
-    _polish_record returns.  Its lanes are a scan block's accepted rows,
-    one each, so this switch is its own and not the block's."""
-    if z.shape[1] < kernels.LANES_MIN:
-        ends = [_polish_record(zi[:3], zi[3:], ui) for zi, ui in zip(z.T.tolist(), u.T.tolist())]
-        return (np.array([v + w for v, w, _ in ends]).reshape(-1, 6).T,
-                np.array([steps for *_, steps in ends], dtype=int))
+    and u of coefficients, for any n: (z, steps), (6, n) and (n,) rows.  It
+    runs _polish_record's loop on all lanes together, and each lane leaves
+    where _polish_record returns."""
     with np.errstate(all="ignore"):
         out_z, out_steps = z.copy(), np.zeros(z.shape[1], dtype=int)
         lane = np.arange(z.shape[1])
@@ -711,10 +704,10 @@ class _RowValues(NamedTuple):
     converged: bool
 
 
-def _scan_values(masses_list, opts: SolverOptions, starts):
-    """For each mass vector, the row fields of the record minimize_U(masses,
-    opts) builds, in order, from starts drawn once by _draw_starts(opts)
-    and only read.  The rows share _multistart_blocks, which descends,
+def _scan_values(masses_list):
+    """For each mass vector, the row fields of the record minimize_U(masses)
+    builds, in order, from starts drawn once per call by _draw_starts and
+    only read.  The rows share _multistart_blocks, which descends,
     Newton-polishes and tests the starts of a block of rows together; the
     accepted endpoints the block's records would be built from are then
     polished together by _polish_record_lanes, and each row's fields come
@@ -723,6 +716,8 @@ def _scan_values(masses_list, opts: SolverOptions, starts):
     UniquenessAlarmError, or the DegeneratePointError of its distances, is
     raised once the rows before it are yielded, as a solve of one row at a
     time raises it; so is the IndeterminateShapeError of its multipliers."""
+    opts = SolverOptions()
+    starts = _draw_starts(opts)
     per_row = len(starts)
     for block, m, z, u, rows in _multistart_blocks(masses_list, starts, opts.gtol):
         # (lane of the chosen endpoint, its iterations, whether accepted) per

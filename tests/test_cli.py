@@ -165,6 +165,20 @@ def test_inverse_flag_validation(capsys):
     assert run_cli(["inverse", "--angles", "0,1,2,3", "--radius", "-2"], capsys)[0] == 64
 
 
+@pytest.mark.parametrize("angles, radius, code", [
+    ("0,1,2,3", "1e-110", 1), ("0,1,2,3", "1e-200", 1),
+    ("0,0.1,0.2,0.3", "5e-324", 64), ("0,1,2,3", "1.7e308", 64)])
+def test_inverse_at_extreme_radii_ends_without_traceback(angles, radius, code, capsys):
+    # an infeasible shape whose multiplier gap overflows at the raw scale
+    # reports it as inf; chords that under- or overflow are a usage error
+    got, out, err = run_cli(["inverse", "--angles", angles, "--radius", radius], capsys)
+    assert got == code
+    if code == 1:
+        assert out == "infeasible: Dziobek multipliers of the two pairings disagree (inf)\n"
+    else:
+        assert out == "" and "must be positive and finite" in err
+
+
 def test_certify_fresh_record(tmp_path, capsys):
     rec_path = tmp_path / "rec.json"
     assert run_cli(["solve", "--masses", "1,1,1,1", "--out", str(rec_path)],
@@ -270,9 +284,8 @@ def test_scan_sentinel_fields_for_nonconverged(tmp_path, capsys, monkeypatch):
 
     real_values = cli_mod._scan_values
 
-    def crippled(masses_list, opts, starts):
-        return [row._replace(converged=False)
-                for row in real_values(masses_list, opts, starts)]
+    def crippled(masses_list):
+        return [row._replace(converged=False) for row in real_values(masses_list)]
 
     monkeypatch.setattr(cli_mod, "_scan_values", crippled)
     out = tmp_path / "scan.csv"
@@ -352,8 +365,8 @@ def test_scan_rows_equal_standalone_solves(fix, block_lanes, capsys, monkeypatch
     from ccc4.solver import minimize_U
     monkeypatch.setattr(solver, "SCAN_BLOCK_LANES", block_lanes)
 
-    def standalone_values(masses_list, opts, starts):
-        recs = [minimize_U(masses, opts) for masses in masses_list]
+    def standalone_values(masses_list):
+        recs = [minimize_U(masses) for masses in masses_list]
         return [solver._RowValues(rec.k_value, rec.scalars.U, rec.multipliers.lam,
                                   rec.is_cocircular, rec.iterations, rec.converged)
                 for rec in recs]
@@ -368,6 +381,7 @@ def test_scan_rows_equal_standalone_solves(fix, block_lanes, capsys, monkeypatch
 
 
 def test_scan_leaves_its_starts_unchanged(capsys, monkeypatch):
+    # one draw per scan, in one block of 8 rows and in 8 blocks of one row
     from ccc4.solver import SolverOptions, _draw_starts
 
     drawn = []
@@ -376,12 +390,15 @@ def test_scan_leaves_its_starts_unchanged(capsys, monkeypatch):
         drawn.append(_draw_starts(opts))
         return drawn[-1]
 
-    monkeypatch.setattr(cli, "_draw_starts", recording)
-    assert run_cli(["scan", "--grid", "2"], capsys)[0] == 0
-    assert len(drawn) == 1
+    monkeypatch.setattr(solver, "_draw_starts", recording)
     fresh = _draw_starts(SolverOptions())
-    assert [(s.v.tobytes(), s.w.tobytes()) for s in drawn[0]] == \
-        [(s.v.tobytes(), s.w.tobytes()) for s in fresh]
+    for block_lanes in (solver.SCAN_BLOCK_LANES, 8):
+        monkeypatch.setattr(solver, "SCAN_BLOCK_LANES", block_lanes)
+        drawn.clear()
+        assert run_cli(["scan", "--grid", "2"], capsys)[0] == 0
+        assert len(drawn) == 1
+        assert [(s.v.tobytes(), s.w.tobytes()) for s in drawn[0]] == \
+            [(s.v.tobytes(), s.w.tobytes()) for s in fresh]
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,9 +27,11 @@ from helpers import lagrange_root_mp, relative_distance_mp
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_outputs.txt"
 SOLVE_VECTORS = 12
-# the second scan has 512 descents, 7 of them over 100 iterations long; the
-# third has 343 rows, so two scan blocks with long straggler tails
-SCAN_ARGVS = [["scan", "--grid", "3", "--fix", "m4=1"],
+# the first scan has 8 rows, whose record polish runs on lanes below
+# LANES_MIN; the third has 512 descents, 7 of them over 100 iterations long;
+# the fourth has 343 rows, so two scan blocks with long straggler tails
+SCAN_ARGVS = [["scan", "--grid", "2"],
+              ["scan", "--grid", "3", "--fix", "m4=1"],
               ["scan", "--grid", "4", "--fix", "m4=1e-3"],
               ["scan", "--grid", "7", "--fix", "m4=1e-3"]]
 SAMPLER_SEEDS = (0, 7, 51)

@@ -435,8 +435,8 @@ def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeyp
 
 def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
     # from the converged Newton endpoints, which record polishes start
-    # from, and from seeded starts inside E, in batches below, at and
-    # above LANES_MIN and of 2048 lanes
+    # from, and from seeded starts inside E, in batches of 0 and 1 lanes,
+    # below, at and above LANES_MIN and of 2048 lanes
     lanes = _newton_lanes(32)[3:]
     polished = _per_lane(solver._newton_polish_lanes(
         *_as_lanes([p for p, _ in lanes], [u for _, u in lanes]), 1e-11), tuple)
@@ -447,17 +447,17 @@ def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
     polish_record, calls = _counted(monkeypatch, "_polish_record")
     low = kernels.LANES_MIN
     first, steps = 0, set()
-    for size in (low - 1, low, low + 1, 2048):
+    for size in (0, 1, low - 1, low, low + 1, 2048):
         batch = points[first:first + size]
         first += size
         calls.clear()
         got = _per_lane(solver._polish_record_lanes(
             *_as_lanes([p for p, _ in batch], [u for _, u in batch])), tuple)
-        assert len(calls) == (len(batch) if len(batch) < low else 0)
-        assert len(got) == len(batch)
+        assert not calls
+        assert len(got) == len(batch) == size
         for ((v, w), u), lane in zip(batch, got):
             want = polish_record(v, w, u)
             assert [repr(x) for x in lane] == [repr(x) for x in want]
             steps.add(lane[2])
-    assert first == low * 3 + 2048
+    assert first == low * 3 + 2049
     assert {0, 1} <= steps

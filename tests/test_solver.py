@@ -428,12 +428,19 @@ def _start_bits(starts):
     return [(s.v.tobytes(), s.w.tobytes()) for s in starts]
 
 
-def test_minimize_from_drawn_starts_leaves_them_unchanged():
+def test_minimize_from_drawn_starts_leaves_them_unchanged(monkeypatch):
     from ccc4.solver import _draw_starts, _scan_values
     opts = SolverOptions()
-    starts = _draw_starts(opts)
+    drawn = []
+
+    def recording(opts):
+        drawn.append(_draw_starts(opts))
+        return drawn[-1]
+
+    monkeypatch.setattr(solver, "_draw_starts", recording)
     m = MassVector(1.7, 0.4, 2.2, 0.9)
-    row, = _scan_values([m], opts, starts)
+    row, = _scan_values([m])
+    starts, = drawn
     assert _start_bits(starts) == _start_bits(_draw_starts(opts))
     rec = minimize_U(m, opts)
     assert row == (rec.k_value, rec.scalars.U, rec.multipliers.lam,
@@ -447,13 +454,12 @@ def test_minimize_from_drawn_starts_leaves_them_unchanged():
 def test_scan_values_equal_standalone_records(log_masses, block_rows):
     # scan solves block_rows mass vectors at a time: below 3 rows (24
     # lanes) a block's descents, Newton steps and acceptance tests run on
-    # floats, from 3 rows on as lanes, and from 24 accepted rows on the
-    # record polish too.  Each row must hold the fields of its standalone
+    # floats, from 3 rows on as lanes; the record polish runs on lanes at
+    # every block size.  Each row must hold the fields of its standalone
     # record; over six decades of mass a few solves raise a false
     # uniqueness alarm, which must come at that row
-    from ccc4.solver import _RowValues, _draw_starts, _scan_values
+    from ccc4.solver import _RowValues, _scan_values
     opts = SolverOptions()
-    starts = _draw_starts(opts)
     masses = [MassVector.from_iterable(10.0 ** np.array(x)) for x in log_masses]
     want = []
     for m in masses:
@@ -466,9 +472,9 @@ def test_scan_values_equal_standalone_records(log_masses, block_rows):
                                rec.is_cocircular, rec.iterations, rec.converged))
     got = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "SCAN_BLOCK_LANES", block_rows * len(starts))
+        mp.setattr(solver, "SCAN_BLOCK_LANES", block_rows * opts.starts)
         try:
-            got.extend(_scan_values(masses, opts, starts))
+            got.extend(_scan_values(masses))
         except UniquenessAlarmError as exc:
             got.append(str(exc))
     assert [repr(x) for x in got] == [repr(x) for x in want]
