@@ -342,20 +342,24 @@ def descend_from(z, u, gtol, max_iter, prev=None, iters=0):
 # LANES_MIN has two uses.  descend_lanes steps its lanes together from it
 # on, and hands the lanes still running once fewer are left to
 # descend_from, which goes on from where each lane is.  A lockstep
-# iteration costs about 85 us plus 0.25 us a lane against 3-5 us for one of
-# descend_from, so the two break even near 20-30 running lanes.  Least of
-# 20 interleaved runs on a 2-vCPU host when the value was set, descend per
-# lane against LANES_MIN 24: 50 seeded starts 2.04 vs 2.03 ms, the 64
-# starts of scan --grid 2 2.42 vs 2.33 ms, the 512 of --grid 4 19.8 vs
-# 4.6 ms; at 32 the 50 starts took 2.34 ms, at 48 2.9 ms.  And
+# iteration costs about 190 us plus 0.37 us a lane against 2.8 us for one
+# of descend_from (the first 12 iterations from seeded starts at gtol 0,
+# least of 15 runs on a loaded 2-vCPU host; 210 us plus 0.37 us a lane
+# while _sum6 and _sum3 added row by row), yet end to end the hand-over
+# is fastest at 24-32 running lanes.  descend_lanes, least of 20
+# interleaved runs, all lanes on descend_from / LANES_MIN 24 /
+# 32 / 48 / 64: 50 seeded starts 2.08 / 1.24 / 1.24 / 1.45 / 2.14 ms, the
+# 64 starts of scan --grid 2 2.49 / 1.45 / 1.53 / 1.69 / 1.95 ms, the 512
+# of --grid 4 19.1 / 2.75 / 2.67 / 2.75 / 2.79 ms.  And
 # solver._multistart_blocks runs a block of fewer lanes on floats and a
-# larger one on lanes, which breaks even nearer 100 lanes.  Its whole
-# chain per row, floats against lanes, least of 3 x 5-50 runs, log10 m_i
-# uniform on [-3, 3]: rows of 8 starts, 8 lanes 1826 / 3263 us, 24 lanes
-# 1367 / 2751, 64 lanes 1057 / 1162, 96 lanes 1135 / 1003, 256 lanes
-# 1096 / 616, 512 lanes 1226 / 630; one row of n starts, n = 24 4637 /
-# 9716 us, 64 10984 / 13927, 96 16770 / 16127, 200 35566 / 23032.  One
-# value serves both uses for now.
+# larger one on lanes, which breaks even later: between 64 and 96 lanes
+# for rows of 8 starts and near 150 for one row.  Its whole chain per row,
+# floats against lanes, least of 3-50 runs, log10 m_i uniform on [-3, 3]:
+# rows of 8 starts, 8 lanes 840 / 1553 us, 24 lanes 691 / 1208, 64 lanes
+# 610 / 643, 96 lanes 600 / 496, 256 lanes 571 / 321, 512 lanes 692 /
+# 419; one row of n starts, n = 24 2530 / 5064 us, 64 7527 / 10332, 96
+# 12611 / 14715, 128 19873 / 21497, 200 31440 / 29563.  One value serves
+# both uses for now.
 LANES_MIN = 24
 
 # p_k = 0.5 * (z[i] + s * z[j]) with i = _P_INDEX[k], j = _P_INDEX[6 + k] and
@@ -376,21 +380,17 @@ def _halved(x, index, sign):
 
 
 def _sum6(x):
-    # the six rows of x added left to right, as descend adds its six terms
-    out = x[0] + x[1]
-    out += x[2]
-    out += x[3]
-    out += x[4]
-    out += x[5]
-    return out
+    # the six rows of x added left to right, as descend adds its six terms.
+    # numpy sums fewer than 8 terms one at a time from the initial value,
+    # whatever the layout; from -0.0, as -0.0 + x is x for every x, also
+    # -0.0 itself, where the default +0.0 would turn a sum of -0.0 into +0.0
+    return np.add.reduce(x, axis=0, initial=-0.0)
 
 
 def _sum3(x):
     # x[:, 0] + x[:, 1] + x[:, 2], added left to right, as the scalar code
-    # adds the three terms of a dot product
-    out = x[:, 0] + x[:, 1]
-    out += x[:, 2]
-    return out
+    # adds the three terms of a dot product; see _sum6
+    return np.add.reduce(x, axis=1, initial=-0.0)
 
 
 def _unit_triples(x):

@@ -23,13 +23,15 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import kernels, serialize
 from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_floats
 from .errors import DegeneratePointError, IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DISTANCE_PAIRS, DistanceVector, K_term, MassVector, OPPOSITE_SLOT,
-                       PAIR_SIGN, ScalarReport, _admissible_slots, _canonical, _fpow, _m,
-                       _mass_cols, _r6, moment_I, potential_U, ptolemy_P)
+                       PAIR_SIGN, RELABEL_RTOL, ScalarReport, _RELABEL_TABLE,
+                       _admissible_slots, _canonical, _fpow, _m, _mass_cols, _r6, moment_I,
+                       potential_U, ptolemy_P)
 
 RNG_NAME = "numpy-pcg64"
 RECORD_SCHEMA = "ccc4-solverecord-1"
@@ -201,20 +203,44 @@ def stationarity_residual(r, m, lam: float, sigma: float) -> float:
     return _relative_residual(A, b, lam, sigma)
 
 
-def _least_squares(A: np.ndarray, b: np.ndarray) -> tuple:
-    # (lambda, sigma) of one 6x2 stationarity system
-    sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < 2:
-        raise IndeterminateShapeError(
-            "stationarity system is rank-deficient at this distance vector")
-    return float(sol[0]), float(sol[1])
+# np.linalg.lstsq's rcond for a 6x2 system: eps times the larger size
+_LSTSQ_RCOND = np.finfo(float).eps * 6
+
+
+def _least_squares(A: np.ndarray, b: np.ndarray):
+    """(lambda, sigma) of each 6x2 stationarity system of the (n, 6, 2)
+    stack A and the (n, 6) stack b, in order, as Python floats; a system
+    of rank below 2 raises IndeterminateShapeError at its turn.  A finite
+    stack is one call of the stacked LAPACK kernel that np.linalg.lstsq
+    runs for one system, with its rcond, so each row has the bits and the
+    rank of np.linalg.lstsq(A[k], b[k], rcond=None).  A stack with an inf
+    or NaN entry, or one the kernel reports an SVD failure on, is solved
+    by np.linalg.lstsq row by row, which raises its LinAlgError at the
+    failing row's turn."""
+    solved = None
+    if np.isfinite(A).all() and np.isfinite(b).all():
+        try:
+            with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+                x, _, rank, _ = _umath_linalg.lstsq(A, b[:, :, None], _LSTSQ_RCOND,
+                                                    signature="ddd->ddid")
+            solved = zip(x[:, :, 0].tolist(), rank.tolist())
+        except FloatingPointError:
+            pass
+    if solved is None:
+        solved = ((x.tolist(), rank) for x, _, rank, _ in
+                  (np.linalg.lstsq(Ak, bk, rcond=None) for Ak, bk in zip(A, b)))
+    for (lam, sigma), rank in solved:
+        if rank < 2:
+            raise IndeterminateShapeError(
+                "stationarity system is rank-deficient at this distance vector")
+        yield lam, sigma
 
 
 def recover_multipliers(r, m) -> Multipliers:
     """Best (lambda, sigma) for the stationarity equations, by 6x2 least
     squares, together with the relative residual norm."""
     A, b = _stationarity_system(r, _m(m))
-    lam, sigma = _least_squares(A, b)
+    (lam, sigma), = _least_squares(A[None], b[None])
     return Multipliers(lam=lam, sigma=sigma,
                        stationarity_residual=_relative_residual(A, b, lam, sigma))
 
@@ -323,9 +349,11 @@ def _pair_products(m: np.ndarray) -> tuple:
 def _u_coefficients(m: np.ndarray) -> np.ndarray:
     """The coefficients u_k of U(p) = sum u_k / p_k, with r = sqrt(2M /
     m_i m_j) p, for each row of the (n, 4) masses m, as an (n, 6) stack:
-    (m_i m_j)^{3/2} / sqrt(2M)."""
+    (m_i m_j)^{3/2} / sqrt(2M), inf or NaN where they overflow, without a
+    warning."""
     products, total = _pair_products(m)
-    return products ** 1.5 / np.sqrt(2.0 * total)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return products ** 1.5 / np.sqrt(2.0 * total)[:, None]
 
 
 def _distance_factors(m: np.ndarray) -> np.ndarray:
@@ -484,6 +512,21 @@ class _Endpoint(NamedTuple):
     r: tuple | None      # six distances, None unless the endpoint was accepted
 
 
+class _Row(NamedTuple):
+    """One mass vector's multistart: U and iterations list its starts'
+    endpoints, best is the start its record is built from (the accepted
+    endpoint of lowest U, else the endpoint of lowest U, the first of
+    equals either way), and clusters holds (canonical representative,
+    member starts) per cluster of the accepted endpoints, the
+    representative a tuple of six floats.  An endpoint is accepted iff it
+    is a member of a cluster."""
+
+    U: list
+    iterations: list
+    best: int
+    clusters: list
+
+
 def _constraints_hold(p):
     """|sum p^2 - 1| and |p12 p34 + p14 p23 - p13 p24| at most
     CONSTRAINT_TOL, for p six floats or six (n,) rows."""
@@ -494,17 +537,16 @@ def _constraints_hold(p):
 
 
 def _multistart_blocks(masses_list, starts, gtol: float):
-    """The solves of _multistarts, SCAN_BLOCK_LANES // len(starts) mass
-    vectors (at least one) at a time.  For each block, (masses, m, z, u,
-    rows): m the (k, 4) stack of its k mass vectors; z and u the (6, n)
-    endpoints and coefficients of its n = k len(starts) lanes, lane i
-    len(starts) + j from start j of mass vector i; and rows an iterator
-    over the (endpoints, clusters) of its mass vectors in order, endpoint j
-    of a row from lane j of its own.  A block below kernels.LANES_MIN lanes
-    runs on floats in _solve_floats; a larger one runs descend_lanes,
-    _newton_polish_lanes and _accepted on all its lanes, with the same
-    bits.  A row's clusters are formed as the row is drawn.  The starts are
-    only read."""
+    """The solves of SCAN_BLOCK_LANES // len(starts) mass vectors (at least
+    one) at a time.  For each block, (masses, m, z, u, rows): m the (k, 4)
+    stack of its k mass vectors; z and u the (6, n) endpoints and
+    coefficients of its n = k len(starts) lanes, lane i len(starts) + j
+    from start j of mass vector i; and rows an iterator over the _Row of
+    its mass vectors in order, start j of a row at lane j of its own.  A
+    block below kernels.LANES_MIN lanes runs on floats, in _solve_floats
+    and _endpoints; a larger one runs descend_lanes, _newton_polish_lanes
+    and _lane_rows on all its lanes, with the same bits.  A row's clusters
+    are formed as the row is drawn.  The starts are only read."""
     per_row = len(starts)
     start_z = np.array([(s.v, s.w) for s in starts]).reshape(per_row, 6).T
     size = max(1, SCAN_BLOCK_LANES // per_row)
@@ -513,26 +555,32 @@ def _multistart_blocks(masses_list, starts, gtol: float):
         m = np.array([masses.astuple() for masses in block])
         u = np.repeat(_u_coefficients(m).T, per_row, axis=1)
         if u.shape[1] < kernels.LANES_MIN:
-            z, U, iters, distances = _solve_floats(start_z.T.tolist() * len(block),
-                                                   u.T.tolist(), gtol)
+            z, U, iters, points = _solve_floats(start_z.T.tolist() * len(block),
+                                                u.T.tolist(), gtol)
+            rows = (_endpoints(masses, U[own], iters[own], points[own])
+                    for masses, own in zip(block, _row_slices(len(block), per_row)))
         else:
             z, _, _, iters, _ = kernels.descend_lanes(np.tile(start_z, len(block)), u,
                                                       NEWTON_SWITCH, MAX_ITER)
             # a start outside E ends where it began, with U = inf: the Newton
             # polish leaves it as it is
             z, U, _, nit, converged = _newton_polish_lanes(z, u, gtol)
-            U, iters = U.tolist(), (iters + nit).tolist()
-            distances = _accepted(z, converged, m, per_row)
-        yield block, m, z, u, _rows(block, U, iters, distances, per_row)
+            rows = _lane_rows(block, m, z, U, iters + nit, converged)
+        yield block, m, z, u, rows
+
+
+def _row_slices(rows, per_row):
+    return [slice(i * per_row, (i + 1) * per_row) for i in range(rows)]
 
 
 def _solve_floats(starts, us, gtol):
     """_multistart_blocks' lanes one at a time on floats: kernels.descend
     and _newton_polish, looked up at each call, from each start of starts
-    with its six coefficients in us, then _accepted's chart test.  Returns
-    the (6, n) endpoints and lists of their U, iterations and (p, r), an
-    accepted endpoint's r left to p_to_r."""
-    ends, U, iters, distances = [], [], [], []
+    with its six coefficients in us, then the chart test.  Returns the
+    (6, n) endpoints and lists of their U, iterations and p, the six floats
+    of vw_to_p_floats, or None where the endpoint did not converge or
+    failed the chart test."""
+    ends, U, iters, points = [], [], [], []
     for zi, ui in zip(starts, us):
         v, w, _, _, it, _ = kernels.descend(zi[:3], zi[3:], ui, NEWTON_SWITCH, MAX_ITER)
         v, w, Ui, _, nit, converged = _newton_polish(v, w, ui, gtol)
@@ -540,82 +588,137 @@ def _solve_floats(starts, us, gtol):
         ends += v + w
         U.append(Ui)
         iters.append(it + nit)
-        distances.append((p, None) if converged and _constraints_hold(p) else (None, None))
-    return np.array(ends).reshape(-1, 6).T, U, iters, distances
+        points.append(p if converged and _constraints_hold(p) else None)
+    return np.array(ends).reshape(-1, 6).T, U, iters, points
+
+
+def _endpoints(masses: MassVector, U, iters, points) -> _Row:
+    """The _Row of one mass vector from its starts' endpoints on floats,
+    their U, iterations and p from _solve_floats.  An endpoint with a p is
+    accepted, its distances are p_to_r(p, masses), which raises
+    DegeneratePointError where they are not positive and finite, and its
+    canonical copy is taken under the relabelings that fix the masses,
+    found once; the copies are clustered by _clusters."""
+    relabelings = _admissible_slots(masses)
+    accepted = [i for i, p in enumerate(points) if p is not None]
+    canons = [_canonical(p_to_r(points[i], masses).astuple(), relabelings) for i in accepted]
+    best = min(accepted or range(len(U)), key=U.__getitem__)
+    return _Row(U, iters, best, _clusters(accepted, canons))
+
+
+def _clusters(members, canons) -> list:
+    """The clusters of the accepted endpoints members, in order, from their
+    canonical copies canons: each joins the first cluster whose
+    representative lies within CLUSTER_TOL times that representative's
+    largest distance, else starts one.  Returns (representative, member
+    indices) per cluster.  In Python floats."""
+    clusters = []       # (representative, members, radius)
+    for index, canon in zip(members, canons):
+        for rep, group, radius in clusters:
+            if math.dist(canon, rep) <= radius:
+                group.append(index)
+                break
+        else:
+            clusters.append((canon, [index], CLUSTER_TOL * max(canon)))
+    return [(tuple(rep), group) for rep, group, _ in clusters]
+
+
+# the slot permutation of each relabeling of geometry._RELABEL_TABLE, and its
+# moved bodies (i, pi(i)) padded to four with (0, 0), which the rule of
+# _admissible_entries always meets
+_RELABEL_SLOTS = np.array([slots for _, slots, _ in _RELABEL_TABLE])
+_MOVED_I, _MOVED_J = np.array([list(moved) + [(0, 0)] * (4 - len(moved))
+                               for _, _, moved in _RELABEL_TABLE]).transpose(2, 0, 1)
+
+
+def _admissible_mask(m: np.ndarray) -> np.ndarray:
+    """The (8, k) mask of the relabelings of geometry._RELABEL_TABLE that
+    fix each row of the (k, 4) masses m, by the rule of
+    geometry._admissible_entries: |m_pi(i) - m_i| <= RELABEL_RTOL |m_i| at
+    every moved body i."""
+    m = m.T
+    close = np.abs(m[None, :] - m[:, None]) <= RELABEL_RTOL * np.abs(m)[:, None]
+    return close[_MOVED_I, _MOVED_J].all(axis=1)
+
+
+def _canonical_copies(r: np.ndarray, admissible: np.ndarray) -> np.ndarray:
+    """geometry._canonical of each column of the (6, n) distances r, under
+    the relabelings its column of the (8, n) mask admissible marks, as a
+    (6, n) array.  One gather makes the eight copies of every column; then,
+    distance by distance, the canonical copy takes the least value among
+    the copies still in the running, and only the copies that have it stay
+    in.  For floats that are not NaN this is the order of Python tuples,
+    and a permutation keeps the bits."""
+    copies = r[_RELABEL_SLOTS]
+    keep = admissible
+    canon = np.empty_like(r)
+    for slot in range(6):
+        x = np.where(keep, copies[:, slot], math.inf)
+        canon[slot] = x.min(axis=0)
+        keep = x == canon[slot]
+    return canon
+
+
+def _lane_rows(block, m, z, U, iters, converged):
+    """The _Row of each mass vector of a lane block, in order, from its
+    (6, n) endpoints z, their (n,) U, iterations and convergence mask, and
+    the (k, 4) masses m of its k rows.  The chart test, the distances
+    r = p sqrt(2M / m_i m_j) (p_to_r's expression, one factor per row),
+    the relabelings that fix each row's masses, the accepted endpoints'
+    canonical copies and each row's best start are computed on all lanes
+    together, with the bits of _endpoints; per row only _clusters runs on
+    floats.  A row with an accepted endpoint whose distances are not all
+    positive and finite raises p_to_r's DegeneratePointError at its turn,
+    from the first such endpoint."""
+    k = len(block)
+    per_row = z.shape[1] // k
+    with np.errstate(all="ignore"):
+        p = np.array(vw_to_p_floats(z[:3], z[3:]))
+        accepted = converged & _constraints_hold(p)
+        lanes = np.flatnonzero(accepted)
+        rows = lanes // per_row
+        r = p[:, lanes] * _distance_factors(m).T[:, rows]
+        degenerate = lanes[~(np.isfinite(r) & (r > 0.0)).all(axis=0)]
+        # an endpoint whose masses only the identity fixes is its own copy
+        admissible = _admissible_mask(m)[:, rows]
+        tied = np.flatnonzero(admissible[1:].any(axis=0))
+        r[:, tied] = _canonical_copies(r[:, tied], admissible[:, tied])
+    # U is finite or inf, never NaN, so argmin takes the first lowest, as
+    # min() does
+    any_accepted = accepted.reshape(k, per_row).any(axis=1)
+    best = np.where(any_accepted, np.where(accepted, U, math.inf).reshape(k, per_row).argmin(axis=1),
+                    U.reshape(k, per_row).argmin(axis=1)).tolist()
+    raises = {lane // per_row: lane for lane in reversed(degenerate.tolist())}
+    bounds = np.searchsorted(lanes, np.arange(k + 1) * per_row).tolist()
+    members, canons = (lanes % per_row).tolist(), r.T.tolist()
+    U, iters = U.tolist(), iters.tolist()
+    for i, (masses, own) in enumerate(zip(block, _row_slices(k, per_row))):
+        if i in raises:
+            p_to_r(tuple(p[:, raises[i]].tolist()), masses)
+        ends = slice(bounds[i], bounds[i + 1])
+        yield _Row(U[own], iters[own], best[i], _clusters(members[ends], canons[ends]))
 
 
 def _multistarts(masses_list, starts, gtol: float):
-    """For each mass vector, in order, the solve from every start, by
-    descent and then Newton: the endpoints and clusters of _endpoints."""
-    for *_, rows in _multistart_blocks(masses_list, starts, gtol):
-        yield from rows
-
-
-def _accepted(z, converged, m, per_row):
-    """The chart test and the distances of each endpoint of a block's
-    lanes: z the (6, n) endpoints and converged the (n,) mask of those that
-    converged, per_row lanes per row of the (k, 4) masses m, in order.  An
-    endpoint that did not converge, or whose p fails |sum p^2 - 1|,
-    |p12 p34 + p14 p23 - p13 p24| <= CONSTRAINT_TOL (chart units, free of
-    the mass scale), gets (None, None).  An accepted endpoint gets (None,
-    r), r the six floats of p_to_r(p, masses), or (p, None), p the six
-    floats of vw_to_p_floats, where p_to_r is left to compute r.  The test
-    and r = p sqrt(2M / m_i m_j), one factor per mass vector, run on all
-    lanes together, and an endpoint whose distances are not all positive
-    and finite gets (p, None), so that p_to_r raises its
-    DegeneratePointError."""
-    out = [(None, None)] * z.shape[1]
-    done = np.flatnonzero(converged)
-    with np.errstate(all="ignore"):
-        p = np.array(vw_to_p_floats(z[:3, done], z[3:, done]))
-        r = p * _distance_factors(m).T[:, done // per_row]
-        ok = _constraints_hold(p)
-        finite = ok & np.isfinite(r).all(axis=0) & (r > 0.0).all(axis=0)
-    for i, ri in zip(done[finite].tolist(), r[:, finite].T.tolist()):
-        out[i] = (None, tuple(ri))
-    for i, pi in zip(done[ok & ~finite].tolist(), p[:, ok & ~finite].T.tolist()):
-        out[i] = (tuple(pi), None)
-    return out
-
-
-def _rows(block, U, iters, distances, per_row):
-    for i, masses in enumerate(block):
-        own = slice(i * per_row, (i + 1) * per_row)
-        yield _endpoints(masses, U[own], iters[own], distances[own])
-
-
-def _endpoints(masses: MassVector, U, iters, distances):
-    """The endpoints of one mass vector's starts and their clusters, from
-    the U and iteration counts of its starts' endpoints and their (p, r)
-    from _accepted: an endpoint is accepted where either is given, and r is
-    p_to_r(p, masses) where only p is.  Accepted endpoints are clustered,
-    up to admissible relabelings, within CLUSTER_TOL times the largest
-    distance of each cluster's representative.  Returns one _Endpoint per
-    start and (canonical representative, member indices) per cluster, the
-    representative as a tuple of floats.  The bookkeeping is done in Python
-    floats."""
-    relabelings = _admissible_slots(masses)
-    endpoints, clusters = [], []
-    for index, (Ui, it, (p, r)) in enumerate(zip(U, iters, distances)):
-        if r is None and p is not None:
-            r = p_to_r(p, masses).astuple()
-        endpoints.append(_Endpoint(Ui, it, r))
-        if r is None:
-            continue
-        canon = _canonical(r, relabelings)
-        for rep, members in clusters:
-            if math.dist(canon, rep) <= CLUSTER_TOL * max(rep):
-                members.append(index)
-                break
-        else:
-            clusters.append((canon, [index]))
-    return endpoints, clusters
+    """For each mass vector, in order, its solve from every start: the
+    _Endpoint of each start, with the distances p_to_r gives an accepted
+    endpoint, and the clusters of its _Row."""
+    for block, _, z, _, rows in _multistart_blocks(masses_list, starts, gtol):
+        ends = z.T.tolist()
+        for masses, own, row in zip(block, _row_slices(len(block), len(starts)), rows):
+            accepted = {j for _, group in row.clusters for j in group}
+            endpoints = [_Endpoint(Uj, it, p_to_r(vw_to_p_floats(e[:3], e[3:]), masses).astuple()
+                                   if j in accepted else None)
+                         for j, (Uj, it, e) in enumerate(zip(row.U, row.iterations, ends[own]))]
+            yield endpoints, row.clusters
 
 
 def _record_from_point(v, w, masses: MassVector, iterations: int,
                        converged: bool, meta: dict) -> SolveRecord:
     r_star = p_to_r(vw_to_p_floats(v, w), masses)
-    scalars = ScalarReport.evaluate(r_star, masses)
+    # an overflowing H or U reads inf, which the record keeps
+    with np.errstate(over="ignore", invalid="ignore"):
+        scalars = ScalarReport.evaluate(r_star, masses)
     mult = recover_multipliers(r_star, masses)
     minors = principal_minors(hessian_L(r_star, masses, mult))
     terms = a_terms(r_star, masses, mult)
@@ -654,7 +757,7 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
 
     Starts from the equal-mass square image plus opts.starts - 1 seeded
     interior points.  The accepted endpoints must form one cluster (see
-    _multistarts; there is exactly one minimizer), otherwise
+    _multistart_blocks; there is exactly one minimizer), otherwise
     UniquenessAlarmError is raised.  The record is built from the accepted
     endpoint of lowest U, polished to full precision by _polish_record; if
     no endpoint is accepted, the best iterate is returned with
@@ -663,33 +766,27 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     masses = _m(m)
     opts = opts or SolverOptions()
     (_, _, z, u, rows), = _multistart_blocks([masses], _draw_starts(opts), opts.gtol)
-    (endpoints, clusters), = rows
-    best, converged = _best_endpoint(endpoints, clusters)
-    zb, iterations = z[:, best].tolist(), endpoints[best].iterations
+    row, = rows
+    _require_one_cluster(row.clusters)
+    zb, iterations, converged = z[:, row.best].tolist(), row.iterations[row.best], bool(row.clusters)
     v, w = zb[:3], zb[3:]
     if converged:
-        v, w, steps = _polish_record(v, w, u[:, best].tolist())
+        v, w, steps = _polish_record(v, w, u[:, row.best].tolist())
         iterations += steps
     meta = {"schema": RECORD_SCHEMA, "rng": RNG_NAME,
             "seed": opts.seed, "starts": opts.starts}
     return _record_from_point(v, w, masses, iterations, converged, meta)
 
 
-def _best_endpoint(endpoints, clusters):
-    """The index of the endpoint a record of minimize_U is built from,
-    before its polish, given the endpoints and clusters of its multistart,
-    and whether any endpoint was accepted: the accepted endpoint of lowest
-    U, else the endpoint of lowest U.  Raises UniquenessAlarmError when the
-    accepted endpoints form more than one cluster."""
+def _require_one_cluster(clusters):
+    """Raises UniquenessAlarmError when the accepted endpoints of a solve
+    form more than one cluster."""
     if len(clusters) > 1:
         gap = float(np.linalg.norm(np.subtract(clusters[1][0], clusters[0][0])))
         raise UniquenessAlarmError(
             f"multistart endpoints form {len(clusters)} clusters, the first two "
             f"{gap:.3e} apart in r-space (> {CLUSTER_TOL:g} x max r); this "
             "contradicts uniqueness of the minimizer and indicates a solver bug")
-    accepted = [i for i, e in enumerate(endpoints) if e.r is not None]
-    return (min(accepted or range(len(endpoints)), key=lambda i: endpoints[i].U),
-            bool(accepted))
 
 
 class _RowValues(NamedTuple):
@@ -724,9 +821,10 @@ def _scan_values(masses_list):
         # row; the row of lane l is l // per_row
         chosen, error = [], None
         try:
-            for i, (endpoints, clusters) in enumerate(rows):
-                best, ok = _best_endpoint(endpoints, clusters)
-                chosen.append((i * per_row + best, endpoints[best].iterations, ok))
+            for i, row in enumerate(rows):
+                _require_one_cluster(row.clusters)
+                chosen.append((i * per_row + row.best, row.iterations[row.best],
+                               bool(row.clusters)))
         except (DegeneratePointError, UniquenessAlarmError) as exc:
             error = exc
         accepted = [(lane, iterations) for lane, iterations, ok in chosen if ok]
@@ -747,10 +845,10 @@ def _polished_rows(z, m, masses_list, iterations):
     iteration counts, in order.  r, K, U and the stationarity systems are
     evaluated for all rows together, each by the expression that p_to_r,
     K_term, potential_U or _stationarity_system evaluates for one row, so
-    every row keeps the bits of a one-row call; lambda is one lstsq per
-    row.  A row whose distances are not all positive and finite raises
-    p_to_r's DegeneratePointError at its turn, and a rank-deficient row
-    IndeterminateShapeError."""
+    every row keeps the bits of a one-row call; lambda comes from one
+    _least_squares over the stack.  A row whose distances are not all
+    positive and finite raises p_to_r's DegeneratePointError at its turn,
+    and a rank-deficient row IndeterminateShapeError."""
     # a degenerate row raises at its turn; its inf and NaN here mean nothing
     with np.errstate(all="ignore"):
         p = np.array(vw_to_p_floats(z[:3], z[3:]))
@@ -760,10 +858,11 @@ def _polished_rows(z, m, masses_list, iterations):
         b = products * r ** -3
         finite = (np.isfinite(r) & (r > 0.0)).all(axis=1).tolist()
         K, U = K_term(r).tolist(), potential_U(r, m).tolist()
+    solutions = _least_squares(A, b)
     for k, (masses, rk) in enumerate(zip(masses_list, r.tolist())):
         if not finite[k]:
             p_to_r(tuple(p[:, k].tolist()), masses)
-        lam, _ = _least_squares(A[k], b[k])
+        lam, _ = next(solutions)
         yield _RowValues(K[k], U[k], lam, _cocircular(K[k], rk), iterations[k], True)
 
 

@@ -322,6 +322,17 @@ def test_masses_without_finite_distances_exit_1(argv, capsys):
     assert err.startswith("error: ") and "no positive finite distances" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("masses", ["1e150,1e150,1,1", "1e200,1,1,1"])
+def test_masses_whose_coefficients_or_determinant_overflow_exit_1(masses, capsys):
+    # (m_i m_j)^{3/2} overflows at the first, the Cayley-Menger determinant
+    # of the record at the second; the inf they carry ends in the
+    # rank-deficient error, and numpy's warnings, here errors, stay silent
+    code, out, err = run_cli(["solve", "--masses", masses], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: stationarity system is rank-deficient")
+
+
 @pytest.mark.parametrize("argv", [["solve", "--masses", "1,2,3,1"], ["scan", "--grid", "2"],
                                   ["scan", "--grid", "4"]])
 def test_uniqueness_alarm_exits_3(argv, capsys, monkeypatch):

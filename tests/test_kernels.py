@@ -461,3 +461,118 @@ def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
             steps.add(lane[2])
     assert first == low * 3 + 2049
     assert {0, 1} <= steps
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_lane_sums_add_left_to_right():
+    # _sum6 and _sum3 are one numpy sum over the short axis; they must
+    # have the bits of adding the terms one by one from the first, on
+    # contiguous arrays, on gathered copies, on strided views and on
+    # signed zeros, infinities and NaN; a sum of -0.0 alone stays -0.0,
+    # which numpy's default start, +0.0, would turn into +0.0
+    rng = np.random.default_rng(8)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308])
+    for n in (1, 2, 7, 64, 2048):
+        six = rng.standard_normal((6, 2 * n)) * 10.0 ** rng.uniform(-20.0, 20.0, (6, 2 * n))
+        three = rng.standard_normal((10, 3, 2 * n)) * 10.0 ** rng.uniform(-20.0, 20.0,
+                                                                         (10, 3, 2 * n))
+        six[:, ::5] = rng.choice(special, six[:, ::5].shape)
+        three[:, :, ::5] = rng.choice(special, three[:, :, ::5].shape)
+        six[:, 0], three[:, :, 0] = -0.0, -0.0
+        pick = rng.integers(0, 2 * n, n)
+        for x, y in ((six[:, :n], three[:, :, :n]), (six.take(pick, axis=1),
+                                                     three.take(pick, axis=2)),
+                     (six[:, ::2], three[:, :, ::2]),
+                     (six.reshape(2, 6, n).swapaxes(0, 1)[:, 0], three[:, :, ::-2])):
+            with np.errstate(all="ignore"):
+                want6 = x[0] + x[1]
+                for k in range(2, 6):
+                    want6 = want6 + x[k]
+                want3 = (y[:, 0] + y[:, 1]) + y[:, 2]
+                assert _bits(kernels._sum6(x)) == _bits(want6)
+                assert _bits(kernels._sum3(y)) == _bits(want3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 2048])
+def test_stacked_least_squares_has_the_bits_of_lstsq_per_row(n):
+    # solver._least_squares solves a whole stack in one call of the
+    # kernel that np.linalg.lstsq runs for one system: each row must get
+    # the public call's solution bits, and raise at its turn where the
+    # public rank is below 2, for entries with log10 |x| in [-30, 30],
+    # zero columns and proportional columns
+    from ccc4.errors import IndeterminateShapeError
+    rng = np.random.default_rng(n)
+    A = rng.choice((-1.0, 1.0), (n, 6, 2)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 6, 2))
+    b = rng.choice((-1.0, 1.0), (n, 6)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 6))
+    A[1::7, :, 1] = 0.0
+    A[3::7, :, 1] = 3.0 * A[3::7, :, 0]
+    want = [np.linalg.lstsq(A[k], b[k], rcond=None) for k in range(n)]
+    full = [k for k in range(n) if want[k][2] == 2]
+    deficient = [k for k in range(n) if want[k][2] < 2]
+    assert n < 64 or len(full) > n // 2 and len(deficient) >= n // 7
+    # the full-rank rows, then the first deficient one, which raises
+    order = full + deficient[:1]
+    got = solver._least_squares(A[order], b[order])
+    for k in full:
+        assert _bits(next(got)) == _bits(want[k][0])
+    if deficient:
+        with pytest.raises(IndeterminateShapeError):
+            next(got)
+    else:
+        assert next(got, None) is None
+    for k in deficient:
+        got = solver._least_squares(A[[full[0], k]], b[[full[0], k]])
+        assert _bits(next(got)) == _bits(want[full[0]][0])
+        with pytest.raises(IndeterminateShapeError):
+            next(got)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", [(0, 2, 1), (1, 4)])
+def test_stacked_least_squares_on_a_nonfinite_entry_does_what_lstsq_does(value, entry):
+    # an inf or NaN in row 1 of A or of b: rows 0 and 2 keep their bits,
+    # and row 1 gets the public call's solution or its LinAlgError
+    rng = np.random.default_rng(4)
+    A, b = rng.standard_normal((3, 6, 2)), rng.standard_normal((3, 6))
+    (A if len(entry) == 3 else b)[(1,) + entry[1:]] = value
+    got = solver._least_squares(A, b)
+    assert _bits(next(got)) == _bits(np.linalg.lstsq(A[0], b[0], rcond=None)[0])
+    try:
+        want = np.linalg.lstsq(A[1], b[1], rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            next(got)
+    else:
+        assert _bits(next(got)) == _bits(want)
+        assert _bits(next(got)) == _bits(np.linalg.lstsq(A[2], b[2], rcond=None)[0])
+
+
+def test_block_canonical_copies_equal_canonical_per_endpoint():
+    # a block's relabeling masks and canonical copies against
+    # geometry._admissible_entries and _canonical row by row, on masses
+    # drawn from three values times one factor (ties, and ratios within
+    # and just outside RELABEL_RTOL) and distances drawn from three values
+    # (copies that tie on their first distances)
+    from ccc4.geometry import RELABEL_RTOL, _RELABEL_TABLE, _admissible_entries, _canonical
+    rng = np.random.default_rng(12)
+    count = 3000
+    values = 10.0 ** rng.uniform(-2.0, 2.0, (count, 3))
+    m = np.take_along_axis(values, rng.integers(0, 3, (count, 4)), axis=1)
+    m *= 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+    m[::9, 1] = m[::9, 0] * (1.0 + rng.choice((0.9, 1.1), count)[::9] * RELABEL_RTOL)
+    r = rng.choice((0.7, 1.0, 1.3), (6, count)) * 10.0 ** rng.uniform(-1.0, 1.0, count)
+    r[:, ::2] = rng.uniform(0.5, 2.0, (6, count))[:, ::2]
+    admissible = solver._admissible_mask(m)
+    got = solver._canonical_copies(r, admissible).T.tolist()
+    relabelings = []
+    for k, masses in enumerate(m):
+        entries = _admissible_entries(masses)
+        assert [t[0] for t, ok in zip(_RELABEL_TABLE, admissible[:, k]) if ok] == \
+            [perm for perm, _ in entries]
+        relabelings.append(len(entries) - 1)
+        assert tuple(got[k]) == _canonical(r[:, k].tolist(), [s for _, s in entries[1:]])
+    # the stabilizers in the dihedral group have 1, 2, 4 or 8 elements
+    assert set(relabelings) == {0, 1, 3, 7}

@@ -447,20 +447,14 @@ def test_minimize_from_drawn_starts_leaves_them_unchanged(monkeypatch):
                    rec.is_cocircular, rec.iterations, rec.converged)
 
 
-@settings(derandomize=True, deadline=None, max_examples=20, database=None)
-@given(st.integers(3, 40).flatmap(lambda n: st.lists(
-    st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4), min_size=n, max_size=n)),
-       st.integers(1, 40))
-def test_scan_values_equal_standalone_records(log_masses, block_rows):
+def _scan_rows_equal_standalone_records(masses, block_rows):
     # scan solves block_rows mass vectors at a time: below 3 rows (24
     # lanes) a block's descents, Newton steps and acceptance tests run on
     # floats, from 3 rows on as lanes; the record polish runs on lanes at
     # every block size.  Each row must hold the fields of its standalone
-    # record; over six decades of mass a few solves raise a false
-    # uniqueness alarm, which must come at that row
+    # record, and a false uniqueness alarm must come at that row
     from ccc4.solver import _RowValues, _scan_values
     opts = SolverOptions()
-    masses = [MassVector.from_iterable(10.0 ** np.array(x)) for x in log_masses]
     want = []
     for m in masses:
         try:
@@ -478,6 +472,57 @@ def test_scan_values_equal_standalone_records(log_masses, block_rows):
         except UniquenessAlarmError as exc:
             got.append(str(exc))
     assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(st.integers(3, 40).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4), min_size=n, max_size=n)),
+       st.integers(1, 40))
+def test_scan_values_equal_standalone_records(log_masses, block_rows):
+    # over six decades of mass a few solves raise a false uniqueness alarm
+    _scan_rows_equal_standalone_records(
+        [MassVector.from_iterable(10.0 ** np.array(x)) for x in log_masses], block_rows)
+
+
+def _orbit_roots(perm):
+    # the least body of each body's orbit under the relabeling perm
+    roots = []
+    for i in range(4):
+        orbit, j = [i], perm[i] - 1
+        while j != i:
+            orbit.append(j)
+            j = perm[j] - 1
+        roots.append(min(orbit))
+    return roots
+
+
+@st.composite
+def _tied_masses(draw):
+    # mass vectors from three values times one factor each, every one fixed
+    # by a sequential relabeling other than the identity: each orbit of the
+    # relabeling takes one of the three values
+    from ccc4.geometry import SEQUENTIAL_RELABELINGS
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    perms = [perm for name, perm in SEQUENTIAL_RELABELINGS.items() if name != "identity"]
+    masses = []
+    for _ in range(draw(st.integers(3, 30))):
+        roots = _orbit_roots(draw(st.sampled_from(perms)))
+        pick = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+        factor = 10.0 ** draw(st.floats(-3.0, 3.0))
+        masses.append(MassVector(*(factor * 10.0 ** values[pick[root]] for root in roots)))
+    return masses
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, 16])
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(_tied_masses())
+def test_scan_values_equal_standalone_records_at_tied_masses(block_rows, masses):
+    # continuous log masses almost never tie; these do, with 1 to 7
+    # relabelings other than the identity per row, in blocks of 16 lanes
+    # (floats), 24 and 128 (lanes)
+    from ccc4.geometry import _admissible_slots
+    assert all(1 <= len(_admissible_slots(m)) <= 7 for m in masses)
+    _scan_rows_equal_standalone_records(masses, block_rows)
 
 
 def test_stacked_u_coefficients_have_the_per_vector_bits():
@@ -571,7 +616,7 @@ def test_a_block_runs_on_floats_below_lanes_min_and_on_lanes_from_it(monkeypatch
     calls = Counter()
     for module, name in ((kernels, "descend"), (solver, "_newton_polish"),
                          (kernels, "descend_lanes"), (solver, "_newton_polish_lanes"),
-                         (solver, "_accepted")):
+                         (solver, "_lane_rows")):
         def counted(*args, _original=getattr(module, name), _name=name):
             calls[_name] += 1
             return _original(*args)
@@ -584,7 +629,7 @@ def test_a_block_runs_on_floats_below_lanes_min_and_on_lanes_from_it(monkeypatch
                                               [seeded_start(9, i) for i in range(count)],
                                               SolverOptions().gtol)
         assert calls == Counter(descend=scalar, _newton_polish=scalar, descend_lanes=lanes,
-                                _newton_polish_lanes=lanes, _accepted=lanes)
+                                _newton_polish_lanes=lanes, _lane_rows=lanes)
         assert len(clusters) == 1
         runs.append(endpoints)
     assert runs[0] == runs[1][:low - 1]
