@@ -419,6 +419,41 @@ def _canonical(values, slot_perms) -> tuple:
     return best
 
 
+# the slot permutation of each relabeling of _RELABEL_TABLE, and its moved
+# bodies (i, pi(i)) padded to four with (0, 0), which the rule of
+# _admissible_entries always meets
+_RELABEL_SLOTS = np.array([slots for _, slots, _ in _RELABEL_TABLE])
+_MOVED_I, _MOVED_J = np.array([list(moved) + [(0, 0)] * (4 - len(moved))
+                               for _, _, moved in _RELABEL_TABLE]).transpose(2, 0, 1)
+
+
+def _admissible_mask(m: np.ndarray) -> np.ndarray:
+    """The (8, k) mask of the relabelings of _RELABEL_TABLE that fix each
+    row of the (k, 4) masses m, by the rule of _admissible_entries:
+    |m_pi(i) - m_i| <= RELABEL_RTOL |m_i| at every moved body i."""
+    m = m.T
+    close = np.abs(m[None, :] - m[:, None]) <= RELABEL_RTOL * np.abs(m)[:, None]
+    return close[_MOVED_I, _MOVED_J].all(axis=1)
+
+
+def _canonical_copies(r: np.ndarray, admissible: np.ndarray) -> np.ndarray:
+    """_canonical of each column of the (6, n) distances r, under the
+    relabelings its column of the (8, n) mask admissible marks, as a (6, n)
+    array.  One gather makes the eight copies of every column; then,
+    distance by distance, the canonical copy takes the least value among
+    the copies still in the running, and only the copies that have it stay
+    in.  For floats that are not NaN this is the order of Python tuples,
+    and a permutation keeps the bits."""
+    copies = r[_RELABEL_SLOTS]
+    keep = admissible
+    canon = np.empty_like(r)
+    for slot in range(6):
+        x = np.where(keep, copies[:, slot], math.inf)
+        canon[slot] = x.min(axis=0)
+        keep = x == canon[slot]
+    return canon
+
+
 def canonical_distance_tuple(r, m) -> tuple:
     """Lexicographically smallest relabeled copy of r over the relabelings
     admissible for the mass vector m."""

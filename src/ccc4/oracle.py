@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .chart import seeded_start
+from .chart import p_to_r, seeded_start, vw_to_p_floats
 from .errors import NonRealizableError
 from .geometry import (OPPOSITE_SLOT, PAIR_SIGN, MassVector, K_term, Q_term, _cols,
                        _fpow, _m, _r6, cayley_menger_H, is_geometric, moment_I,
                        potential_U, ptolemy_P)
 from .inverse import CyclicShape, _chords
-from .solver import SolverOptions, _multistarts
+from .solver import SolverOptions, _multistart_blocks
 
 _PAIR_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -301,14 +301,18 @@ def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0) -> UniquenessRep
     if n_starts < 1:
         raise ValueError("need at least one start")
     masses = _m(m)
-    (endpoints, clusters), = _multistarts(
+    (_, _, z, _, rows), = _multistart_blocks(
         [masses], [seeded_start(seed, i) for i in range(n_starts)], SolverOptions().gtol)
+    row, = rows
+    clusters = []
+    for rep, members in row.clusters:
+        first = z[:, members[0]].tolist()
+        r = p_to_r(vw_to_p_floats(first[:3], first[3:]), masses)
+        clusters.append((rep, len(members), potential_U(r, masses)))
+    accepted = {j for _, members in row.clusters for j in members}
     return UniquenessReport(
-        n_starts=n_starts, seed=seed, cluster_count=len(clusters),
-        clusters=tuple((rep, len(members),
-                        potential_U(endpoints[members[0]].r, masses))
-                       for rep, members in clusters),
-        failures=tuple(i for i, e in enumerate(endpoints) if e.r is None),
+        n_starts=n_starts, seed=seed, cluster_count=len(clusters), clusters=tuple(clusters),
+        failures=tuple(j for j in range(n_starts) if j not in accepted),
         theorem_violated=len(clusters) > 1)
 
 

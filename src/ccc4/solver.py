@@ -23,15 +23,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import kernels, serialize
 from .chart import VWPoint, p_to_r, seeded_start, square_chart_point, vw_to_p_floats
 from .errors import DegeneratePointError, IndeterminateShapeError, UniquenessAlarmError
 from .geometry import (DISTANCE_PAIRS, DistanceVector, K_term, MassVector, OPPOSITE_SLOT,
-                       PAIR_SIGN, RELABEL_RTOL, ScalarReport, _RELABEL_TABLE,
-                       _admissible_slots, _canonical, _fpow, _m, _mass_cols, _r6, moment_I,
-                       potential_U, ptolemy_P)
+                       PAIR_SIGN, ScalarReport, _admissible_mask, _admissible_slots, _canonical,
+                       _canonical_copies, _fpow, _m, _mass_cols, _r6, moment_I, potential_U,
+                       ptolemy_P)
 
 RNG_NAME = "numpy-pcg64"
 RECORD_SCHEMA = "ccc4-solverecord-1"
@@ -205,24 +204,45 @@ def stationarity_residual(r, m, lam: float, sigma: float) -> float:
 
 # np.linalg.lstsq's rcond for a 6x2 system: eps times the larger size
 _LSTSQ_RCOND = np.finfo(float).eps * 6
+_LSTSQ_SIGNATURE = "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)"
+
+
+def _stacked_lstsq_kernel():
+    """numpy.linalg._umath_linalg.lstsq, the stacked LAPACK kernel that
+    np.linalg.lstsq calls for one system since numpy 2.0, where this numpy
+    has it with the signature and float loop _least_squares calls; else
+    None, and _least_squares solves every system by np.linalg.lstsq.  The
+    kernel is private numpy API: numpy 1.x has lstsq_m and lstsq_n in its
+    place."""
+    try:
+        from numpy.linalg._umath_linalg import lstsq
+    except ImportError:
+        return None
+    if (getattr(lstsq, "signature", None) != _LSTSQ_SIGNATURE
+            or "ddd->ddid" not in getattr(lstsq, "types", ())):
+        return None
+    return lstsq
+
+
+_LSTSQ_KERNEL = _stacked_lstsq_kernel()
 
 
 def _least_squares(A: np.ndarray, b: np.ndarray):
     """(lambda, sigma) of each 6x2 stationarity system of the (n, 6, 2)
     stack A and the (n, 6) stack b, in order, as Python floats; a system
     of rank below 2 raises IndeterminateShapeError at its turn.  A finite
-    stack is one call of the stacked LAPACK kernel that np.linalg.lstsq
-    runs for one system, with its rcond, so each row has the bits and the
-    rank of np.linalg.lstsq(A[k], b[k], rcond=None).  A stack with an inf
-    or NaN entry, or one the kernel reports an SVD failure on, is solved
-    by np.linalg.lstsq row by row, which raises its LinAlgError at the
-    failing row's turn."""
+    stack is one call of _LSTSQ_KERNEL with np.linalg.lstsq's rcond, so
+    each row has the bits and the rank of np.linalg.lstsq(A[k], b[k],
+    rcond=None).  A stack with an inf or NaN entry, one the kernel reports
+    an SVD failure on, or any stack where numpy has no such kernel, is
+    solved by np.linalg.lstsq row by row, which raises its LinAlgError at
+    the failing row's turn."""
     solved = None
-    if np.isfinite(A).all() and np.isfinite(b).all():
+    if _LSTSQ_KERNEL is not None and np.isfinite(A).all() and np.isfinite(b).all():
         try:
             with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-                x, _, rank, _ = _umath_linalg.lstsq(A, b[:, :, None], _LSTSQ_RCOND,
-                                                    signature="ddd->ddid")
+                x, _, rank, _ = _LSTSQ_KERNEL(A, b[:, :, None], _LSTSQ_RCOND,
+                                              signature="ddd->ddid")
             solved = zip(x[:, :, 0].tolist(), rank.tolist())
         except FloatingPointError:
             pass
@@ -506,12 +526,6 @@ def _polish_record_lanes(z, u):
     return out_z, out_steps
 
 
-class _Endpoint(NamedTuple):
-    U: float
-    iterations: int
-    r: tuple | None      # six distances, None unless the endpoint was accepted
-
-
 class _Row(NamedTuple):
     """One mass vector's multistart: U and iterations list its starts'
     endpoints, best is the start its record is built from (the accepted
@@ -598,7 +612,10 @@ def _endpoints(masses: MassVector, U, iters, points) -> _Row:
     accepted, its distances are p_to_r(p, masses), which raises
     DegeneratePointError where they are not positive and finite, and its
     canonical copy is taken under the relabelings that fix the masses,
-    found once; the copies are clustered by _clusters."""
+    found once; the copies are clustered by _clusters.  It is kept beside
+    _lane_rows for a solve's block of 8 starts: on one row of 8 lanes it
+    took 43-45 us where _lane_rows took 113 us (best of 7 x 200 calls over
+    8 mass vectors, 2-vCPU x86-64 VM), some 6% of a minimize_U call."""
     relabelings = _admissible_slots(masses)
     accepted = [i for i, p in enumerate(points) if p is not None]
     canons = [_canonical(p_to_r(points[i], masses).astuple(), relabelings) for i in accepted]
@@ -621,42 +638,6 @@ def _clusters(members, canons) -> list:
         else:
             clusters.append((canon, [index], CLUSTER_TOL * max(canon)))
     return [(tuple(rep), group) for rep, group, _ in clusters]
-
-
-# the slot permutation of each relabeling of geometry._RELABEL_TABLE, and its
-# moved bodies (i, pi(i)) padded to four with (0, 0), which the rule of
-# _admissible_entries always meets
-_RELABEL_SLOTS = np.array([slots for _, slots, _ in _RELABEL_TABLE])
-_MOVED_I, _MOVED_J = np.array([list(moved) + [(0, 0)] * (4 - len(moved))
-                               for _, _, moved in _RELABEL_TABLE]).transpose(2, 0, 1)
-
-
-def _admissible_mask(m: np.ndarray) -> np.ndarray:
-    """The (8, k) mask of the relabelings of geometry._RELABEL_TABLE that
-    fix each row of the (k, 4) masses m, by the rule of
-    geometry._admissible_entries: |m_pi(i) - m_i| <= RELABEL_RTOL |m_i| at
-    every moved body i."""
-    m = m.T
-    close = np.abs(m[None, :] - m[:, None]) <= RELABEL_RTOL * np.abs(m)[:, None]
-    return close[_MOVED_I, _MOVED_J].all(axis=1)
-
-
-def _canonical_copies(r: np.ndarray, admissible: np.ndarray) -> np.ndarray:
-    """geometry._canonical of each column of the (6, n) distances r, under
-    the relabelings its column of the (8, n) mask admissible marks, as a
-    (6, n) array.  One gather makes the eight copies of every column; then,
-    distance by distance, the canonical copy takes the least value among
-    the copies still in the running, and only the copies that have it stay
-    in.  For floats that are not NaN this is the order of Python tuples,
-    and a permutation keeps the bits."""
-    copies = r[_RELABEL_SLOTS]
-    keep = admissible
-    canon = np.empty_like(r)
-    for slot in range(6):
-        x = np.where(keep, copies[:, slot], math.inf)
-        canon[slot] = x.min(axis=0)
-        keep = x == canon[slot]
-    return canon
 
 
 def _lane_rows(block, m, z, U, iters, converged):
@@ -697,20 +678,6 @@ def _lane_rows(block, m, z, U, iters, converged):
             p_to_r(tuple(p[:, raises[i]].tolist()), masses)
         ends = slice(bounds[i], bounds[i + 1])
         yield _Row(U[own], iters[own], best[i], _clusters(members[ends], canons[ends]))
-
-
-def _multistarts(masses_list, starts, gtol: float):
-    """For each mass vector, in order, its solve from every start: the
-    _Endpoint of each start, with the distances p_to_r gives an accepted
-    endpoint, and the clusters of its _Row."""
-    for block, _, z, _, rows in _multistart_blocks(masses_list, starts, gtol):
-        ends = z.T.tolist()
-        for masses, own, row in zip(block, _row_slices(len(block), len(starts)), rows):
-            accepted = {j for _, group in row.clusters for j in group}
-            endpoints = [_Endpoint(Uj, it, p_to_r(vw_to_p_floats(e[:3], e[3:]), masses).astuple()
-                                   if j in accepted else None)
-                         for j, (Uj, it, e) in enumerate(zip(row.U, row.iterations, ends[own]))]
-            yield endpoints, row.clusters
 
 
 def _record_from_point(v, w, masses: MassVector, iterations: int,

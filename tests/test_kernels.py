@@ -496,14 +496,54 @@ def test_lane_sums_add_left_to_right():
                 assert _bits(kernels._sum3(y)) == _bits(want3)
 
 
+def test_stacked_least_squares_kernel_is_numpys_lstsq_kernel():
+    # _least_squares calls numpy's private stacked lstsq kernel, which
+    # numpy 2 names numpy.linalg._umath_linalg.lstsq; a numpy that renames
+    # it or changes its signature or float loop sends every system to the
+    # public call row by row, the same bits at a per-row cost
+    if int(np.__version__.split(".")[0]) < 2:
+        pytest.skip("numpy 1.x has no numpy.linalg._umath_linalg.lstsq")
+    from numpy.linalg import _umath_linalg
+    kernel = getattr(_umath_linalg, "lstsq", None)
+    assert solver._LSTSQ_KERNEL is not None, (
+        f"numpy {np.__version__}: numpy.linalg._umath_linalg.lstsq is "
+        f"{kernel!r} with signature {getattr(kernel, 'signature', None)!r} and "
+        f"loops {getattr(kernel, 'types', None)!r}, not {solver._LSTSQ_SIGNATURE!r} "
+        "with 'ddd->ddid'; solver._least_squares falls back to np.linalg.lstsq per row")
+    assert solver._LSTSQ_KERNEL is kernel
+
+
+def test_stacked_least_squares_kernel_is_refused_unless_it_matches(monkeypatch):
+    # no kernel of that name, or one of another signature or without the
+    # float loop, leaves _least_squares on the public call
+    import sys
+    import types
+    kernel = solver._LSTSQ_KERNEL
+    for stub in (types.SimpleNamespace(),
+                 types.SimpleNamespace(lstsq=types.SimpleNamespace(
+                     signature="(m,n),(m,nrhs),()->(n,nrhs)", types=["ddd->ddid"])),
+                 types.SimpleNamespace(lstsq=types.SimpleNamespace(
+                     signature=solver._LSTSQ_SIGNATURE, types=["fff->ffif"]))):
+        monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", stub)
+        assert solver._stacked_lstsq_kernel() is None
+    if kernel is not None:
+        monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg",
+                            types.SimpleNamespace(lstsq=kernel))
+        assert solver._stacked_lstsq_kernel() is kernel
+
+
 @pytest.mark.parametrize("n", [0, 1, 64, 2048])
-def test_stacked_least_squares_has_the_bits_of_lstsq_per_row(n):
+@pytest.mark.parametrize("stacked", [True, False])
+def test_stacked_least_squares_has_the_bits_of_lstsq_per_row(n, stacked, monkeypatch):
     # solver._least_squares solves a whole stack in one call of the
-    # kernel that np.linalg.lstsq runs for one system: each row must get
-    # the public call's solution bits, and raise at its turn where the
-    # public rank is below 2, for entries with log10 |x| in [-30, 30],
-    # zero columns and proportional columns
+    # kernel that np.linalg.lstsq runs for one system, or without that
+    # kernel by the public call row by row: each row must get the public
+    # call's solution bits, and raise at its turn where the public rank
+    # is below 2, for entries with log10 |x| in [-30, 30], zero columns
+    # and proportional columns
     from ccc4.errors import IndeterminateShapeError
+    if not stacked:
+        monkeypatch.setattr(solver, "_LSTSQ_KERNEL", None)
     rng = np.random.default_rng(n)
     A = rng.choice((-1.0, 1.0), (n, 6, 2)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 6, 2))
     b = rng.choice((-1.0, 1.0), (n, 6)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 6))
@@ -556,7 +596,8 @@ def test_block_canonical_copies_equal_canonical_per_endpoint():
     # drawn from three values times one factor (ties, and ratios within
     # and just outside RELABEL_RTOL) and distances drawn from three values
     # (copies that tie on their first distances)
-    from ccc4.geometry import RELABEL_RTOL, _RELABEL_TABLE, _admissible_entries, _canonical
+    from ccc4.geometry import (RELABEL_RTOL, _RELABEL_TABLE, _admissible_entries,
+                               _admissible_mask, _canonical, _canonical_copies)
     rng = np.random.default_rng(12)
     count = 3000
     values = 10.0 ** rng.uniform(-2.0, 2.0, (count, 3))
@@ -565,8 +606,8 @@ def test_block_canonical_copies_equal_canonical_per_endpoint():
     m[::9, 1] = m[::9, 0] * (1.0 + rng.choice((0.9, 1.1), count)[::9] * RELABEL_RTOL)
     r = rng.choice((0.7, 1.0, 1.3), (6, count)) * 10.0 ** rng.uniform(-1.0, 1.0, count)
     r[:, ::2] = rng.uniform(0.5, 2.0, (6, count))[:, ::2]
-    admissible = solver._admissible_mask(m)
-    got = solver._canonical_copies(r, admissible).T.tolist()
+    admissible = _admissible_mask(m)
+    got = _canonical_copies(r, admissible).T.tolist()
     relabelings = []
     for k, masses in enumerate(m):
         entries = _admissible_entries(masses)

@@ -579,40 +579,47 @@ def test_row_tail_has_the_bits_of_the_record_functions():
         next(rows)
 
 
+def _multistart(masses, starts):
+    # one mass vector's solve from every start: its _Row and the (6, n)
+    # endpoints of its starts
+    (_, _, z, _, rows), = solver._multistart_blocks([masses], starts, SolverOptions().gtol)
+    row, = rows
+    return row, z
+
+
 def test_multistart_start_outside_E_is_an_unaccepted_endpoint():
     from ccc4.chart import VWPoint
-    from ccc4.solver import _multistarts
     outside = VWPoint(v=np.array([0.0, 1.0, 0.0]), w=np.array([1.0, 0.0, 0.0]))
-    (endpoints, clusters), = _multistarts([UNIT], [outside], SolverOptions().gtol)
-    assert len(endpoints) == 1
-    assert endpoints[0].U == math.inf and endpoints[0].r is None
-    assert clusters == []
+    row, z = _multistart(UNIT, [outside])
+    assert z.shape == (6, 1)
+    assert row.U == [math.inf] and row.best == 0
+    assert row.clusters == []
 
 
 def test_multistart_representatives_are_canonical_distance_tuples():
     # the per-solve relabeling set must canonicalize as the per-vector rule
-    from ccc4.chart import seeded_start
+    from ccc4.chart import p_to_r, seeded_start, vw_to_p_floats
     from ccc4.geometry import canonical_distance_tuple
-    from ccc4.solver import _multistarts
-    gtol = SolverOptions().gtol
     starts = [seeded_start(5, i) for i in range(6)]
     for masses in ((1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 1.0, 1.0), (1.0, 3.0, 3.0, 1.0),
                    (1.0, 2.0, 1.0, 2.0), (0.5, 1.5, 0.5, 2.5)):
         m = MassVector(*masses)
-        (endpoints, clusters), = _multistarts([m], starts, gtol)
-        for rep, members in clusters:
-            assert tuple(rep) == canonical_distance_tuple(endpoints[members[0]].r, m)
+        row, z = _multistart(m, starts)
+        for rep, members in row.clusters:
+            first = z[:, members[0]].tolist()
+            r = p_to_r(vw_to_p_floats(first[:3], first[3:]), m)
+            assert tuple(rep) == canonical_distance_tuple(r, m)
 
 
 def test_a_block_runs_on_floats_below_lanes_min_and_on_lanes_from_it(monkeypatch):
     # the one switch of a block: below LANES_MIN lanes each lane runs
     # descend and _newton_polish and no lane function runs; from LANES_MIN
     # on each lane function runs once and no scalar function runs.  The
-    # starts both blocks share end with the same bits
+    # starts both blocks share end with the same bits, U, iterations and
+    # acceptance
     from collections import Counter
     from ccc4 import kernels
     from ccc4.chart import seeded_start
-    from ccc4.solver import _multistarts
     calls = Counter()
     for module, name in ((kernels, "descend"), (solver, "_newton_polish"),
                          (kernels, "descend_lanes"), (solver, "_newton_polish_lanes"),
@@ -625,14 +632,16 @@ def test_a_block_runs_on_floats_below_lanes_min_and_on_lanes_from_it(monkeypatch
     runs = []
     for count, scalar, lanes in ((low - 1, low - 1, 0), (low, 0, 1)):
         calls.clear()
-        (endpoints, clusters), = _multistarts([MassVector(1.0, 2.0, 3.0, 4.0)],
-                                              [seeded_start(9, i) for i in range(count)],
-                                              SolverOptions().gtol)
+        row, z = _multistart(MassVector(1.0, 2.0, 3.0, 4.0),
+                             [seeded_start(9, i) for i in range(count)])
         assert calls == Counter(descend=scalar, _newton_polish=scalar, descend_lanes=lanes,
                                 _newton_polish_lanes=lanes, _lane_rows=lanes)
-        assert len(clusters) == 1
-        runs.append(endpoints)
-    assert runs[0] == runs[1][:low - 1]
+        assert len(row.clusters) == 1
+        shared = range(low - 1)
+        accepted = [j in row.clusters[0][1] for j in shared]
+        runs.append((row.U[:low - 1], row.iterations[:low - 1], accepted,
+                     z[:, :low - 1].tobytes()))
+    assert runs[0] == runs[1]
 
 
 def _fresh_starts(seed, starts=8):
