@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .errors import (CCC4Error, IndeterminateShapeError, InfeasibleShapeError,
-                     NonRealizableError, UniquenessAlarmError)
+from .errors import (CCC4Error, DegeneratePointError, IndeterminateShapeError,
+                     InfeasibleShapeError, NonRealizableError, UniquenessAlarmError)
 from .geometry import MassVector
 from .inverse import CyclicShape, recover_masses, shape_to_distances
 from .oracle import cartesian_cc_residual, embed_cyclic, run_identity_battery
@@ -167,17 +167,36 @@ def _scan_grid_values(n: int) -> list:
     return [float(x) for x in np.linspace(SCAN_GRID_LO, SCAN_GRID_HI, n)]
 
 
+def _scan_masses(values, fixed_slot: int, fixed_value: float) -> list:
+    """The grid's mass vectors, fixed_value at fixed_slot and each triple of
+    values at the other slots in itertools.product's order, each normalized
+    to total 4 as MassVector.normalized normalizes it, on one (k, 4) stack:
+    M added left to right, then 4 / M times each mass.  A normalized mass
+    that rounds to zero raises DegeneratePointError, naming the row."""
+    raw = np.empty((len(values) ** 3, 4))
+    raw[:, fixed_slot] = fixed_value
+    raw[:, [k for k in range(4) if k != fixed_slot]] = list(itertools.product(values, repeat=3))
+    normalized = (4.0 / (raw[:, 0] + raw[:, 1] + raw[:, 2] + raw[:, 3]))[:, None] * raw
+    masses = []
+    for row, raw_row in zip(normalized.tolist(), raw.tolist()):
+        try:
+            masses.append(MassVector(*row))
+        except ValueError as exc:
+            raise DegeneratePointError(
+                f"masses {tuple(raw_row)} give no positive masses at total 4 ({exc})") from None
+    return masses
+
+
 def _scan_row(masses, row) -> str:
-    cells = [format_float(masses.m1), format_float(masses.m2),
-             format_float(masses.m3), format_float(masses.m4)]
-    if row.converged:
-        cells += [format_float(row.k_value), format_float(row.U),
-                  format_float(row.lam),
-                  "true" if row.is_cocircular else "false"]
-    else:
-        cells += ["", "", "", ""]
-    cells += [str(row.iterations), "true" if row.converged else "false"]
-    return ",".join(cells)
+    """The CSV line of a row: its four masses, then K, U, lambda and the
+    co-circularity flag of a converged row or four empty cells, then its
+    iterations and whether it converged."""
+    k_value, U, lam, is_cocircular, iterations, converged = row
+    cells = ",".join(map(format_float, masses.astuple()))
+    if converged:
+        return (f"{cells},{format_float(k_value)},{format_float(U)},{format_float(lam)},"
+                f"{'true' if is_cocircular else 'false'},{iterations},true")
+    return f"{cells},,,,,{iterations},false"
 
 
 def cmd_scan(args, parser) -> int:
@@ -194,16 +213,7 @@ def cmd_scan(args, parser) -> int:
     if args.jobs < 1:
         return _usage_error(parser, "--jobs must be at least 1")
 
-    values = _scan_grid_values(args.grid)
-    free_slots = [k for k in range(4) if k != fixed_slot]
-    masses = []
-    for combo in itertools.product(values, repeat=3):
-        raw = [0.0] * 4
-        raw[fixed_slot] = fixed_value
-        for slot, val in zip(free_slots, combo):
-            raw[slot] = val
-        masses.append(MassVector.from_iterable(raw).normalized(4.0))
-
+    masses = _scan_masses(_scan_grid_values(args.grid), fixed_slot, fixed_value)
     try:
         rows = [_scan_row(m, row) for m, row in zip(masses, _scan_values(masses))]
     except UniquenessAlarmError as exc:

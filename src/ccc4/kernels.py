@@ -350,16 +350,25 @@ def descend_from(z, u, gtol, max_iter, prev=None, iters=0):
 # interleaved runs, all lanes on descend_from / LANES_MIN 24 /
 # 32 / 48 / 64: 50 seeded starts 2.08 / 1.24 / 1.24 / 1.45 / 2.14 ms, the
 # 64 starts of scan --grid 2 2.49 / 1.45 / 1.53 / 1.69 / 1.95 ms, the 512
-# of --grid 4 19.1 / 2.75 / 2.67 / 2.75 / 2.79 ms.  And
+# of --grid 4 19.1 / 2.75 / 2.67 / 2.75 / 2.79 ms; measured again once
+# the lane Newton handed its state on, least of 20: 2.41 / 1.41 / 1.41 /
+# 1.50 / 1.83 and 17.5 / 2.63 / 2.50 / 2.58 / 2.58 ms.  And
 # solver._multistart_blocks runs a block of fewer lanes on floats and a
-# larger one on lanes, which breaks even later: between 64 and 96 lanes
-# for rows of 8 starts and near 150 for one row.  Its whole chain per row,
-# floats against lanes, least of 3-50 runs, log10 m_i uniform on [-3, 3]:
-# rows of 8 starts, 8 lanes 840 / 1553 us, 24 lanes 691 / 1208, 64 lanes
-# 610 / 643, 96 lanes 600 / 496, 256 lanes 571 / 321, 512 lanes 692 /
-# 419; one row of n starts, n = 24 2530 / 5064 us, 64 7527 / 10332, 96
-# 12611 / 14715, 128 19873 / 21497, 200 31440 / 29563.  One value serves
-# both uses for now.
+# larger one on lanes, which breaks even later.  Its whole chain per row,
+# floats against lanes, log10 m_i uniform on [-3, 3], first least of 3-50
+# runs: rows of 8 starts, 8 lanes 840 / 1553 us, 24 lanes 691 / 1208, 64
+# lanes 610 / 643, 96 lanes 600 / 496, 256 lanes 571 / 321, 512 lanes
+# 692 / 419; one row of n starts, n = 24 2530 / 5064 us, 64 7527 /
+# 10332, 96 12611 / 14715, 128 19873 / 21497, 200 31440 / 29563; so
+# between 64 and 96 lanes for rows of 8 starts and near 150 for one row.
+# Once the lane Newton handed its state on and a row's one cluster came
+# from its arrays, least of 4-30 runs (solver._scan_values per row for
+# rows of 8 starts, minimize_U for one row): rows of 8 starts, 24 lanes
+# 1028 / 1450 us, 64 lanes 658 / 592, 96 lanes 646 / 513, 256 lanes
+# 605 / 287, 512 lanes 669 / 295; one row of n starts, n = 24 3105 /
+# 4853 us, 64 7305 / 7093, 96 10437 / 9063, 128 14161 / 11052, 200 23160
+# / 14807; so between 24 and 64 lanes either way.  One value serves both
+# uses for now.
 LANES_MIN = 24
 
 # p_k = 0.5 * (z[i] + s * z[j]) with i = _P_INDEX[k], j = _P_INDEX[6 + k] and

@@ -301,7 +301,7 @@ def multistart_uniqueness(m, n_starts: int = 50, seed: int = 0) -> UniquenessRep
     if n_starts < 1:
         raise ValueError("need at least one start")
     masses = _m(m)
-    (_, _, z, _, rows), = _multistart_blocks(
+    (_, _, z, _, _, rows), = _multistart_blocks(
         [masses], [seeded_start(seed, i) for i in range(n_starts)], SolverOptions().gtol)
     row, = rows
     clusters = []

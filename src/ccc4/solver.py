@@ -441,88 +441,133 @@ def _polish_record(v, w, u):
     return z[:3], z[3:], steps
 
 
+def _at(z, u):
+    """The (15, n) stack of g, h, cv, cw and rg at the (6, n) points z, as
+    kernels.potential_lanes and kernels.tangent_gradient_lanes give them,
+    with potential_lanes' (n,) mask inside and (n,) U."""
+    inside, U, g, h = kernels.potential_lanes(z, u)
+    return np.vstack((g, h, *kernels.tangent_gradient_lanes(z, g))), inside, U
+
+
+def _some(x, index, count):
+    # the lanes index of the (r, n) rows x, or x itself where index keeps
+    # all count of them in order
+    return x if index.size == count else x[:, index]
+
+
 def _newton_polish_lanes(z, u, gtol):
     """_newton_polish at every lane of the (6, n) rows z of points (v, w)
-    and u of coefficients, for any n: (z, U, rgnorm, iters, converged), the
-    points as (6, n) rows and the rest as (n,) rows.  It runs
+    and u of coefficients, for any n: (z, U, rgnorm, iters, converged, at),
+    the points as (6, n) rows, the next four as (n,) rows and at the (15,
+    n) stack of g, h, cv, cw and rg at each endpoint, with the bits that
+    _at gives there, from which _polish_record_lanes starts.  It runs
     _newton_polish's loop on all lanes together, in the lane forms of the
     kernels, and each lane leaves where _newton_polish returns: converged,
     at MAX_NEWTON, at a pivot that is not positive or where the line search
-    fails."""
+    fails.  The loop ends once no lane steps.
+
+    Each lane's state is one column of a (28, n) array, rows z, g, h, cv,
+    cw, rg, U and u, so that a set of lanes is one gather; a lane leaves
+    with its first 22 rows."""
     # as in kernels.descend_lanes, the lanes raise where the scalar code
     # divides by zero and ignore numpy's floating-point flags
     with np.errstate(all="ignore"):
         count = z.shape[1]
-        out_z, out_U, out_rg = z.copy(), np.full(count, math.inf), np.full(count, math.inf)
+        at, inside, U = _at(z, u)
+        state = np.vstack((z, at, U, u))
+        out = state[:22].copy()
         out_nit, out_ok = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
         # a point outside E, or where U is not finite, leaves at once, with
         # U = rg = inf
-        inside, U, g, h = kernels.potential_lanes(z, u)
-        lane = np.flatnonzero(inside & np.isfinite(U))
-        z, u, U, g, h = z[:, lane], u[:, lane], U[lane], g[:, lane], h[:, lane]
+        entered = inside & np.isfinite(U)
+        lane = np.flatnonzero(entered)
+        state = _some(state, lane, count)
         for nit in range(MAX_NEWTON + 1):
-            cv, cw, rg = kernels.tangent_gradient_lanes(z, g)
-            converged = rg <= gtol * np.fmax(np.abs(U), 1.0)
-            going = np.flatnonzero(~converged & (nit < MAX_NEWTON))
-            step, ok = kernels.newton_step_lanes(z[:, going], g[:, going], h[:, going],
-                                                 cv[going], cw[going])
-            going, step = going[ok], step[:, ok]
-            # backtracking from t = 1, per lane; zn, Un, gn and hn take each
-            # lane's first accepted trial
-            zn, Un, gn, hn = z[:, going], U[going], g[:, going], h[:, going]
-            t = np.ones(going.size)
-            trying = np.arange(going.size)
-            for _ in range(30):
-                if not trying.size:
-                    break
-                rows = going[trying]
-                zt = kernels.retract_lanes(z[:, rows], step[:, trying], t)
-                inside, Ut, gt, ht = kernels.potential_lanes(zt, u[:, rows])
-                hit = inside & (Ut <= U[rows] + 1e-12 * np.abs(U[rows]))
-                k = trying[hit]
-                zn[:, k], Un[k], gn[:, k], hn[:, k] = zt[:, hit], Ut[hit], gt[:, hit], ht[:, hit]
-                trying, t = trying[~hit], t[~hit] * 0.5
-            moved = np.ones(going.size, dtype=bool)
-            moved[trying] = False
-            # every other lane leaves with its current point
+            U = state[21]
+            converged = state[20] <= gtol * np.fmax(np.abs(U), 1.0)
+            going = np.flatnonzero(~converged) if nit < MAX_NEWTON else lane[:0]
+            if going.size:
+                x = _some(state, going, lane.size)
+                step, ok = kernels.newton_step_lanes(x[:6], x[6:12], x[12:18], x[18], x[19])
+                if not ok.all():
+                    going, x, step = going[ok], x[:, ok], step[:, ok]
+            # a lane at a pivot that is not positive leaves below; so does
+            # every lane where all of them are at one
+            if going.size:
+                # backtracking from t = 1, per lane; new takes each lane's
+                # first accepted trial, rows z, g, h and U: the first trial
+                # of every lane, where later ones overwrite the lanes it
+                # rejects
+                new = None
+                t = np.ones(going.size)
+                trying = np.arange(going.size)
+                for _ in range(30):
+                    if not trying.size:
+                        break
+                    y, s = _some(x, trying, going.size), _some(step, trying, going.size)
+                    zt = kernels.retract_lanes(y[:6], s, t)
+                    hit, Ut, gt, ht = kernels.potential_lanes(zt, y[22:])
+                    hit &= Ut <= y[21] + 1e-12 * np.abs(y[21])
+                    trial = np.vstack((zt, gt, ht, Ut))
+                    if new is None:
+                        new = trial
+                    else:
+                        new[:, trying[hit]] = trial[:, hit]
+                    trying, t = trying[~hit], t[~hit] * 0.5
+                if trying.size:
+                    keep = np.ones(going.size, dtype=bool)
+                    keep[trying] = False
+                    going, new, x = going[keep], new[:, keep], x[:, keep]
+                # the moved lanes at their new points, with cv, cw and rg there
+                new = np.vstack((new[:18], *kernels.tangent_gradient_lanes(new[:6], new[6:12]),
+                                 new[18], x[22:]))
+            # the lanes of going moved; every other lane leaves with its
+            # current point
             stay = np.ones(lane.size, dtype=bool)
-            stay[going[moved]] = False
+            stay[going] = False
             done = lane[stay]
-            out_z[:, done], out_U[done], out_rg[done] = z[:, stay], U[stay], rg[stay]
+            out[:, done] = state[:22, stay]
             out_nit[done], out_ok[done] = nit, converged[stay]
-            lane, u = lane[~stay], u[:, ~stay]
-            z, U, g, h = zn[:, moved], Un[moved], gn[:, moved], hn[:, moved]
+            lane = lane[~stay]
             if not lane.size:
                 break
-    return out_z, out_U, out_rg, out_nit, out_ok
+            state = new
+    U, rg = np.where(entered, out[21], math.inf), np.where(entered, out[20], math.inf)
+    return out[:6], U, rg, out_nit, out_ok, out[6:21]
 
 
-def _polish_record_lanes(z, u):
+def _polish_record_lanes(z, u, at=None):
     """_polish_record at every lane of the (6, n) rows z of points (v, w)
-    and u of coefficients, for any n: (z, steps), (6, n) and (n,) rows.  It
-    runs _polish_record's loop on all lanes together, and each lane leaves
-    where _polish_record returns."""
+    and u of coefficients, for any n: (z, steps), (6, n) and (n,) rows.  at
+    is the (15, n) stack of g, h, cv, cw and rg at z that _newton_polish_lanes
+    returns, or None, where _at evaluates it.  It runs _polish_record's
+    loop on all lanes together, and each lane leaves where _polish_record
+    returns; each lane's state is one column of a (27, n) array, rows z,
+    g, h, cv, cw, rg and u."""
     with np.errstate(all="ignore"):
         out_z, out_steps = z.copy(), np.zeros(z.shape[1], dtype=int)
         lane = np.arange(z.shape[1])
-        _, _, g, h = kernels.potential_lanes(z, u)
-        cv, cw, rg = kernels.tangent_gradient_lanes(z, g)
+        if at is None:
+            at = _at(z, u)[0]
+        state = np.vstack((z, at, u))
         for steps in range(RECORD_NEWTON_STEPS):
-            step, ok = kernels.newton_step_lanes(z, g, h, cv, cw)
-            going = np.flatnonzero(ok)
-            zn = kernels.retract_lanes(z[:, going], step[:, going], 1.0)
-            inside, _, gn, hn = kernels.potential_lanes(zn, u[:, going])
-            cvn, cwn, rgn = kernels.tangent_gradient_lanes(zn, gn)
-            better = inside & (rgn < rg[going])
-            stay = np.ones(lane.size, dtype=bool)
-            stay[going[better]] = False
-            out_z[:, lane[stay]], out_steps[lane[stay]] = z[:, stay], steps
-            lane, u = lane[~stay], u[:, ~stay]
-            z, g, h = zn[:, better], gn[:, better], hn[:, better]
-            cv, cw, rg = cvn[better], cwn[better], rgn[better]
             if not lane.size:
                 break
-        out_z[:, lane], out_steps[lane] = z, RECORD_NEWTON_STEPS
+            step, ok = kernels.newton_step_lanes(state[:6], state[6:12], state[12:18],
+                                                 state[18], state[19])
+            going = np.flatnonzero(ok)
+            x = _some(state, going, lane.size)
+            zn = kernels.retract_lanes(x[:6], _some(step, going, lane.size), 1.0)
+            better, _, gn, hn = kernels.potential_lanes(zn, x[21:])
+            cvn, cwn, rgn = kernels.tangent_gradient_lanes(zn, gn)
+            better &= rgn < x[20]
+            stay = np.ones(lane.size, dtype=bool)
+            stay[going[better]] = False
+            out_z[:, lane[stay]], out_steps[lane[stay]] = state[:6, stay], steps
+            lane = lane[~stay]
+            state = _some(np.vstack((zn, gn, hn, cvn, cwn, rgn, x[21:])),
+                          np.flatnonzero(better), going.size)
+        out_z[:, lane], out_steps[lane] = state[:6], RECORD_NEWTON_STEPS
     return out_z, out_steps
 
 
@@ -552,15 +597,17 @@ def _constraints_hold(p):
 
 def _multistart_blocks(masses_list, starts, gtol: float):
     """The solves of SCAN_BLOCK_LANES // len(starts) mass vectors (at least
-    one) at a time.  For each block, (masses, m, z, u, rows): m the (k, 4)
-    stack of its k mass vectors; z and u the (6, n) endpoints and
+    one) at a time.  For each block, (masses, m, z, u, at, rows): m the
+    (k, 4) stack of its k mass vectors; z and u the (6, n) endpoints and
     coefficients of its n = k len(starts) lanes, lane i len(starts) + j
-    from start j of mass vector i; and rows an iterator over the _Row of
-    its mass vectors in order, start j of a row at lane j of its own.  A
-    block below kernels.LANES_MIN lanes runs on floats, in _solve_floats
-    and _endpoints; a larger one runs descend_lanes, _newton_polish_lanes
-    and _lane_rows on all its lanes, with the same bits.  A row's clusters
-    are formed as the row is drawn.  The starts are only read."""
+    from start j of mass vector i; at the (15, n) stack of g, h, cv, cw
+    and rg at the endpoints that _newton_polish_lanes returns, or None; and
+    rows an iterator over the _Row of its mass vectors in order, start j of
+    a row at lane j of its own.  A block below kernels.LANES_MIN lanes runs
+    on floats, in _solve_floats and _endpoints, and has no at; a larger one
+    runs descend_lanes, _newton_polish_lanes and _lane_rows on all its
+    lanes, with the same bits.  A row's clusters are formed as the row is
+    drawn.  The starts are only read."""
     per_row = len(starts)
     start_z = np.array([(s.v, s.w) for s in starts]).reshape(per_row, 6).T
     size = max(1, SCAN_BLOCK_LANES // per_row)
@@ -573,14 +620,15 @@ def _multistart_blocks(masses_list, starts, gtol: float):
                                                 u.T.tolist(), gtol)
             rows = (_endpoints(masses, U[own], iters[own], points[own])
                     for masses, own in zip(block, _row_slices(len(block), per_row)))
+            at = None
         else:
             z, _, _, iters, _ = kernels.descend_lanes(np.tile(start_z, len(block)), u,
                                                       NEWTON_SWITCH, MAX_ITER)
             # a start outside E ends where it began, with U = inf: the Newton
             # polish leaves it as it is
-            z, U, _, nit, converged = _newton_polish_lanes(z, u, gtol)
+            z, U, _, nit, converged, at = _newton_polish_lanes(z, u, gtol)
             rows = _lane_rows(block, m, z, U, iters + nit, converged)
-        yield block, m, z, u, rows
+        yield block, m, z, u, at, rows
 
 
 def _row_slices(rows, per_row):
@@ -647,10 +695,14 @@ def _lane_rows(block, m, z, U, iters, converged):
     r = p sqrt(2M / m_i m_j) (p_to_r's expression, one factor per row),
     the relabelings that fix each row's masses, the accepted endpoints'
     canonical copies and each row's best start are computed on all lanes
-    together, with the bits of _endpoints; per row only _clusters runs on
-    floats.  A row with an accepted endpoint whose distances are not all
-    positive and finite raises p_to_r's DegeneratePointError at its turn,
-    from the first such endpoint."""
+    together, with the bits of _endpoints.  So is the distance of each
+    accepted endpoint from its row's first, over that one's cluster radius:
+    a row where each of these is at most 1 - 1e-12 forms one cluster, as
+    _clusters forms it, for math.dist is within an ulp of the distance and
+    numpy's value of the quotient within a few; every other row runs
+    _clusters on floats.  A row with an accepted endpoint whose distances
+    are not all positive and finite raises p_to_r's DegeneratePointError
+    at its turn, from the first such endpoint."""
     k = len(block)
     per_row = z.shape[1] // k
     with np.errstate(all="ignore"):
@@ -664,20 +716,31 @@ def _lane_rows(block, m, z, U, iters, converged):
         admissible = _admissible_mask(m)[:, rows]
         tied = np.flatnonzero(admissible[1:].any(axis=0))
         r[:, tied] = _canonical_copies(r[:, tied], admissible[:, tied])
+        # the rows with an endpoint that may lie outside the first one's
+        # radius; NaN and inf land here too
+        bounds = np.searchsorted(lanes, np.arange(k + 1) * per_row)
+        first = r[:, bounds[rows]]
+        q = (r - first) / (CLUSTER_TOL * first.max(axis=0))
+        far = set(rows[~(np.sqrt((q * q).sum(axis=0)) <= 1.0 - 1e-12)].tolist())
     # U is finite or inf, never NaN, so argmin takes the first lowest, as
     # min() does
     any_accepted = accepted.reshape(k, per_row).any(axis=1)
     best = np.where(any_accepted, np.where(accepted, U, math.inf).reshape(k, per_row).argmin(axis=1),
                     U.reshape(k, per_row).argmin(axis=1)).tolist()
     raises = {lane // per_row: lane for lane in reversed(degenerate.tolist())}
-    bounds = np.searchsorted(lanes, np.arange(k + 1) * per_row).tolist()
-    members, canons = (lanes % per_row).tolist(), r.T.tolist()
-    U, iters = U.tolist(), iters.tolist()
-    for i, (masses, own) in enumerate(zip(block, _row_slices(k, per_row))):
+    members = (lanes % per_row).tolist()
+    firsts = r[:, np.minimum(bounds[:-1], lanes.size - 1)].T.tolist() if lanes.size else [None] * k
+    bounds = bounds.tolist()
+    fields = zip(block, U.reshape(k, per_row).tolist(), iters.reshape(k, per_row).tolist(),
+                 best, bounds, bounds[1:], firsts)
+    for i, (masses, Ui, iters_i, best_i, lo, hi, rep) in enumerate(fields):
         if i in raises:
             p_to_r(tuple(p[:, raises[i]].tolist()), masses)
-        ends = slice(bounds[i], bounds[i + 1])
-        yield _Row(U[own], iters[own], best[i], _clusters(members[ends], canons[ends]))
+        if i in far:
+            clusters = _clusters(members[lo:hi], r[:, lo:hi].T.tolist())
+        else:
+            clusters = [(tuple(rep), members[lo:hi])] if hi > lo else []
+        yield _Row(Ui, iters_i, best_i, clusters)
 
 
 def _record_from_point(v, w, masses: MassVector, iterations: int,
@@ -732,7 +795,7 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """
     masses = _m(m)
     opts = opts or SolverOptions()
-    (_, _, z, u, rows), = _multistart_blocks([masses], _draw_starts(opts), opts.gtol)
+    (_, _, z, u, _, rows), = _multistart_blocks([masses], _draw_starts(opts), opts.gtol)
     row, = rows
     _require_one_cluster(row.clusters)
     zb, iterations, converged = z[:, row.best].tolist(), row.iterations[row.best], bool(row.clusters)
@@ -774,34 +837,37 @@ def _scan_values(masses_list):
     only read.  The rows share _multistart_blocks, which descends,
     Newton-polishes and tests the starts of a block of rows together; the
     accepted endpoints the block's records would be built from are then
-    polished together by _polish_record_lanes, and each row's fields come
-    from its polished endpoint by the expressions the record uses, on
-    stacks of the block's rows, without the rest of the record.  A row's
-    UniquenessAlarmError, or the DegeneratePointError of its distances, is
-    raised once the rows before it are yielded, as a solve of one row at a
-    time raises it; so is the IndeterminateShapeError of its multipliers."""
+    polished together by _polish_record_lanes, from the values the Newton
+    polish left at them, and each row's fields come from its polished
+    endpoint by the expressions the record uses, on stacks of the block's
+    rows, without the rest of the record.  Per row, only the clusters are
+    formed and the row's fields read off.  A row's UniquenessAlarmError,
+    or the DegeneratePointError of its distances, is raised once the rows
+    before it are yielded, as a solve of one row at a time raises it; so
+    is the IndeterminateShapeError of its multipliers."""
     opts = SolverOptions()
     starts = _draw_starts(opts)
     per_row = len(starts)
-    for block, m, z, u, rows in _multistart_blocks(masses_list, starts, opts.gtol):
-        # (lane of the chosen endpoint, its iterations, whether accepted) per
-        # row; the row of lane l is l // per_row
-        chosen, error = [], None
+    for block, m, z, u, at, rows in _multistart_blocks(masses_list, starts, opts.gtol):
+        # the chosen lane of each row before the first that raises, its
+        # iterations and whether it was accepted
+        best, iterations, accepted, error = [], [], [], None
         try:
-            for i, row in enumerate(rows):
+            for row in rows:
                 _require_one_cluster(row.clusters)
-                chosen.append((i * per_row + row.best, row.iterations[row.best],
-                               bool(row.clusters)))
+                best.append(row.best)
+                iterations.append(row.iterations[row.best])
+                accepted.append(bool(row.clusters))
         except (DegeneratePointError, UniquenessAlarmError) as exc:
             error = exc
-        accepted = [(lane, iterations) for lane, iterations, ok in chosen if ok]
-        lanes = [lane for lane, _ in accepted]
-        z, steps = _polish_record_lanes(z[:, lanes], u[:, lanes])
-        polished = _polished_rows(z, m[[lane // per_row for lane in lanes]],
-                                  [block[lane // per_row] for lane in lanes],
-                                  [its + s for (_, its), s in zip(accepted, steps.tolist())])
-        for _, iterations, ok in chosen:
-            yield next(polished) if ok else _RowValues(None, None, None, False, iterations, False)
+        polished = np.flatnonzero(accepted)
+        lanes = polished * per_row + np.array(best, dtype=int)[polished]
+        z, steps = _polish_record_lanes(z[:, lanes], u[:, lanes],
+                                        None if at is None else at[:, lanes])
+        values = _polished_rows(z, m[polished], [block[i] for i in polished.tolist()],
+                                (np.array(iterations, dtype=int)[polished] + steps).tolist())
+        for ok, n in zip(accepted, iterations):
+            yield next(values) if ok else _RowValues(None, None, None, False, n, False)
         if error is not None:
             raise error
 

@@ -323,6 +323,29 @@ def test_masses_without_finite_distances_exit_1(argv, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fix", ["m4=5e-324", "m1=5e-324"])
+def test_scan_row_whose_normalized_mass_rounds_to_zero_exits_1(fix, capsys):
+    # at the row (3, 3, 3) of the free masses, 4 / M times 5e-324 rounds
+    # to 0.0: the scan ends in one error line naming the row's masses, as a
+    # row without finite distances does, not in a traceback
+    code, out, err = run_cli(["scan", "--grid", "2", "--fix", fix], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: masses (") and err.count("\n") == 1
+    assert "5e-324" in err and "got 0.0" in err
+
+
+@pytest.mark.parametrize("fix", ["m4=1", "m4=1e-5"])
+def test_scan_prints_the_same_bytes_on_the_public_least_squares_route(fix, capsys, monkeypatch):
+    # numpy 1.x has no stacked lstsq kernel, and _least_squares then solves
+    # each row by np.linalg.lstsq: a whole scan must print the same bytes
+    argv = ["scan", "--grid", "4" if fix == "m4=1" else "3", "--fix", fix]
+    kernel = run_cli(argv, capsys)
+    monkeypatch.setattr(solver, "_LSTSQ_KERNEL", None)
+    assert run_cli(argv, capsys) == kernel
+    assert kernel[0] == 0 and len(kernel[1].splitlines()) > 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("masses", ["1e150,1e150,1,1", "1e200,1,1,1"])
 def test_masses_whose_coefficients_or_determinant_overflow_exit_1(masses, capsys):
     # (m_i m_j)^{3/2} overflows at the first, the Cayley-Menger determinant

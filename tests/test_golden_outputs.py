@@ -29,11 +29,14 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_outputs.txt"
 SOLVE_VECTORS = 12
 # the first scan has 8 rows, whose record polish runs on lanes below
 # LANES_MIN; the third has 512 descents, 7 of them over 100 iterations long;
-# the fourth has 343 rows, so two scan blocks with long straggler tails
+# the fourth has 343 rows, so two scan blocks with long straggler tails; the
+# fifth steps the lane Newton 12 times, from 216 lanes down to 3, and the
+# record polish through all three steps, with 23 descent stragglers
 SCAN_ARGVS = [["scan", "--grid", "2"],
               ["scan", "--grid", "3", "--fix", "m4=1"],
               ["scan", "--grid", "4", "--fix", "m4=1e-3"],
-              ["scan", "--grid", "7", "--fix", "m4=1e-3"]]
+              ["scan", "--grid", "7", "--fix", "m4=1e-3"],
+              ["scan", "--grid", "3", "--fix", "m4=1e-5"]]
 SAMPLER_SEEDS = (0, 7, 51)
 # the square; two shapes on the co-circular central-configuration family,
 # one needing four recovery rounds; a shape no positive masses realize

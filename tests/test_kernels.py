@@ -138,7 +138,7 @@ def test_newton_polish_leaves_a_point_where_U_is_not_finite():
         want = (tuple(v), tuple(w), math.inf, math.inf, 0, False)
         assert _newton_polish(v, w, u, 1e-11) == want
         lanes = _per_lane(solver._newton_polish_lanes(*_as_lanes([(v, w)] * low, [u] * low),
-                                                      1e-11), tuple)
+                                                      1e-11)[:5], tuple)
         assert lanes == [want] * low
 
 
@@ -420,7 +420,7 @@ def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeyp
         first += size - len(lead)
         calls.clear()
         got = _per_lane(solver._newton_polish_lanes(
-            *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11), tuple)
+            *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11)[:5], tuple)
         assert not calls
         assert len(got) == len(batch)
         for ((v, w), u), lane in zip(batch, got):
@@ -431,6 +431,17 @@ def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeyp
     # lanes stop unconverged at the cap, and converge below a cap of 0
     assert (True, False) in outcomes
     assert any(ok for _, ok in outcomes) == (max_newton > 0)
+    # a pass where every lane that would step is at a pivot that is not
+    # positive: the pivot lane alone, and beside lanes already converged
+    converged = [(lane[:2], u) for lane, (_, u) in zip(got, batch) if lane[5]]
+    if max_newton > 0:
+        assert converged
+    for batch in ([special[1]], [special[1]] + converged[:low], converged[:3] + [special[1]]):
+        got = _per_lane(solver._newton_polish_lanes(
+            *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11)[:5], tuple)
+        for ((v, w), u), lane in zip(batch, got):
+            want = newton_polish(v, w, u, 1e-11)
+            assert [repr(x) for x in lane] == [repr(x) for x in want]
 
 
 def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
@@ -439,7 +450,7 @@ def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
     # below, at and above LANES_MIN and of 2048 lanes
     lanes = _newton_lanes(32)[3:]
     polished = _per_lane(solver._newton_polish_lanes(
-        *_as_lanes([p for p, _ in lanes], [u for _, u in lanes]), 1e-11), tuple)
+        *_as_lanes([p for p, _ in lanes], [u for _, u in lanes]), 1e-11)[:5], tuple)
     points = [((v, w), u) for (v, w, *_, ok), (_, u) in zip(polished, lanes) if ok]
     starts = [seeded_start(5, i) for i in range(300)]
     points += [((s.v.tolist(), s.w.tolist()), u) for s, (_, u) in zip(starts, lanes)]
@@ -461,6 +472,35 @@ def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
             steps.add(lane[2])
     assert first == low * 3 + 2049
     assert {0, 1} <= steps
+
+
+def test_lane_newton_hands_on_the_values_at_its_endpoints(monkeypatch):
+    # the g, h, cv, cw and rg the lane Newton returns have the bits that
+    # potential_lanes and tangent_gradient_lanes give at its endpoints, at
+    # every lane, those that leave at once included; the record polish
+    # started from them ends as one that evaluates them itself; and no
+    # Newton step runs on no lane
+    lanes = _newton_lanes(34)
+    z, u = _as_lanes([p for p, _ in lanes], [u for _, u in lanes])
+    stepped = []
+    newton_step_lanes = kernels.newton_step_lanes
+
+    def counted(z, *rest):
+        stepped.append(z.shape[1])
+        return newton_step_lanes(z, *rest)
+
+    monkeypatch.setattr(kernels, "newton_step_lanes", counted)
+    end, _, _, _, ok, at = solver._newton_polish_lanes(z, u, 1e-11)
+    assert stepped and 0 not in stepped
+    assert at.shape == (15, z.shape[1])
+    with np.errstate(all="ignore"):
+        assert _bits(at) == _bits(solver._at(end, u)[0])
+    lane = np.flatnonzero(ok)
+    polished = solver._polish_record_lanes(end[:, lane], u[:, lane], at[:, lane])
+    want = solver._polish_record_lanes(end[:, lane], u[:, lane])
+    assert _bits(polished[0]) == _bits(want[0])
+    assert polished[1].tolist() == want[1].tolist()
+    assert 0 not in stepped
 
 
 def _bits(x):

@@ -582,7 +582,7 @@ def test_row_tail_has_the_bits_of_the_record_functions():
 def _multistart(masses, starts):
     # one mass vector's solve from every start: its _Row and the (6, n)
     # endpoints of its starts
-    (_, _, z, _, rows), = solver._multistart_blocks([masses], starts, SolverOptions().gtol)
+    (_, _, z, _, _, rows), = solver._multistart_blocks([masses], starts, SolverOptions().gtol)
     row, = rows
     return row, z
 
@@ -594,6 +594,36 @@ def test_multistart_start_outside_E_is_an_unaccepted_endpoint():
     assert z.shape == (6, 1)
     assert row.U == [math.inf] and row.best == 0
     assert row.clusters == []
+
+
+def test_lane_rows_cluster_as_clusters_does_at_the_radius(monkeypatch):
+    # a lane row forms one cluster without math.dist only where every
+    # endpoint lies inside the first one's radius by a margin; with the
+    # radius set just below, at and just above the largest distance from
+    # the first endpoint, its clusters must be those _clusters forms from
+    # the same canonical copies
+    from ccc4 import kernels
+    from ccc4.chart import p_to_r, seeded_start, vw_to_p_floats
+    from ccc4.geometry import canonical_distance_tuple
+    starts = [seeded_start(9, i) for i in range(kernels.LANES_MIN)]
+    masses = MassVector(1.0, 2.0, 3.0, 4.0)
+    row, z = _multistart(masses, starts)
+    members = sorted(j for _, group in row.clusters for j in group)
+    assert len(members) > 2
+    canons = []
+    for j in members:
+        zj = z[:, j].tolist()
+        canons.append(canonical_distance_tuple(p_to_r(vw_to_p_floats(zj[:3], zj[3:]), masses),
+                                               masses))
+    gap = max(math.dist(c, canons[0]) for c in canons[1:])
+    assert gap > 0.0
+    counts = set()
+    for scale in (1.0 - 1e-9, 1.0 - 1e-14, 1.0, 1.0 + 1e-14, 1.0 + 1e-9):
+        monkeypatch.setattr(solver, "CLUSTER_TOL", gap / max(canons[0]) * scale)
+        row, _ = _multistart(masses, starts)
+        assert row.clusters == solver._clusters(members, canons)
+        counts.add(len(row.clusters))
+    assert counts == {1, 2}
 
 
 def test_multistart_representatives_are_canonical_distance_tuples():
