@@ -341,34 +341,20 @@ def descend_from(z, u, gtol, max_iter, prev=None, iters=0):
 
 # LANES_MIN has two uses.  descend_lanes steps its lanes together from it
 # on, and hands the lanes still running once fewer are left to
-# descend_from, which goes on from where each lane is.  A lockstep
-# iteration costs about 190 us plus 0.37 us a lane against 2.8 us for one
-# of descend_from (the first 12 iterations from seeded starts at gtol 0,
-# least of 15 runs on a loaded 2-vCPU host; 210 us plus 0.37 us a lane
-# while _sum6 and _sum3 added row by row), yet end to end the hand-over
-# is fastest at 24-32 running lanes.  descend_lanes, least of 20
-# interleaved runs, all lanes on descend_from / LANES_MIN 24 /
-# 32 / 48 / 64: 50 seeded starts 2.08 / 1.24 / 1.24 / 1.45 / 2.14 ms, the
-# 64 starts of scan --grid 2 2.49 / 1.45 / 1.53 / 1.69 / 1.95 ms, the 512
-# of --grid 4 19.1 / 2.75 / 2.67 / 2.75 / 2.79 ms; measured again once
-# the lane Newton handed its state on, least of 20: 2.41 / 1.41 / 1.41 /
-# 1.50 / 1.83 and 17.5 / 2.63 / 2.50 / 2.58 / 2.58 ms.  And
+# descend_from, which goes on from where each lane is; and
 # solver._multistart_blocks runs a block of fewer lanes on floats and a
-# larger one on lanes, which breaks even later.  Its whole chain per row,
-# floats against lanes, log10 m_i uniform on [-3, 3], first least of 3-50
-# runs: rows of 8 starts, 8 lanes 840 / 1553 us, 24 lanes 691 / 1208, 64
-# lanes 610 / 643, 96 lanes 600 / 496, 256 lanes 571 / 321, 512 lanes
-# 692 / 419; one row of n starts, n = 24 2530 / 5064 us, 64 7527 /
-# 10332, 96 12611 / 14715, 128 19873 / 21497, 200 31440 / 29563; so
-# between 64 and 96 lanes for rows of 8 starts and near 150 for one row.
-# Once the lane Newton handed its state on and a row's one cluster came
-# from its arrays, least of 4-30 runs (solver._scan_values per row for
-# rows of 8 starts, minimize_U for one row): rows of 8 starts, 24 lanes
-# 1028 / 1450 us, 64 lanes 658 / 592, 96 lanes 646 / 513, 256 lanes
-# 605 / 287, 512 lanes 669 / 295; one row of n starts, n = 24 3105 /
-# 4853 us, 64 7305 / 7093, 96 10437 / 9063, 128 14161 / 11052, 200 23160
-# / 14807; so between 24 and 64 lanes either way.  One value serves both
-# uses for now.
+# larger one on lanes.  descend_lanes, least of 20 interleaved runs on a
+# 2-vCPU host, all lanes on descend_from / LANES_MIN 24 / 32 / 48 / 64:
+# 50 seeded starts 2.41 / 1.41 / 1.41 / 1.50 / 1.83 ms, the 512 starts of
+# scan --grid 4 17.5 / 2.63 / 2.50 / 2.58 / 2.58 ms; so the hand-over is
+# fastest at 24-32 running lanes.  The block's whole chain per row, floats
+# against lanes, log10 m_i uniform on [-3, 3], least of 4-30 runs
+# (solver._scan_values per row for rows of 8 starts, minimize_U for one
+# row): rows of 8 starts, 24 lanes 1028 / 1450 us, 64 lanes 658 / 592,
+# 96 lanes 646 / 513, 256 lanes 605 / 287, 512 lanes 669 / 295; one row
+# of n starts, n = 24 3105 / 4853 us, 64 7305 / 7093, 96 10437 / 9063,
+# 128 14161 / 11052, 200 23160 / 14807; so the switch breaks even between
+# 24 and 64 lanes either way.  One value serves both uses for now.
 LANES_MIN = 24
 
 # p_k = 0.5 * (z[i] + s * z[j]) with i = _P_INDEX[k], j = _P_INDEX[6 + k] and

@@ -145,9 +145,8 @@ class SolveRecord:
         r = DistanceVector.from_iterable(
             doc["r_star"][k] for k in ("r12", "r13", "r14", "r23", "r24", "r34"))
         vw = VWPoint.stored(doc["chart_point"]["v"], doc["chart_point"]["w"])
-        mult = Multipliers(lam=doc["multipliers"]["lambda"],
-                           sigma=doc["multipliers"]["sigma"],
-                           stationarity_residual=doc["multipliers"]["stationarity_residual"])
+        mult = Multipliers(*(_json_number(doc["multipliers"], k)
+                             for k in ("lambda", "sigma", "stationarity_residual")))
         scal = ScalarReport(**{k: doc["scalars"][k] for k in ("U", "I", "P", "H", "K", "Q")})
         return cls(masses=masses, r_star=r, chart_point=vw, multipliers=mult,
                    scalars=scal, minors=tuple(doc["minors"]),
@@ -155,12 +154,21 @@ class SolveRecord:
                    dziobek_residual=doc["dziobek_residual"],
                    sigma_sq_residuals=tuple(doc["sigma_sq_residuals"]),
                    iterations=doc["iterations"], converged=doc["converged"],
-                   is_cocircular=doc["is_cocircular"], k_value=doc["k_value"],
+                   is_cocircular=doc["is_cocircular"], k_value=_json_number(doc, "k_value"),
                    meta=doc.get("meta", {}))
 
     @classmethod
     def from_json(cls, text: str) -> "SolveRecord":
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_number(doc: dict, key: str):
+    """doc[key], which must be a JSON number (an int or a float, not a
+    bool); ValueError naming key otherwise."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
 
 
 def lagrangian_L(r, m, lam: float, sigma: float) -> float:
@@ -441,12 +449,14 @@ def _polish_record(v, w, u):
     return z[:3], z[3:], steps
 
 
-def _at(z, u):
-    """The (15, n) stack of g, h, cv, cw and rg at the (6, n) points z, as
+def _state(z, u):
+    """The lane state at the (6, n) points z with the (6, n) coefficients
+    u, one (28, n) array of rows z, g, h, cv, cw, rg, U and u, as
     kernels.potential_lanes and kernels.tangent_gradient_lanes give them,
-    with potential_lanes' (n,) mask inside and (n,) U."""
+    and potential_lanes' (n,) mask inside.  Both lane Newton stages keep
+    each lane as one column of it, so that a set of lanes is one gather."""
     inside, U, g, h = kernels.potential_lanes(z, u)
-    return np.vstack((g, h, *kernels.tangent_gradient_lanes(z, g))), inside, U
+    return np.vstack((z, g, h, *kernels.tangent_gradient_lanes(z, g), U, u)), inside
 
 
 def _some(x, index, count):
@@ -457,29 +467,22 @@ def _some(x, index, count):
 
 def _newton_polish_lanes(z, u, gtol):
     """_newton_polish at every lane of the (6, n) rows z of points (v, w)
-    and u of coefficients, for any n: (z, U, rgnorm, iters, converged, at),
-    the points as (6, n) rows, the next four as (n,) rows and at the (15,
-    n) stack of g, h, cv, cw and rg at each endpoint, with the bits that
-    _at gives there, from which _polish_record_lanes starts.  It runs
-    _newton_polish's loop on all lanes together, in the lane forms of the
-    kernels, and each lane leaves where _newton_polish returns: converged,
+    and u of coefficients, for any n: (z, U, rgnorm, iters, converged), the
+    points as (6, n) rows and the rest as (n,) rows.  It runs
+    _newton_polish's loop on all lanes together, on the _state of its
+    lanes, and each lane leaves where _newton_polish returns: converged,
     at MAX_NEWTON, at a pivot that is not positive or where the line search
-    fails.  The loop ends once no lane steps.
-
-    Each lane's state is one column of a (28, n) array, rows z, g, h, cv,
-    cw, rg, U and u, so that a set of lanes is one gather; a lane leaves
-    with its first 22 rows."""
+    fails.  The loop ends once no lane steps."""
     # as in kernels.descend_lanes, the lanes raise where the scalar code
     # divides by zero and ignore numpy's floating-point flags
     with np.errstate(all="ignore"):
         count = z.shape[1]
-        at, inside, U = _at(z, u)
-        state = np.vstack((z, at, U, u))
+        state, inside = _state(z, u)
         out = state[:22].copy()
         out_nit, out_ok = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
         # a point outside E, or where U is not finite, leaves at once, with
         # U = rg = inf
-        entered = inside & np.isfinite(U)
+        entered = inside & np.isfinite(state[21])
         lane = np.flatnonzero(entered)
         state = _some(state, lane, count)
         for nit in range(MAX_NEWTON + 1):
@@ -495,9 +498,8 @@ def _newton_polish_lanes(z, u, gtol):
             # every lane where all of them are at one
             if going.size:
                 # backtracking from t = 1, per lane; new takes each lane's
-                # first accepted trial, rows z, g, h and U: the first trial
-                # of every lane, where later ones overwrite the lanes it
-                # rejects
+                # first accepted trial: the first trial of every lane,
+                # where later ones overwrite the lanes it rejects
                 new = None
                 t = np.ones(going.size)
                 trying = np.arange(going.size)
@@ -505,10 +507,8 @@ def _newton_polish_lanes(z, u, gtol):
                     if not trying.size:
                         break
                     y, s = _some(x, trying, going.size), _some(step, trying, going.size)
-                    zt = kernels.retract_lanes(y[:6], s, t)
-                    hit, Ut, gt, ht = kernels.potential_lanes(zt, y[22:])
-                    hit &= Ut <= y[21] + 1e-12 * np.abs(y[21])
-                    trial = np.vstack((zt, gt, ht, Ut))
+                    trial, hit = _state(kernels.retract_lanes(y[:6], s, t), y[22:])
+                    hit &= trial[21] <= y[21] + 1e-12 * np.abs(y[21])
                     if new is None:
                         new = trial
                     else:
@@ -517,10 +517,7 @@ def _newton_polish_lanes(z, u, gtol):
                 if trying.size:
                     keep = np.ones(going.size, dtype=bool)
                     keep[trying] = False
-                    going, new, x = going[keep], new[:, keep], x[:, keep]
-                # the moved lanes at their new points, with cv, cw and rg there
-                new = np.vstack((new[:18], *kernels.tangent_gradient_lanes(new[:6], new[6:12]),
-                                 new[18], x[22:]))
+                    going, new = going[keep], new[:, keep]
             # the lanes of going moved; every other lane leaves with its
             # current point
             stay = np.ones(lane.size, dtype=bool)
@@ -533,23 +530,18 @@ def _newton_polish_lanes(z, u, gtol):
                 break
             state = new
     U, rg = np.where(entered, out[21], math.inf), np.where(entered, out[20], math.inf)
-    return out[:6], U, rg, out_nit, out_ok, out[6:21]
+    return out[:6], U, rg, out_nit, out_ok
 
 
-def _polish_record_lanes(z, u, at=None):
+def _polish_record_lanes(z, u):
     """_polish_record at every lane of the (6, n) rows z of points (v, w)
-    and u of coefficients, for any n: (z, steps), (6, n) and (n,) rows.  at
-    is the (15, n) stack of g, h, cv, cw and rg at z that _newton_polish_lanes
-    returns, or None, where _at evaluates it.  It runs _polish_record's
-    loop on all lanes together, and each lane leaves where _polish_record
-    returns; each lane's state is one column of a (27, n) array, rows z,
-    g, h, cv, cw, rg and u."""
+    and u of coefficients, for any n: (z, steps), (6, n) and (n,) rows.  It
+    runs _polish_record's loop on all lanes together, on the _state of its
+    lanes, and each lane leaves where _polish_record returns."""
     with np.errstate(all="ignore"):
         out_z, out_steps = z.copy(), np.zeros(z.shape[1], dtype=int)
         lane = np.arange(z.shape[1])
-        if at is None:
-            at = _at(z, u)[0]
-        state = np.vstack((z, at, u))
+        state = _state(z, u)[0]
         for steps in range(RECORD_NEWTON_STEPS):
             if not lane.size:
                 break
@@ -557,16 +549,14 @@ def _polish_record_lanes(z, u, at=None):
                                                  state[18], state[19])
             going = np.flatnonzero(ok)
             x = _some(state, going, lane.size)
-            zn = kernels.retract_lanes(x[:6], _some(step, going, lane.size), 1.0)
-            better, _, gn, hn = kernels.potential_lanes(zn, x[21:])
-            cvn, cwn, rgn = kernels.tangent_gradient_lanes(zn, gn)
-            better &= rgn < x[20]
+            new, better = _state(kernels.retract_lanes(x[:6], _some(step, going, lane.size), 1.0),
+                                 x[22:])
+            better &= new[20] < x[20]
             stay = np.ones(lane.size, dtype=bool)
             stay[going[better]] = False
             out_z[:, lane[stay]], out_steps[lane[stay]] = state[:6, stay], steps
             lane = lane[~stay]
-            state = _some(np.vstack((zn, gn, hn, cvn, cwn, rgn, x[21:])),
-                          np.flatnonzero(better), going.size)
+            state = _some(new, np.flatnonzero(better), going.size)
         out_z[:, lane], out_steps[lane] = state[:6], RECORD_NEWTON_STEPS
     return out_z, out_steps
 
@@ -597,17 +587,15 @@ def _constraints_hold(p):
 
 def _multistart_blocks(masses_list, starts, gtol: float):
     """The solves of SCAN_BLOCK_LANES // len(starts) mass vectors (at least
-    one) at a time.  For each block, (masses, m, z, u, at, rows): m the
-    (k, 4) stack of its k mass vectors; z and u the (6, n) endpoints and
+    one) at a time.  For each block, (masses, m, z, u, rows): m the (k, 4)
+    stack of its k mass vectors; z and u the (6, n) endpoints and
     coefficients of its n = k len(starts) lanes, lane i len(starts) + j
-    from start j of mass vector i; at the (15, n) stack of g, h, cv, cw
-    and rg at the endpoints that _newton_polish_lanes returns, or None; and
-    rows an iterator over the _Row of its mass vectors in order, start j of
-    a row at lane j of its own.  A block below kernels.LANES_MIN lanes runs
-    on floats, in _solve_floats and _endpoints, and has no at; a larger one
-    runs descend_lanes, _newton_polish_lanes and _lane_rows on all its
-    lanes, with the same bits.  A row's clusters are formed as the row is
-    drawn.  The starts are only read."""
+    from start j of mass vector i; and rows an iterator over the _Row of
+    its mass vectors in order, start j of a row at lane j of its own.  A
+    block below kernels.LANES_MIN lanes runs on floats, in _solve_floats
+    and _endpoints; a larger one runs descend_lanes, _newton_polish_lanes
+    and _lane_rows on all its lanes, with the same bits.  A row's clusters
+    are formed as the row is drawn.  The starts are only read."""
     per_row = len(starts)
     start_z = np.array([(s.v, s.w) for s in starts]).reshape(per_row, 6).T
     size = max(1, SCAN_BLOCK_LANES // per_row)
@@ -620,15 +608,14 @@ def _multistart_blocks(masses_list, starts, gtol: float):
                                                 u.T.tolist(), gtol)
             rows = (_endpoints(masses, U[own], iters[own], points[own])
                     for masses, own in zip(block, _row_slices(len(block), per_row)))
-            at = None
         else:
             z, _, _, iters, _ = kernels.descend_lanes(np.tile(start_z, len(block)), u,
                                                       NEWTON_SWITCH, MAX_ITER)
             # a start outside E ends where it began, with U = inf: the Newton
             # polish leaves it as it is
-            z, U, _, nit, converged, at = _newton_polish_lanes(z, u, gtol)
+            z, U, _, nit, converged = _newton_polish_lanes(z, u, gtol)
             rows = _lane_rows(block, m, z, U, iters + nit, converged)
-        yield block, m, z, u, at, rows
+        yield block, m, z, u, rows
 
 
 def _row_slices(rows, per_row):
@@ -662,8 +649,9 @@ def _endpoints(masses: MassVector, U, iters, points) -> _Row:
     canonical copy is taken under the relabelings that fix the masses,
     found once; the copies are clustered by _clusters.  It is kept beside
     _lane_rows for a solve's block of 8 starts: on one row of 8 lanes it
-    took 43-45 us where _lane_rows took 113 us (best of 7 x 200 calls over
-    8 mass vectors, 2-vCPU x86-64 VM), some 6% of a minimize_U call."""
+    took 38-41 us where _lane_rows took 111-118 us (best of 7 x 200 calls
+    over 8 mass vectors, four runs, 2-vCPU x86-64 VM), some 7% of a
+    minimize_U call."""
     relabelings = _admissible_slots(masses)
     accepted = [i for i, p in enumerate(points) if p is not None]
     canons = [_canonical(p_to_r(points[i], masses).astuple(), relabelings) for i in accepted]
@@ -795,7 +783,7 @@ def minimize_U(m, opts: SolverOptions | None = None) -> SolveRecord:
     """
     masses = _m(m)
     opts = opts or SolverOptions()
-    (_, _, z, u, _, rows), = _multistart_blocks([masses], _draw_starts(opts), opts.gtol)
+    (_, _, z, u, rows), = _multistart_blocks([masses], _draw_starts(opts), opts.gtol)
     row, = rows
     _require_one_cluster(row.clusters)
     zb, iterations, converged = z[:, row.best].tolist(), row.iterations[row.best], bool(row.clusters)
@@ -837,18 +825,18 @@ def _scan_values(masses_list):
     only read.  The rows share _multistart_blocks, which descends,
     Newton-polishes and tests the starts of a block of rows together; the
     accepted endpoints the block's records would be built from are then
-    polished together by _polish_record_lanes, from the values the Newton
-    polish left at them, and each row's fields come from its polished
-    endpoint by the expressions the record uses, on stacks of the block's
-    rows, without the rest of the record.  Per row, only the clusters are
-    formed and the row's fields read off.  A row's UniquenessAlarmError,
-    or the DegeneratePointError of its distances, is raised once the rows
-    before it are yielded, as a solve of one row at a time raises it; so
-    is the IndeterminateShapeError of its multipliers."""
+    polished together by _polish_record_lanes, and each row's fields come
+    from its polished endpoint by the expressions the record uses, on
+    stacks of the block's rows, without the rest of the record.  Per row,
+    only the clusters are formed and the row's fields read off.  A row's
+    UniquenessAlarmError, or the DegeneratePointError of its distances, is
+    raised once the rows before it are yielded, as a solve of one row at a
+    time raises it; so is the IndeterminateShapeError of its
+    multipliers."""
     opts = SolverOptions()
     starts = _draw_starts(opts)
     per_row = len(starts)
-    for block, m, z, u, at, rows in _multistart_blocks(masses_list, starts, opts.gtol):
+    for block, m, z, u, rows in _multistart_blocks(masses_list, starts, opts.gtol):
         # the chosen lane of each row before the first that raises, its
         # iterations and whether it was accepted
         best, iterations, accepted, error = [], [], [], None
@@ -862,8 +850,7 @@ def _scan_values(masses_list):
             error = exc
         polished = np.flatnonzero(accepted)
         lanes = polished * per_row + np.array(best, dtype=int)[polished]
-        z, steps = _polish_record_lanes(z[:, lanes], u[:, lanes],
-                                        None if at is None else at[:, lanes])
+        z, steps = _polish_record_lanes(z[:, lanes], u[:, lanes])
         values = _polished_rows(z, m[polished], [block[i] for i in polished.tolist()],
                                 (np.array(iterations, dtype=int)[polished] + steps).tolist())
         for ok, n in zip(accepted, iterations):

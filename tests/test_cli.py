@@ -242,6 +242,21 @@ def test_certify_unreadable_inputs(tmp_path, capsys):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text('{"masses": {"m1": 1.0}}')
     assert run_cli(["certify", "--in", str(incomplete)], capsys)[0] == 66
+    # a multiplier or K that is not a JSON number
+    rec_path = tmp_path / "rec.json"
+    assert run_cli(["solve", "--masses", "1,2,3,4", "--out", str(rec_path)], capsys)[0] == 0
+    fresh = json.loads(rec_path.read_text())
+    for section, key, value in (("multipliers", "lambda", None), ("multipliers", "lambda", "1.0"),
+                                ("multipliers", "sigma", None), ("multipliers", "sigma", "x"),
+                                (None, "k_value", None), (None, "k_value", "abc")):
+        doc = json.loads(json.dumps(fresh))
+        (doc[section] if section else doc)[key] = value
+        mistyped = tmp_path / "mistyped.json"
+        mistyped.write_text(json.dumps(doc))
+        code, out, err = run_cli(["certify", "--in", str(mistyped)], capsys)
+        assert (code, out) == (66, "")
+        assert err.startswith("error: cannot read record from ") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
 
 
 def test_identities_table(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ccc4 import inverse
 from ccc4.errors import IndeterminateShapeError, InfeasibleShapeError
 from ccc4.geometry import K_term, MassVector, ptolemy_P
 from ccc4.inverse import (CyclicShape, dziobek_lambda, masses_from_shape,
@@ -191,10 +192,11 @@ def _recovery_or_error(route, r):
         return type(exc), getattr(exc, "value", None)
 
 
-def test_recovery_has_the_bits_of_the_numpy_route():
+def test_recovery_has_the_bits_of_the_numpy_route(monkeypatch):
     # the rounds run on floats with one vectorized r^-3 each; every
     # recovered value, the round count and the failure kind match the
-    # numpy route bit for bit
+    # numpy route bit for bit, also where the rounds run out at a cap of
+    # 1 or 2, which both routes read at call time
     def floats(r):
         out = recover_masses(r)
         return (out.masses.astuple(), out.lam, out.sigma, out.compat_residual,
@@ -209,9 +211,13 @@ def test_recovery_has_the_bits_of_the_numpy_route():
     for m in random_masses(6, seed=53):
         a, b = m.m1, m.m3      # adjacent equal pairs give co-circular trapezoids
         inputs.append(minimize_U(MassVector(a, a, b, b)).r_star.array)
-    recovered = 0
-    for r in inputs:
-        got = _recovery_or_error(floats, r)
-        assert got == _recovery_or_error(recover_masses_numpy, r)
-        recovered += isinstance(got, tuple)
-    assert recovered >= 20
+    # at a cap of 1 every recovery runs out of rounds
+    for max_rounds in (inverse.MAX_ROUNDS, 1, 2):
+        monkeypatch.setattr(inverse, "MAX_ROUNDS", max_rounds)
+        recovered = 0
+        for r in inputs:
+            got = _recovery_or_error(floats, r)
+            assert got == _recovery_or_error(recover_masses_numpy, r)
+            # an error comes back as (its type, its value)
+            recovered += not isinstance(got[0], type)
+        assert recovered >= 20

@@ -138,7 +138,7 @@ def test_newton_polish_leaves_a_point_where_U_is_not_finite():
         want = (tuple(v), tuple(w), math.inf, math.inf, 0, False)
         assert _newton_polish(v, w, u, 1e-11) == want
         lanes = _per_lane(solver._newton_polish_lanes(*_as_lanes([(v, w)] * low, [u] * low),
-                                                      1e-11)[:5], tuple)
+                                                      1e-11), tuple)
         assert lanes == [want] * low
 
 
@@ -420,7 +420,7 @@ def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeyp
         first += size - len(lead)
         calls.clear()
         got = _per_lane(solver._newton_polish_lanes(
-            *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11)[:5], tuple)
+            *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11), tuple)
         assert not calls
         assert len(got) == len(batch)
         for ((v, w), u), lane in zip(batch, got):
@@ -438,7 +438,7 @@ def test_newton_polish_lanes_match_newton_polish_bit_for_bit(max_newton, monkeyp
         assert converged
     for batch in ([special[1]], [special[1]] + converged[:low], converged[:3] + [special[1]]):
         got = _per_lane(solver._newton_polish_lanes(
-            *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11)[:5], tuple)
+            *_as_lanes([p for p, _ in batch], [u for _, u in batch]), 1e-11), tuple)
         for ((v, w), u), lane in zip(batch, got):
             want = newton_polish(v, w, u, 1e-11)
             assert [repr(x) for x in lane] == [repr(x) for x in want]
@@ -450,7 +450,7 @@ def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
     # below, at and above LANES_MIN and of 2048 lanes
     lanes = _newton_lanes(32)[3:]
     polished = _per_lane(solver._newton_polish_lanes(
-        *_as_lanes([p for p, _ in lanes], [u for _, u in lanes]), 1e-11)[:5], tuple)
+        *_as_lanes([p for p, _ in lanes], [u for _, u in lanes]), 1e-11), tuple)
     points = [((v, w), u) for (v, w, *_, ok), (_, u) in zip(polished, lanes) if ok]
     starts = [seeded_start(5, i) for i in range(300)]
     points += [((s.v.tolist(), s.w.tolist()), u) for s, (_, u) in zip(starts, lanes)]
@@ -474,12 +474,10 @@ def test_polish_record_lanes_match_polish_record_bit_for_bit(monkeypatch):
     assert {0, 1} <= steps
 
 
-def test_lane_newton_hands_on_the_values_at_its_endpoints(monkeypatch):
-    # the g, h, cv, cw and rg the lane Newton returns have the bits that
-    # potential_lanes and tangent_gradient_lanes give at its endpoints, at
-    # every lane, those that leave at once included; the record polish
-    # started from them ends as one that evaluates them itself; and no
-    # Newton step runs on no lane
+def test_lane_newton_runs_no_step_on_no_lane(monkeypatch):
+    # neither lane Newton stage calls newton_step_lanes on an empty set of
+    # lanes: the lane Newton on the Newton test lanes, among them those
+    # that leave at once, and the record polish of its converged endpoints
     lanes = _newton_lanes(34)
     z, u = _as_lanes([p for p, _ in lanes], [u for _, u in lanes])
     stepped = []
@@ -490,17 +488,30 @@ def test_lane_newton_hands_on_the_values_at_its_endpoints(monkeypatch):
         return newton_step_lanes(z, *rest)
 
     monkeypatch.setattr(kernels, "newton_step_lanes", counted)
-    end, _, _, _, ok, at = solver._newton_polish_lanes(z, u, 1e-11)
+    end, _, _, _, ok = solver._newton_polish_lanes(z, u, 1e-11)
     assert stepped and 0 not in stepped
-    assert at.shape == (15, z.shape[1])
-    with np.errstate(all="ignore"):
-        assert _bits(at) == _bits(solver._at(end, u)[0])
     lane = np.flatnonzero(ok)
-    polished = solver._polish_record_lanes(end[:, lane], u[:, lane], at[:, lane])
-    want = solver._polish_record_lanes(end[:, lane], u[:, lane])
-    assert _bits(polished[0]) == _bits(want[0])
-    assert polished[1].tolist() == want[1].tolist()
-    assert 0 not in stepped
+    stepped.clear()
+    solver._polish_record_lanes(end[:, lane], u[:, lane])
+    assert stepped and 0 not in stepped
+
+
+def test_lane_newton_raises_where_newton_divides_by_zero():
+    # at the underflow start of the descent test the potential divides by
+    # zero: _newton_polish and _polish_record raise there, and so does the
+    # lane state both lane stages start from, with one lane and with
+    # LANES_MIN lanes
+    u = tuple(u_coeffs((1.0, 1.0, 1.0, 1.0)).tolist())
+    v, w = [2e-170, 0.6, 0.8], [-1e-170, 0.8, 0.6]
+    with pytest.raises(ZeroDivisionError):
+        _newton_polish(v, w, u, 1e-11)
+    with pytest.raises(ZeroDivisionError):
+        solver._polish_record(v, w, u)
+    for n in (1, kernels.LANES_MIN):
+        with pytest.raises(ZeroDivisionError):
+            solver._newton_polish_lanes(*_as_lanes([(v, w)] * n, [u] * n), 1e-11)
+        with pytest.raises(ZeroDivisionError):
+            solver._polish_record_lanes(*_as_lanes([(v, w)] * n, [u] * n))
 
 
 def _bits(x):
@@ -573,17 +584,26 @@ def test_stacked_least_squares_kernel_is_refused_unless_it_matches(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [0, 1, 64, 2048])
-@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("stacked", [True, False, "raising"])
 def test_stacked_least_squares_has_the_bits_of_lstsq_per_row(n, stacked, monkeypatch):
     # solver._least_squares solves a whole stack in one call of the
     # kernel that np.linalg.lstsq runs for one system, or without that
-    # kernel by the public call row by row: each row must get the public
-    # call's solution bits, and raise at its turn where the public rank
-    # is below 2, for entries with log10 |x| in [-30, 30], zero columns
-    # and proportional columns
+    # kernel (stacked False), or where the kernel raises FloatingPointError
+    # (stacked "raising"), by the public call row by row: each row must get
+    # the public call's solution bits, and raise at its turn where the
+    # public rank is below 2, for entries with log10 |x| in [-30, 30], zero
+    # columns and proportional columns
     from ccc4.errors import IndeterminateShapeError
-    if not stacked:
+    raised = []
+
+    def raising(*args, **kwargs):
+        raised.append(args[0].shape)
+        raise FloatingPointError("invalid value encountered in lstsq")
+
+    if stacked is False:
         monkeypatch.setattr(solver, "_LSTSQ_KERNEL", None)
+    elif stacked == "raising":
+        monkeypatch.setattr(solver, "_LSTSQ_KERNEL", raising)
     rng = np.random.default_rng(n)
     A = rng.choice((-1.0, 1.0), (n, 6, 2)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 6, 2))
     b = rng.choice((-1.0, 1.0), (n, 6)) * 10.0 ** rng.uniform(-30.0, 30.0, (n, 6))
@@ -608,6 +628,7 @@ def test_stacked_least_squares_has_the_bits_of_lstsq_per_row(n, stacked, monkeyp
         assert _bits(next(got)) == _bits(want[full[0]][0])
         with pytest.raises(IndeterminateShapeError):
             next(got)
+    assert bool(raised) == (stacked == "raising")
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

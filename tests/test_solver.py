@@ -221,14 +221,22 @@ def test_certify_detects_negated_sigma():
 
 
 def test_certify_detects_tampered_lambda():
-    rec = minimize_U(UNIT)
-    mult = rec.multipliers
-    tampered = replace(rec, multipliers=Multipliers(
-        lam=mult.lam + 0.05, sigma=mult.sigma,
-        stationarity_residual=mult.stationarity_residual))
-    report = certify_minimum(tampered)
-    assert not report.checks["stationarity"].passed
-    assert not report.checks["dziobek"].passed
+    # lambda shifted on the square, and negated on (1, 2, 3, 4), where the
+    # Hessian of L turns indefinite: its minors fail, Cholesky fails with
+    # them and the two agree
+    for m, tamper in ((UNIT, lambda lam: lam + 0.05),
+                      (MassVector(1.0, 2.0, 3.0, 4.0), lambda lam: -lam)):
+        rec = minimize_U(m)
+        mult = rec.multipliers
+        tampered = replace(rec, multipliers=Multipliers(
+            lam=tamper(mult.lam), sigma=mult.sigma,
+            stationarity_residual=mult.stationarity_residual))
+        report = certify_minimum(tampered)
+        assert not report.checks["stationarity"].passed
+        assert not report.checks["dziobek"].passed
+        assert report.checks["minors_positive"].passed == (m is UNIT)
+        assert report.checks["posdef_agreement"].passed
+        assert not report.passed
 
 
 def _log_uniform_masses(n, seed):
@@ -582,7 +590,7 @@ def test_row_tail_has_the_bits_of_the_record_functions():
 def _multistart(masses, starts):
     # one mass vector's solve from every start: its _Row and the (6, n)
     # endpoints of its starts
-    (_, _, z, _, _, rows), = solver._multistart_blocks([masses], starts, SolverOptions().gtol)
+    (_, _, z, _, rows), = solver._multistart_blocks([masses], starts, SolverOptions().gtol)
     row, = rows
     return row, z
 
